@@ -140,19 +140,14 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     measured_rad = dynamics.precession_frequency(traj.t, omegas, k0_vec)
     measured = None if measured_rad is None else measured_rad / (2.0 * math.pi)
 
-    def _drift(series, ref):
-        ref = abs(ref) if np.isscalar(ref) else float(np.linalg.norm(ref))
-        if ref == 0:
-            return 0.0
-        return float(np.max(np.abs(series - series[0]))) / ref
-
+    drift = traj.drift
     summary = {
         "precession_hz_measured": measured,
         "precession_hz_predicted": predicted,
-        "drift_abs_S": _drift(traj.abs_S, traj.abs_S[0]),
-        "drift_abs_omega": _drift(traj.abs_omega, traj.abs_omega[0]),
-        "drift_K": _drift(traj.K, traj.K[0]),
-        "drift_Hr": _drift(traj.H_r, traj.H_r[0]),
+        "drift_abs_S": drift["abs_S"],
+        "drift_abs_omega": drift["abs_omega"],
+        "drift_K": drift["K"],
+        "drift_Hr": drift["H_r"],
     }
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

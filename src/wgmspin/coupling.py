@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .specfun import angular_momentum_matrices
 from .wgm import ModeRecord, SphereParams, attach_profile
 
 __all__ = [
@@ -115,18 +114,17 @@ def optical_S_from_amplitudes(alpha) -> OpticalAngularMomentum:
     """S_i = alpha^dagger L_i alpha for coherent amplitudes alpha_m, m = -l..l.
 
     The amplitude vector length fixes l (2l+1 entries); photon number is
-    sum |alpha_m|^2.
+    sum |alpha_m|^2. Evaluated by the O(l) ladder sums S_z = sum m |alpha_m|^2
+    and S_+ = S_x + i S_y = sum sqrt(l(l+1) - m(m+1)) alpha*_{m+1} alpha_m.
     """
     alpha = np.asarray(alpha, dtype=complex).ravel()
     if alpha.size % 2 != 1 or alpha.size < 1:
         raise ValueError(f"amplitude vector must have odd length 2l+1, got {alpha.size}")
     l = (alpha.size - 1) // 2
-    mats = angular_momentum_matrices(l)
-    s = np.array([
-        np.real(np.vdot(alpha, mats.Lx @ alpha)),
-        np.real(np.vdot(alpha, mats.Ly @ alpha)),
-        np.real(np.vdot(alpha, mats.Lz @ alpha)),
-    ])
+    m = np.arange(-l, l + 1, dtype=float)
+    raise_amp = np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1))
+    s_plus = np.sum(raise_amp * np.conj(alpha[1:]) * alpha[:-1])
+    s = np.array([s_plus.real, s_plus.imag, np.sum(m * np.abs(alpha) ** 2)])
     return OpticalAngularMomentum(S=s, photon_number=float(np.vdot(alpha, alpha).real), l=l)
 
 

@@ -6,15 +6,19 @@ The single-mode coupled equations
 
 (S in hbar units) imply d/dt [I w - (Lambda-1) hbar S] = 0, so the flow is an
 exact uniform rotation of S (and of w with it) about the conserved axis
-K = I w - (Lambda-1) hbar S at angular rate Lambda |K| / I. step_wgm applies
-that rotation in closed form per step: |S|, |w|, K and the rotating-frame
-energy are conserved to rounding, not to integration order.
+K = I w - (Lambda-1) hbar S at angular rate Lambda |K| / I. simulate evaluates
+that flow in closed form at every sample time at once (one Rodrigues rotation
+by Lambda |K| t / I per sample, no stepping); step_wgm applies the same
+rotation over one step. |S|, |w|, K and the rotating-frame energy are
+conserved to rounding, not to integration order.
 
-State vectors are kept in numpy longdouble (x86 extended precision): plain
+State vectors are kept in numpy longdouble (x86 extended precision). A
+simulate sample is one rotation of the initial state, so its rounding does not
+accumulate; extended precision matters for long step_wgm chains, where plain
 float64 rounding random-walks to ~2e-13 relative over 1e6 steps, right at the
-conservation contract; extended precision gives honest margin. The general
-torque equation I dw/dt = -w x Gamma + dGamma/dt has no such closed form and
-uses classic RK4.
+conservation contract, and for w, which is advanced by the increment of the
+much larger S. The general torque equation I dw/dt = -w x Gamma + dGamma/dt
+has no such closed form and uses classic RK4.
 """
 
 from __future__ import annotations
@@ -87,6 +91,19 @@ class Trajectory:
     def t(self):
         return np.array([s.t for s in self.samples])
 
+    @property
+    def drift(self):
+        """Largest deviation of each monitor channel from its first sample,
+        relative to the first sample's magnitude (norm for K; 0 when that
+        magnitude is 0), keyed abs_S, abs_omega, K, H_r."""
+        out = {}
+        for name in ("abs_S", "abs_omega", "K", "H_r"):
+            series = getattr(self, name)
+            ref = float(np.linalg.norm(series[0]))
+            out[name] = (float(np.max(np.abs(series - series[0]))) / ref
+                         if ref else 0.0)
+        return out
+
 
 # --- Euler-angle kinematics (z-y-z convention, R = Rz(a) Ry(b) Rz(g)) ------
 
@@ -138,25 +155,27 @@ def _quat_mul(p, q):
     )
 
 
-def _rotation_quat(ux, uy, uz, angle):
-    half = 0.5 * angle
-    s = np.sin(half)
-    return (np.cos(half), ux * s, uy * s, uz * s)
+def _rotation_quat(v, t):
+    """Rotation by |v| t about v (t scalar or array); identity for v = 0."""
+    vx, vy, vz = v
+    vn = np.sqrt(vx * vx + vy * vy + vz * vz)
+    if vn == 0.0:
+        return _IDENTITY_Q
+    half = 0.5 * vn * t
+    s = np.sin(half) / vn
+    return (np.cos(half), vx * s, vy * s, vz * s)
 
 
-def _advance_orientation(q, wx, wy, wz, dt):
-    wn = np.sqrt(wx * wx + wy * wy + wz * wz)
-    if wn == 0.0:
-        return q
-    rot = _rotation_quat(wx / wn, wy / wn, wz / wn, wn * dt)
-    out = _quat_mul(rot, tuple(q))
-    arr = np.array(out, dtype=_LD)
+def _advance_orientation(q, w, dt):
+    arr = np.array(_quat_mul(_rotation_quat(w, dt), tuple(q)), dtype=_LD)
     return arr / np.sqrt(np.sum(arr * arr))
 
 
 # --- WGM coupled step (exact rotation about conserved K) --------------------
 
 def _step_wgm_scalars(sx, sy, sz, wx, wy, wz, inertia, lam, hbar, dt):
+    # dt may be an array of elapsed times: the result is then the exact flow
+    # evaluated at each of them (S and w components as arrays)
     lm1h = (lam - 1.0) * hbar
     kx = inertia * wx - lm1h * sx
     ky = inertia * wy - lm1h * sy
@@ -180,9 +199,8 @@ def _step_wgm_scalars(sx, sy, sz, wx, wy, wz, inertia, lam, hbar, dt):
     # restore |S| to the incoming norm: the fixed-angle Rodrigues form has a
     # same-sign per-step norm bias that would otherwise accumulate linearly
     sn_old = np.sqrt(sx * sx + sy * sy + sz * sz)
-    sn_new = np.sqrt(sx2 * sx2 + sy2 * sy2 + sz2 * sz2)
-    if sn_new > 0.0:
-        f = sn_old / sn_new
+    if sn_old > 0.0:
+        f = sn_old / np.sqrt(sx2 * sx2 + sy2 * sy2 + sz2 * sz2)
         sx2 = sx2 * f
         sy2 = sy2 * f
         sz2 = sz2 * f
@@ -218,7 +236,7 @@ def step_wgm(state: SpinState, dt: float, constants: CouplingConstants, *,
     wx, wy, wz = state.omega
     sx, sy, sz, wx2, wy2, wz2 = _step_wgm_scalars(
         sx, sy, sz, wx, wy, wz, inertia, lam, hb, dtl)
-    q = _advance_orientation(state.orientation, *state.omega, dtl)
+    q = _advance_orientation(state.orientation, state.omega, dtl)
     return SpinState(omega=np.array([wx2, wy2, wz2], dtype=_LD),
                      S=np.array([sx, sy, sz], dtype=_LD),
                      orientation=q, t=state.t + dt)
@@ -257,7 +275,7 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
         n1 = np.linalg.norm(w1)
         if n1 > 0:
             w1 = w1 * (n0 / n1)
-    q = _advance_orientation(state.orientation, *state.omega, _LD(dt))
+    q = _advance_orientation(state.orientation, state.omega, _LD(dt))
     return SpinState(omega=w1, S=state.S, orientation=q, t=t0 + dt)
 
 
@@ -273,29 +291,38 @@ def conserved_K(state: SpinState, constants: CouplingConstants, *,
 def rotating_frame_energy(state: SpinState, constants: CouplingConstants, *,
                           hbar: float = HBAR) -> float:
     """H_r = [Lambda (J+S)^2 + (1-Lambda) J^2 + Lambda(Lambda-1) S^2] / 2I
-    with J = I w - Lambda S (all vectors in SI units; S scaled by hbar)."""
-    lam = constants.lambda_
-    inertia = constants.I
-    s_si = _LD(hbar) * state.S
-    j = inertia * state.omega - lam * s_si
-    jps = j + s_si
-    return float(
-        (lam * np.sum(jps * jps)
-         + (1.0 - lam) * np.sum(j * j)
-         + lam * (lam - 1.0) * np.sum(s_si * s_si)) / (2.0 * inertia)
-    )
+    with J = I w - Lambda S (all vectors in SI units; S scaled by hbar).
+
+    J + S = K = I w - (Lambda-1) hbar S makes the S terms cancel exactly, so
+    the bracket is |I w|^2 and H_r = I |w|^2 / 2, evaluated in that form (no
+    cancellation of large terms). hbar is accepted for a uniform signature.
+    """
+    return float(0.5 * constants.I * np.sum(state.omega * state.omega))
 
 
 # --- driver ------------------------------------------------------------------
 
+def _columns(cols, n):
+    """(n, len(cols)) longdouble array from scalar or length-n columns."""
+    out = np.empty((n, len(cols)), dtype=_LD)
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
+
+
 def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
              n_steps: int, sample_every: int = 1, *, hbar: float = HBAR,
              monitor_tol: float = 1e-6) -> Trajectory:
-    """Iterate step_wgm n_steps times, recording every sample_every-th state.
+    """Exact flow at steps 0, sample_every, 2 sample_every, ... and n_steps.
 
+    Each sample is the closed-form flow at its elapsed time t = step * dt: S
+    rotated about K by Lambda |K| t / I and w advanced by the matching
+    increment of S, from the kernel of step_wgm evaluated for all sample times
+    at once. w(t) is w(0) rotated about K at Omega = Lambda |K| / I, so the
+    orientation is exact too: q(t) = q(K^, Omega t) q(w0 - Omega K^, t) q0.
     Monitor channels (|S|, |w|, K, H_r) are recorded per sample; relative
-    drift beyond monitor_tol aborts with a diagnostic (it indicates integrator
-    misuse, e.g. non-finite inputs). Deterministic for fixed inputs.
+    drift beyond monitor_tol raises RuntimeError (it indicates misuse, e.g.
+    state scales beyond the working precision). Deterministic for fixed inputs.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -304,59 +331,36 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
     lam = _LD(constants.lambda_)
     inertia = _LD(constants.I)
     hb = _LD(hbar)
-    dtl = _LD(dt)
+    steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    elapsed = steps * _LD(dt)
 
-    state = initial
-    samples = [initial]
-    sx, sy, sz = initial.S
-    wx, wy, wz = initial.omega
-    q = initial.orientation
-    t = initial.t
+    sw = _columns(_step_wgm_scalars(*initial.S, *initial.omega, inertia, lam,
+                                    hb, elapsed), steps.size)
+    s, w = sw[:, :3], sw[:, 3:]
+    k = inertia * w - (lam - 1.0) * hb * s
+    k_norm = np.sqrt(np.sum(k[0] * k[0]))
+    rate = lam * k_norm / inertia
+    k_hat = k[0] / k_norm if k_norm else np.zeros(3, dtype=_LD)
+    q = _columns(_quat_mul(
+        _rotation_quat(k_hat, rate * elapsed),
+        _quat_mul(_rotation_quat(initial.omega - rate * k_hat, elapsed),
+                  tuple(initial.orientation))), steps.size)
 
-    def monitors(st):
-        k = conserved_K(st, constants, hbar=hbar)
-        return (float(np.sqrt(np.sum(st.S * st.S))),
-                float(np.sqrt(np.sum(st.omega * st.omega))),
-                k.astype(float),
-                rotating_frame_energy(st, constants, hbar=hbar))
-
-    m0 = monitors(initial)
-    abs_s = [m0[0]]
-    abs_w = [m0[1]]
-    ks = [m0[2]]
-    hr = [m0[3]]
-    k_ref = max(float(np.linalg.norm(m0[2])), np.finfo(float).tiny)
-    h_ref = max(abs(m0[3]), np.finfo(float).tiny)
-
-    for step in range(1, n_steps + 1):
-        q = _advance_orientation(q, wx, wy, wz, dtl)
-        sx, sy, sz, wx, wy, wz = _step_wgm_scalars(
-            sx, sy, sz, wx, wy, wz, inertia, lam, hb, dtl)
-        if step % sample_every == 0 or step == n_steps:
-            state = SpinState(
-                omega=np.array([wx, wy, wz], dtype=_LD),
-                S=np.array([sx, sy, sz], dtype=_LD),
-                orientation=q, t=t + step * dt)
-            samples.append(state)
-            m = monitors(state)
-            abs_s.append(m[0])
-            abs_w.append(m[1])
-            ks.append(m[2])
-            hr.append(m[3])
-            drift = max(
-                abs(m[0] - m0[0]) / m0[0] if m0[0] else 0.0,
-                abs(m[1] - m0[1]) / m0[1] if m0[1] else 0.0,
-                float(np.max(np.abs(m[2] - m0[2]))) / k_ref,
-                abs(m[3] - m0[3]) / h_ref,
-            )
-            if drift > monitor_tol:
-                raise RuntimeError(
-                    f"conservation monitor drift {drift:.3e} beyond "
-                    f"{monitor_tol:.1e} at step {step}: integrator misuse "
-                    f"(check dt and state scales)")
-    return Trajectory(samples=samples, abs_S=np.array(abs_s),
-                      abs_omega=np.array(abs_w), K=np.array(ks),
-                      H_r=np.array(hr))
+    w2 = np.sum(w * w, axis=1)
+    traj = Trajectory(
+        samples=[SpinState(omega=w[i], S=s[i], orientation=q[i],
+                           t=initial.t + int(n) * dt)
+                 for i, n in enumerate(steps)],
+        abs_S=np.sqrt(np.sum(s * s, axis=1)).astype(float),
+        abs_omega=np.sqrt(w2).astype(float),
+        K=k.astype(float),
+        H_r=(0.5 * inertia * w2).astype(float))
+    channel, drift = max(traj.drift.items(), key=lambda item: item[1])
+    if drift > monitor_tol:
+        raise RuntimeError(
+            f"conservation monitor drift {drift:.3e} in {channel} beyond "
+            f"{monitor_tol:.1e}: integrator misuse (check dt and state scales)")
+    return traj
 
 
 def trajectory_to_csv(traj: Trajectory, path):

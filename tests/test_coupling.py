@@ -151,6 +151,20 @@ def test_random_amplitudes_against_dense_oracle():
     assert np.linalg.norm(got.S) <= got.photon_number * math.sqrt(l * (l + 1)) + 1e-9
 
 
+@pytest.mark.parametrize("l", [120, 400])
+def test_ladder_sums_match_dense_matrices(l):
+    # the O(l) ladder sums against alpha^dagger L_i alpha with the cached
+    # extended-precision matrices
+    rng = np.random.default_rng(l)
+    alpha = rng.standard_normal(2 * l + 1) + 1j * rng.standard_normal(2 * l + 1)
+    mats = angular_momentum_matrices(l)
+    a = alpha.astype(np.clongdouble)
+    want = np.array([np.vdot(a, mats.Lx @ a).real, np.vdot(a, mats.Ly @ a).real,
+                     np.vdot(a, mats.Lz @ a).real], dtype=float)
+    got = optical_S_from_amplitudes(alpha).S
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_amplitude_length_must_be_odd():
     with pytest.raises(ValueError):
         optical_S_from_amplitudes(np.ones(4, dtype=complex))

@@ -196,9 +196,88 @@ def test_orientation_tracks_constant_spin():
     assert abs(np.linalg.norm(cur.orientation.astype(float)) - 1.0) < 1e-12
 
 
+def test_simulate_orientation_exact_for_constant_spin():
+    # same setup as test_orientation_tracks_constant_spin, through the
+    # closed-form orientation of simulate instead of the step chain
+    cc = make_constants(lambda_=0.0)
+    w = 0.125
+    state = SpinState(omega=[0.0, 0.0, w], S=[0.0, 0.0, 0.0])
+    dt, n = 0.25, 64
+    got = simulate(state, cc, dt, n, sample_every=16).samples[-1].orientation
+    half = 0.5 * w * dt * n
+    want = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
+    np.testing.assert_allclose(got.astype(float), want, rtol=0, atol=1e-16)
+
+
+def test_step_wgm_orientation_converges_to_closed_form():
+    # step_wgm holds the incoming w over a step, so its orientation error
+    # against simulate's exact flow is first order in dt
+    cc = make_constants(lambda_=1.37, inertia=0.8, l=3)
+    state = SpinState(omega=[0.3, -0.2, 0.5], S=[0.4, 0.1, -0.3],
+                      orientation=[0.8, 0.0, 0.6, 0.0])
+    total = 4.0
+    want = simulate(state, cc, total, 1, hbar=1.0).samples[-1].orientation
+    errors = []
+    for n in (100, 200, 400):
+        cur = state
+        for _ in range(n):
+            cur = step_wgm(cur, total / n, cc, hbar=1.0)
+        q = cur.orientation
+        errors.append(float(min(np.linalg.norm(q - want),
+                                np.linalg.norm(q + want))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 < coarse / fine < 2.1
+
+
 def test_dt_must_be_positive():
     with pytest.raises(ValueError):
         step_wgm(reference_state(), 0.0, make_constants())
+
+
+def test_simulate_matches_step_wgm_chain():
+    # simulate evaluates the flow at each sample time; an iterated step_wgm
+    # chain must land on the same states (the last sample, step 20 000, is
+    # not a multiple of the stride)
+    cc = make_constants()
+    state = reference_state()
+    dt, n = 1.2e4, 20_000
+    traj = simulate(state, cc, dt, n, sample_every=3000)
+    want = {s.t: s for s in traj.samples}
+    assert sorted(want) == [i * dt for i in (*range(0, n, 3000), n)]
+    s_scale = np.sqrt(np.sum(state.S * state.S))
+    w_scale = np.sqrt(np.sum(state.omega * state.omega))
+    cur = state
+    checked = 1
+    for _ in range(n):
+        cur = step_wgm(cur, dt, cc)
+        if cur.t in want:
+            ref = want[cur.t]
+            assert np.max(np.abs(cur.S - ref.S)) <= 1e-15 * s_scale
+            assert np.max(np.abs(cur.omega - ref.omega)) <= 1e-13 * w_scale
+            checked += 1
+    assert checked == len(traj.samples)
+
+
+def test_drifts_on_million_step_reference():
+    # the criterion-4 setup, held to 1e-14 on all four channels; drift is
+    # the criterion-4 definition of each channel's relative drift
+    params = SphereParams(R=10e-6, n=math.sqrt(2.31))
+    cc = make_constants(lambda_=1.12, inertia=params.I)
+    state = SpinState(
+        omega=np.array([1e-9 * math.sin(0.2), 0.0, 1e-9 * math.cos(0.2)]),
+        S=1e5 * 120.0 * np.array([math.sin(0.4), 0.0, math.cos(0.4)]))
+    traj = simulate(state, cc, 1.2e4, 1_000_000, sample_every=10_000)
+    assert len(traj.samples) == 101
+    drift = traj.drift
+    assert drift == {
+        "abs_S": np.max(np.abs(traj.abs_S - traj.abs_S[0])) / traj.abs_S[0],
+        "abs_omega": (np.max(np.abs(traj.abs_omega - traj.abs_omega[0]))
+                      / traj.abs_omega[0]),
+        "K": np.max(np.abs(traj.K - traj.K[0])) / np.linalg.norm(traj.K[0]),
+        "H_r": np.max(np.abs(traj.H_r - traj.H_r[0])) / abs(traj.H_r[0]),
+    }
+    for channel, value in drift.items():
+        assert value <= 1e-14, channel
 
 
 # --- time reversal ----------------------------------------------------------------
@@ -267,6 +346,30 @@ def test_energy_cancellation_at_lambda_one():
     cc = make_constants(lambda_=1.0)
     state = SpinState(omega=[0.0, 0.0, 0.0], S=[1e5, -3e4, 7e4])
     assert rotating_frame_energy(state, cc) == pytest.approx(0.0, abs=1e-40)
+
+
+def _expanded_energy(state, cc, hbar):
+    # the defining bracket, [Lambda (J+S)^2 + (1-Lambda) J^2
+    # + Lambda(Lambda-1) S^2] / 2I with J = I w - Lambda S, term by term
+    lam, inertia = cc.lambda_, cc.I
+    s_si = np.longdouble(hbar) * state.S
+    j = inertia * state.omega - lam * s_si
+    jps = j + s_si
+    return float((lam * np.sum(jps * jps) + (1.0 - lam) * np.sum(j * j)
+                  + lam * (lam - 1.0) * np.sum(s_si * s_si)) / (2.0 * inertia))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_energy_equals_expanded_bracket(seed):
+    rng = np.random.default_rng(seed)
+    cc = make_constants(lambda_=rng.uniform(0.0, 3.0),
+                        inertia=rng.uniform(0.5, 2.0), l=3)
+    state = SpinState(omega=rng.uniform(-1e3, 1e3, 3),
+                      S=rng.uniform(-1e3, 1e3, 3))
+    want = _expanded_energy(state, cc, 1.0)
+    got = rotating_frame_energy(state, cc, hbar=1.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # --- step_general -------------------------------------------------------------------
