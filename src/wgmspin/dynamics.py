@@ -324,6 +324,8 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
     drift beyond monitor_tol raises RuntimeError (it indicates misuse, e.g.
     state scales beyond the working precision). Deterministic for fixed inputs.
     """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if sample_every < 1:

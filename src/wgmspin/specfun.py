@@ -26,6 +26,8 @@ __all__ = [
     "spherical_bessel_y",
     "spherical_hankel1",
     "riccati_bessel",
+    "riccati_psi",
+    "riccati_xi",
     "angular_momentum_matrices",
 ]
 
@@ -66,38 +68,36 @@ def _as_array(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _y_ladder(l, z):
-    """y_{l-1}, y_l, y_{l+1} by upward recurrence, plus overflow mask.
-
-    y_{-1}(z) = sin(z)/z by convention (= j_0), which makes h1_{-1} = e^{iz}/z.
-    Overflowed entries are flagged, not raised: callers decide (j underflows
-    to zero there, an explicit y/h query raises).
+def _upward_ladder(l, z, f_m1, f_0, f_1):
+    """f_{l-1}, f_l, f_{l+1} by upward recurrence from f_{-1}, f_0 (f_1() is
+    the closed form used for l = 0), plus a mask of overflowed entries:
+    callers decide (j underflows to zero there, an explicit y/h query raises).
     """
-    sz, cz = np.sin(z), np.cos(z)
-    ym1 = sz / z            # y_{-1}
-    y0 = -cz / z
     # overflow to inf is expected deep in the l >> |z| regime and resolved by
     # the mask below, so silence numpy's per-op warnings here
     with np.errstate(over="ignore", invalid="ignore"):
         if l == 0:
-            y1 = -cz / (z * z) - sz / z
-            trio = (ym1, y0, y1)
+            trio = (f_m1, f_0, f_1())
         else:
-            prev, cur = ym1, y0
+            prev, cur = f_m1, f_0
             for order in range(0, l + 1):
                 prev, cur = cur, (2 * order + 1) / z * cur - prev
                 if order == l - 1:
                     keep_lm1 = prev
             trio = (keep_lm1, prev, cur)
-    overflow = ~(
-        (np.abs(trio[1].real) < _Y_OVERFLOW) & (np.abs(trio[1].imag) < _Y_OVERFLOW)
-        & (np.abs(trio[2].real) < _Y_OVERFLOW) & (np.abs(trio[2].imag) < _Y_OVERFLOW)
-    )
-    return trio, overflow
+    big = [np.maximum(np.abs(f.real), np.abs(f.imag)) for f in trio[1:]]
+    return trio, ~((big[0] < _Y_OVERFLOW) & (big[1] < _Y_OVERFLOW))
+
+
+def _y_ladder(l, z):
+    """y_{l-1}, y_l, y_{l+1} and overflow mask; y_{-1}(z) = sin(z)/z by
+    convention (= j_0), which makes h1_{-1} = e^{iz}/z."""
+    sz, cz = np.sin(z), np.cos(z)
+    return _upward_ladder(l, z, sz / z, -cz / z, lambda: -cz / (z * z) - sz / z)
 
 
 def _h1_ladder(l, z):
-    """h1_{l-1}, h1_l, h1_{l+1} by upward recurrence from exact seeds.
+    """h1_{l-1}, h1_l, h1_{l+1} and overflow mask, from exact seeds.
 
     h1_0 = -i e^{iz}/z, h1_{-1} = e^{iz}/z. Outgoing h1 is never the minimal
     solution (it grows like y_l for l >> |z| and like e^{-Im z} suppressed
@@ -106,24 +106,8 @@ def _h1_ladder(l, z):
     j + i y would cancel catastrophically for Im z >> 1.
     """
     eiz = np.exp(1j * z)
-    hm1 = eiz / z
-    h0 = -1j * eiz / z
-    with np.errstate(over="ignore", invalid="ignore"):
-        if l == 0:
-            h1 = -eiz * (z + 1j) / (z * z)
-            trio = (hm1, h0, h1)
-        else:
-            prev, cur = hm1, h0
-            for order in range(0, l + 1):
-                prev, cur = cur, (2 * order + 1) / z * cur - prev
-                if order == l - 1:
-                    keep_lm1 = prev
-            trio = (keep_lm1, prev, cur)
-    overflow = ~(
-        (np.abs(trio[1].real) < _Y_OVERFLOW) & (np.abs(trio[1].imag) < _Y_OVERFLOW)
-        & (np.abs(trio[2].real) < _Y_OVERFLOW) & (np.abs(trio[2].imag) < _Y_OVERFLOW)
-    )
-    return trio, overflow
+    return _upward_ladder(l, z, eiz / z, -1j * eiz / z,
+                          lambda: -eiz * (z + 1j) / (z * z))
 
 
 def _miller_start(l, z):
@@ -263,6 +247,31 @@ def spherical_hankel1(l, z):
     return hl[0] if scalar else hl.reshape(np.shape(z))
 
 
+def _riccati_pair(name, z, f, fp):
+    """(f, f') shaped like z (scalars for scalar z), after the non-finite checks."""
+    _signal_nonfinite(name, f)
+    _signal_nonfinite(name + "'", fp)
+    return f.reshape(np.shape(z))[()], fp.reshape(np.shape(z))[()]
+
+
+def riccati_psi(l, z):
+    """Riccati-Bessel psi_l = z j_l and psi_l', from the Miller j ladder alone."""
+    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    arr, _ = _as_array(z)
+    (jlm1, jl, _), _, _ = _j_ladder(l, arr)
+    return _riccati_pair("psi", z, arr * jl, arr * jlm1 - l * jl)
+
+
+def riccati_xi(l, z):
+    """Riccati-Bessel xi_l = z h_l^(1) and xi_l', from the h1 ladder alone."""
+    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    arr, _ = _as_array(z)
+    (hlm1, hl, _), over = _h1_ladder(l, arr)
+    if np.any(over):
+        raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
+    return _riccati_pair("xi", z, arr * hl, arr * hlm1 - l * hl)
+
+
 def riccati_bessel(l, z):
     """Riccati-Bessel psi_l = z j_l, xi_l = z h_l^(1) and their derivatives.
 
@@ -270,23 +279,7 @@ def riccati_bessel(l, z):
     Wronskian identity psi xi' - psi' xi = i. Same |Im z| <= 1 tight envelope
     as the Hankel functions.
     """
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
-    arr, scalar = _as_array(z)
-    (jlm1, jl, _), _, _ = _j_ladder(l, arr)
-    (hlm1, hl, _), over = _h1_ladder(l, arr)
-    if np.any(over):
-        raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
-    psi = arr * jl
-    psip = arr * jlm1 - l * jl
-    xi = arr * hl
-    xip = arr * hlm1 - l * hl
-    for name, v in (("psi", psi), ("psi'", psip), ("xi", xi), ("xi'", xip)):
-        _signal_nonfinite(name, v)
-    if scalar:
-        return psi[0], psip[0], xi[0], xip[0]
-    shape = np.shape(z)
-    return (psi.reshape(shape), psip.reshape(shape),
-            xi.reshape(shape), xip.reshape(shape))
+    return riccati_psi(l, z) + riccati_xi(l, z)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .specfun import riccati_bessel, _j_ladder, _as_array
+from .specfun import riccati_psi, riccati_xi, _j_ladder, _as_array
 
 __all__ = [
     "SphereParams",
@@ -106,6 +107,25 @@ class ModeRecord:
         return 2.0 * math.pi / self.k0
 
 
+def _characteristic(l, k, params: SphereParams, te):
+    """(D, dD/dk) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR), vectorized
+    over k; weights (a, b) = (n, 1) for TE and (1, n) for TM.
+
+    psi'' = (l(l+1)/z^2 - 1) psi, and likewise xi, make the slope exact in the
+    same four values: R [(a/n - b) l(l+1)/(kR)^2 + b - a n] psi xi
+    + R (a - b n) psi' xi', i.e. R (1 - n^2) psi xi for TE.
+    """
+    n, R = params.n, params.R
+    a, b = (n, 1.0) if te else (1.0, n)
+    x = np.asarray(k) * R
+    psi, psip = riccati_psi(l, np.asarray(k) * (n * R))
+    xi, xip = riccati_xi(l, x)
+    d = a * psip * xi - b * psi * xip
+    slope = R * (((a / n - b) * (l * (l + 1)) / (x * x) + (b - a * n)) * psi * xi
+                 + (a - b * n) * psip * xip)
+    return d, slope
+
+
 def te_characteristic(l, k, params: SphereParams):
     """TE residual D(k) = n psi'(nkR) xi(kR) - psi(nkR) xi'(kR).
 
@@ -113,10 +133,7 @@ def te_characteristic(l, k, params: SphereParams):
     the tangential field and its radial derivative across r = R). Vectorized
     over k.
     """
-    n, R = params.n, params.R
-    psi_y, psip_y, _, _ = riccati_bessel(l, np.asarray(k) * (n * R))
-    _, _, xi_x, xip_x = riccati_bessel(l, np.asarray(k) * R)
-    return n * psip_y * xi_x - psi_y * xip_x
+    return _characteristic(l, k, params, te=True)[0]
 
 
 def tm_characteristic(l, k, params: SphereParams):
@@ -125,23 +142,20 @@ def tm_characteristic(l, k, params: SphereParams):
     The 1/epsilon factor in the derivative matching across the permittivity
     step moves n onto the other term relative to TE.
     """
-    n, R = params.n, params.R
-    psi_y, psip_y, _, _ = riccati_bessel(l, np.asarray(k) * (n * R))
-    _, _, xi_x, xip_x = riccati_bessel(l, np.asarray(k) * R)
-    return psip_y * xi_x - n * psi_y * xip_x
+    return _characteristic(l, k, params, te=False)[0]
 
 
-_CHARACTERISTIC = {"TE": te_characteristic, "TM": tm_characteristic}
+_CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
+                   "TM": partial(_characteristic, te=False)}
 
 
 def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol, max_iter=80):
     """Complex Newton refinement of many seeds at once.
 
-    Dvec maps a complex ndarray of k to D(k). All seeds iterate together
-    (the special-function ladders amortize across the seed vector); runaway
-    iterates are parked on a safe placeholder and reported as dead. Returns
-    (poles ndarray, converged mask). The finite-difference stencil is real;
-    D is analytic, so the directional derivative is the derivative.
+    Dvec maps a complex ndarray of k to (D(k), dD/dk), one evaluation per
+    iteration. All seeds iterate together (the special-function ladders
+    amortize across the seed vector); runaway iterates are parked on a safe
+    placeholder and reported as dead. Returns (poles ndarray, converged mask).
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
@@ -149,9 +163,7 @@ def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol, max_iter=80):
     alive = np.ones(k.size, dtype=bool)
     span = k_hi - k_lo
     for _ in range(max_iter):
-        h = 1e-7 * np.abs(k)
-        d0 = Dvec(k)
-        dp = (Dvec(k + h) - Dvec(k - h)) / (2.0 * h)
+        d0, dp = Dvec(k)
         ok = alive & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
@@ -163,7 +175,7 @@ def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol, max_iter=80):
             k[runaway] = k_lo  # safe placeholder, excluded from results
         if not np.any(alive) or np.max(np.abs(step[alive]) / np.abs(k[alive])) < 5e-15:
             break
-    converged = alive & (np.abs(Dvec(k)) / d_scale <= pole_tol)
+    converged = alive & (np.abs(Dvec(k)[0]) / d_scale <= pole_tol)
     return k, converged
 
 
@@ -185,7 +197,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     Dfun = _CHARACTERISTIC[polarization]
 
     ks = np.linspace(k_lo, k_hi, int(scan_points))
-    absd = np.abs(Dfun(l, ks, params))
+    absd = np.abs(Dfun(l, ks, params)[0])
     d_scale = max(absd[0], absd[-1])
     if d_scale == 0:
         d_scale = float(np.max(absd)) or 1.0
@@ -193,10 +205,8 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     interior = (absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])
     seeds = ks[1:-1][interior]
 
-    def Dvec(k):
-        return np.atleast_1d(Dfun(l, k, params))
-
-    refined, converged = _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol)
+    refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
+                                       k_lo, k_hi, d_scale, pole_tol)
     for seed, ok in zip(seeds, converged):
         if not ok:
             log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",
@@ -205,16 +215,10 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     poles: list[complex] = []
     for pole in refined[converged]:
         pole = complex(pole)
-        if pole.imag >= 0:
-            continue
-        kappa_c = -2.0 * pole.imag
-        if not (k_lo <= pole.real <= k_hi):
-            continue
-        if kappa_c / pole.real >= max_relative_width:
-            continue
-        if any(abs(pole - p) < 1e-8 * abs(p) for p in poles):
-            continue
-        poles.append(pole)
+        if (pole.imag < 0 and k_lo <= pole.real <= k_hi
+                and -2.0 * pole.imag / pole.real < max_relative_width
+                and not any(abs(pole - p) < 1e-8 * abs(p) for p in poles)):
+            poles.append(pole)
 
     poles.sort(key=lambda p: p.real)
     return [

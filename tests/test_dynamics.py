@@ -234,6 +234,12 @@ def test_dt_must_be_positive():
         step_wgm(reference_state(), 0.0, make_constants())
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.2e4, math.nan])
+def test_simulate_dt_must_be_positive(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        simulate(reference_state(), make_constants(), dt, 10)
+
+
 def test_simulate_matches_step_wgm_chain():
     # simulate evaluates the flow at each sample time; an iterated step_wgm
     # chain must land on the same states (the last sample, step 20 000, is

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmspin import specfun
 from wgmspin.specfun import (
     AccuracyWarning,
     angular_momentum_matrices,
     riccati_bessel,
+    riccati_psi,
+    riccati_xi,
     spherical_bessel_j,
     spherical_bessel_y,
     spherical_hankel1,
@@ -199,6 +202,29 @@ def test_y_overflow_signalled():
         spherical_bessel_y(120, 1e-3)
     with pytest.raises(OverflowError):
         spherical_hankel1(120, 1e-3)
+    with pytest.raises(OverflowError):
+        riccati_xi(120, 1e-3)
+
+
+def test_riccati_pairs_run_only_their_own_ladder(monkeypatch):
+    # psi needs only the Miller j ladder and xi only the h1 ladder
+    z = np.array([80.0 + 0.1j, 130.0 - 1e-12j])
+    want = riccati_bessel(120, z)
+
+    def forbidden(*args):
+        raise AssertionError("ladder not needed here")
+
+    monkeypatch.setattr(specfun, "_h1_ladder", forbidden)
+    psi, psip = riccati_psi(120, z)
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_j_ladder", forbidden)
+    monkeypatch.setattr(specfun, "_y_ladder", forbidden)
+    xi, xip = riccati_xi(120, z)
+    monkeypatch.undo()
+    for got, ref in zip((psi, psip, xi, xip), want):
+        assert got.tobytes() == ref.tobytes()
+    # where xi leaves double range, psi underflows to zero without raising
+    assert riccati_psi(120, 1e-3) == (0, 0)
 
 
 def test_vectorized_matches_scalar():

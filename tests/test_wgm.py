@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from wgmspin.coupling import compute_lambda
+from wgmspin.specfun import riccati_bessel
 from wgmspin.wgm import (
+    _CHARACTERISTIC,
     ModeRecord,
     SphereParams,
     attach_profile,
@@ -89,6 +92,57 @@ def test_te_tm_differ_for_contrast(ref_params):
     assert abs(dte - dtm) > 1e-6 * (abs(dte) + abs(dtm))
 
 
+# windows holding at least one pole of each (polarization, l) below
+_POLE_WINDOWS = {
+    1: (0.1 / 10e-6, 5.0 / 10e-6),
+    20: (14.0 / 10e-6, 22.0 / 10e-6),
+    120: (0.98 * 8.45e6, 1.02 * 8.45e6),
+}
+_CHARACTERISTIC_PUBLIC = {"TE": te_characteristic, "TM": tm_characteristic}
+
+
+def _cauchy_derivative(fn, k, radius, points=32):
+    # trapezoidal rule for (1/2 pi i) \oint D(z) / (z - k)^2 dz on a circle;
+    # exponentially convergent for the entire function D
+    theta = 2.0 * np.pi * np.arange(points) / points
+    return np.mean(fn(k + radius * np.exp(1j * theta)) * np.exp(-1j * theta)) / radius
+
+
+@pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("l", [1, 20, 120])
+def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l):
+    # dD/dk from the Riccati-Bessel ODE against a contour derivative of the
+    # public D, on a pole, just off it, and away from it on both sides of the
+    # real axis. Radius 0.01/R and 32 nodes give <= 4e-13 relative here.
+    R = ref_params.R
+    modes = find_resonance(pol, l, _POLE_WINDOWS[l], ref_params, scan_points=3000,
+                           max_relative_width=0.6)
+    assert modes
+    pole = modes[len(modes) // 2].pole
+    public = _CHARACTERISTIC_PUBLIC[pol]
+    for k in (pole, pole + (1 + 1j) * 1e-3 / R, 1.003 * pole.real - 0.2j / R,
+              0.97 * pole.real + 0.1j / R):
+        d, slope = _CHARACTERISTIC[pol](l, k, ref_params)
+        assert d == public(l, k, ref_params)
+        want = _cauchy_derivative(lambda z: public(l, z, ref_params), k, 0.01 / R)
+        assert abs(slope - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("l", [1, 20, 120])
+def test_characteristic_is_riccati_combination(ref_params, l):
+    # D is bit-identical to the Riccati-Bessel combination it stands for
+    n, R = ref_params.n, ref_params.R
+    rng = np.random.default_rng(l)
+    k = K_REF * (0.9 + 0.2 * rng.random(64) - 1j * 10.0 ** rng.uniform(-20, -3, 64))
+    psi, psip, _, _ = riccati_bessel(l, k * (n * R))
+    _, _, xi, xip = riccati_bessel(l, k * R)
+    te = n * psip * xi - psi * xip
+    tm = psip * xi - n * psi * xip
+    assert te_characteristic(l, k, ref_params).tobytes() == te.tobytes()
+    assert tm_characteristic(l, k, ref_params).tobytes() == tm.tobytes()
+
+
 # --- find_resonance --------------------------------------------------------------
 
 def test_resonance_wavelength_and_uniqueness(ref_mode):
@@ -120,6 +174,50 @@ def test_pole_stable_under_seed_scan_refinement(ref_params):
     fine = find_resonance("TE", 120, window, ref_params, scan_points=2000)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].k0 - fine[0].k0) / fine[0].k0 < 1e-12
+
+
+def test_kappa_and_lambda_window_independent(ref_params):
+    # the reference mode's linewidth and coupling constant do not depend on
+    # the search window or the scan density beyond 1e-10 relative
+    kappas, lambdas = [], []
+    for lam_lo, lam_hi, points in ((736e-9, 751e-9, 2000), (736e-9, 751e-9, 1000),
+                                   (720e-9, 760e-9, 3000), (740e-9, 746e-9, 700),
+                                   (730e-9, 770e-9, 4000), (742e-9, 744.5e-9, 500)):
+        window = (2.0 * math.pi / lam_hi, 2.0 * math.pi / lam_lo)
+        modes = find_resonance("TE", 120, window, ref_params, scan_points=points)
+        best = max(modes, key=lambda m: m.Q)
+        kappas.append(best.kappa_c)
+        cc = compute_lambda(attach_profile(best, ref_params), ref_params)
+        lambdas.append(cc.lambda_)
+    for values in (kappas, lambdas):
+        assert (max(values) - min(values)) / np.median(values) <= 1e-10
+
+
+def _assert_poles_resolved(pol, l, window, params, modes):
+    fn = _CHARACTERISTIC_PUBLIC[pol]
+    edge = np.max(np.abs(fn(l, np.array(window), params)))
+    assert modes
+    for m in modes:
+        assert window[0] <= m.k0 <= window[1] and m.kappa_c > 0
+        assert abs(fn(l, m.pole, params)) / edge <= 1e-10
+
+
+def test_te_l148_survey_window_resolves_lambda(ref_params):
+    # +-1 % window about the Lam-Leung-Young position, 1200 scan points; the
+    # finite-difference Newton slope left kappa_c unresolved here (Lambda ~ 1e-21)
+    window = (10232024.479852132, 10438732.045101672)
+    modes = find_resonance("TE", 148, window, ref_params, scan_points=1200)
+    _assert_poles_resolved("TE", 148, window, ref_params, modes)
+    best = attach_profile(max(modes, key=lambda m: m.Q), ref_params)
+    assert 0.5 <= compute_lambda(best, ref_params).lambda_ <= 2.0
+
+
+def test_tm_l180_survey_window_finds_pole(ref_params):
+    # +-1 % window about the Lam-Leung-Young position, 2000 scan points; the
+    # finite-difference Newton slope lost this pole
+    window = (12411241.74340223, 12661973.899834597)
+    modes = find_resonance("TM", 180, window, ref_params, scan_points=2000)
+    _assert_poles_resolved("TM", 180, window, ref_params, modes)
 
 
 def _oracle_poles(fn, l, params, re_range, im_depth):
