@@ -94,8 +94,7 @@ def _coupling_constants(cfg: RunConfig):
     params, modes = _find_modes(cfg)
     if not modes:
         return params, None
-    mode = wgm.attach_profile(_best_mode(modes), params)
-    return params, coupling.compute_lambda(mode, params)
+    return params, coupling.compute_lambda(_best_mode(modes), params)
 
 
 def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False) -> int:

@@ -7,6 +7,7 @@ canonical (sorted) key order, so serialized forms are byte-stable.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import json
 from dataclasses import dataclass, field
@@ -136,6 +137,15 @@ class RunConfig:
     def validate(self):
         """Field-level diagnostics as (dotted-field, message) pairs."""
         bad = []
+        owner = {k: sec for sec, keys in self._SECTIONS.items() for k in keys}
+        scalars = ("R", "n", "rho", "I", "lambda_min", "lambda_max", "N", "dt", "Q")
+        numbers = {k: (getattr(self, k),) for k in scalars}
+        numbers.update(omega0=tuple(self.omega0),
+                       amplitudes=tuple(c for _, c in self.amplitudes))
+        for name, values in numbers.items():
+            if not all(v is None or cmath.isfinite(v) for v in values):
+                shown = values[0] if name in scalars else values
+                bad.append((f"{owner[name]}.{name}", f"must be finite, got {shown}"))
         sphere_pos = {"R": self.R, "n": self.n, "rho": self.rho}
         for name, v in sphere_pos.items():
             if not v > 0:

@@ -3,11 +3,14 @@
 The dimensionless coupling constant is
 
     Lambda = pi kappa_c integral_0^R (eps - 1) r^2 |u(k0, r)|^2 dr
+           = pi kappa_c (n^2 - 1) A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)]
 
-with u the continuum-normalized radial mode at the resonance center. The
-optical angular momentum S of the multiplet lives in the spin-l
-representation; dynamics treat S as a mean-field expectation vector built
-from coherent amplitudes (no Fock-space state is represented).
+with u the continuum-normalized radial mode at the resonance center, equal to
+A j_l(n k0 r) inside the sphere, and y = n k0 R: the spherical-Bessel
+normalization integral gives the second line in closed form. The optical
+angular momentum S of the multiplet lives in the spin-l representation;
+dynamics treat S as a mean-field expectation vector built from coherent
+amplitudes (no Fock-space state is represented).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .wgm import ModeRecord, SphereParams, attach_profile
+from .wgm import ModeRecord, SphereParams, interior_norm_integral
 
 __all__ = [
     "CouplingConstants",
@@ -32,9 +35,6 @@ __all__ = [
     "precession_rate_estimate",
     "coupling_to_json",
 ]
-
-LAMBDA_QUAD_TOL = 1e-4   # relative Richardson bound on the Lambda quadrature
-
 
 @dataclass(frozen=True)
 class CouplingConstants:
@@ -64,49 +64,17 @@ class PrecessionEstimate:
     simplified_hz: float
 
 
-def _simpson(y, h):
-    # composite Simpson; len(y) must be odd
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
+def compute_lambda(mode: ModeRecord, params: SphereParams) -> CouplingConstants:
+    """Lambda = pi kappa_c (n^2 - 1) A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)].
 
-
-def compute_lambda(mode: ModeRecord, params: SphereParams, *,
-                   rel_tol=LAMBDA_QUAD_TOL) -> CouplingConstants:
-    """Lambda by composite Simpson over the tabulated profile on [0, R].
-
-    Uses mode.radial_profile when present (grid must be uniform over [0, R]
-    with 4m+1 points there), otherwise tabulates a default profile. The
-    Richardson estimate |S_h - S_2h|/15 must stay below rel_tol, else a
-    ValueError reports the required refinement factor.
+    A = sqrt(2/pi) k0 / hypot(b, c) is the interior amplitude of the
+    continuum-normalized mode (b, c its exterior matching coefficients) and
+    y = n k0 R. Closed form, no quadrature: an attached radial profile is
+    ignored, so the result does not depend on one.
     """
     if mode.polarization != "TE":
         raise ValueError("Lambda is defined for TE modes only")
-    if mode.radial_profile is None:
-        mode = attach_profile(mode, params)
-    prof = mode.radial_profile
-    R = params.R
-    inside = prof.r <= R * (1.0 + 1e-12)
-    r = prof.r[inside]
-    u = prof.u[inside]
-    if abs(r[-1] - R) > 1e-9 * R:
-        raise ValueError("profile grid must contain a point at r = R")
-    if r.size < 5 or r.size % 4 != 1:
-        raise ValueError("profile needs 4m+1 uniformly spaced points on [0, R]")
-    h = r[1] - r[0]
-    if not np.allclose(np.diff(r), h, rtol=1e-9):
-        raise ValueError("profile grid must be uniform on [0, R]")
-
-    integrand = r * r * u * u
-    s_fine = _simpson(integrand, h)
-    s_coarse = _simpson(integrand[::2], 2.0 * h)
-    err = abs(s_fine - s_coarse) / 15.0
-    if s_fine != 0 and err / abs(s_fine) > rel_tol:
-        factor = math.ceil((err / (abs(s_fine) * rel_tol)) ** 0.25)
-        raise ValueError(
-            f"profile grid too coarse for Lambda quadrature "
-            f"(relative error estimate {err / abs(s_fine):.2e} > {rel_tol}); "
-            f"refine the grid by at least {factor}x"
-        )
-    lam = math.pi * mode.kappa_c * (params.n**2 - 1.0) * s_fine
+    lam = math.pi * mode.kappa_c * (params.n**2 - 1.0) * interior_norm_integral(mode, params)
     return CouplingConstants(lambda_=lam, I=params.I, mode=mode, l=mode.l)
 
 

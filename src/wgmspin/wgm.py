@@ -31,6 +31,7 @@ __all__ = [
     "tm_characteristic",
     "find_resonance",
     "radial_profile",
+    "interior_norm_integral",
     "default_profile_grid",
     "attach_profile",
     "modes_to_csv",
@@ -231,16 +232,18 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
 def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
     """Real-axis matching of interior j_l(n k0 r) to exterior b j_l + c y_l.
 
-    Returns (b, c, snapped). When k0 sits at a resonance center located to
-    machine precision, the true b is orders of magnitude below its own
-    floating-point evaluation noise; such b is snapped to exactly 0 (the
-    Lorentzian peak). raw_scale multiplies the unnormalized coefficients and
-    must cancel downstream (normalization invariance hook).
+    Returns (b, c, norm, (j_{l-1}, j_l, j_{l+1}) at y = n k0 R), with
+    norm = sqrt(2/pi) k0 / hypot(b, c) the continuum normalization. When k0
+    sits at a resonance center located to machine precision, the true b is
+    orders of magnitude below its own floating-point evaluation noise; such b
+    is snapped to exactly 0 (the Lorentzian peak). raw_scale multiplies the
+    unnormalized coefficients and must cancel downstream (normalization
+    invariance hook).
     """
     n, R = params.n, params.R
     x = k0 * R
     y = n * k0 * R
-    (jym1, jy, _), _, _ = _j_ladder(l, _as_array(y)[0])
+    (jym1, jy, jyp1), _, _ = _j_ladder(l, _as_array(y)[0])
     (jxm1, jx, _), (_, yx, yxp1), over = _j_ladder(l, _as_array(x)[0])
     if bool(over[0]):
         raise OverflowError("exterior Neumann function out of double range")
@@ -257,23 +260,29 @@ def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
     b = x * x * (t1 - t2) * raw_scale
     b_noise = x * x * (abs(t1) + abs(t2)) * np.finfo(float).eps * abs(raw_scale)
     c = x * x * (n * jyp0 * jx0 - jy0 * jxp0) * raw_scale
-    snapped = abs(b) < _B_SNAP_ULPS * b_noise
-    if snapped:
+    if abs(b) < _B_SNAP_ULPS * b_noise:
         b = 0.0
-    return b, c, snapped
+    norm = math.sqrt(2.0 / math.pi) * k0 / math.hypot(b, c)
+    return b, c, norm, (jym1[0].real, jy0, jyp1[0].real)
 
 
-def default_profile_grid(mode: ModeRecord, params: SphereParams, *,
-                         r_max_factor=3.0, points_per_wavelength=64):
-    """Uniform grid over [0, r_max] with a point exactly at R and a
-    4m+1-point interior segment (composite-Simpson/Richardson friendly)."""
-    R = params.R
-    n_wave = params.n * mode.k0 * R / (2.0 * math.pi)
-    quarters = max(2, int(math.ceil(points_per_wavelength * max(n_wave, 1.0) / 4.0)))
-    n_interior = 4 * quarters + 1
-    h = R / (n_interior - 1)
-    n_total = int(round(r_max_factor * R / h)) + 1
-    return np.arange(n_total) * h
+def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
+    """integral_0^R r^2 u(k0, r)^2 dr of the continuum-normalized mode, in
+    closed form.
+
+    Inside the sphere u = A j_l(n k0 r), so the spherical-Bessel normalization
+    integral gives A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)] with
+    y = n k0 R: no grid, only the two ladders of the matching.
+    """
+    _, _, amp, (jm1, j, jp1) = _matching_coefficients(mode.l, mode.k0, params)
+    return amp * amp * 0.5 * params.R**3 * (j * j - jm1 * jp1)
+
+
+def default_profile_grid(mode: ModeRecord, params: SphereParams):
+    """Uniform grid over the sphere interior [0, R], 64 points per internal
+    wavelength 2 pi/(n k0)."""
+    n_wave = params.n * mode.k0 * params.R / (2.0 * math.pi)
+    return np.linspace(0.0, params.R, int(math.ceil(64 * max(n_wave, 1.0))) + 1)
 
 
 def radial_profile(mode: ModeRecord, params: SphereParams, grid,
@@ -291,8 +300,7 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid,
     if grid[0] > 1e-9 * R or grid[-1] < R:
         raise ValueError("grid must cover [0, r_max] with r_max >= R")
 
-    b, c, _ = _matching_coefficients(l, k0, params, raw_scale=_raw_scale)
-    norm = math.sqrt(2.0 / math.pi) * k0 / math.hypot(b, c)
+    b, c, norm, _ = _matching_coefficients(l, k0, params, raw_scale=_raw_scale)
     delta = math.atan2(-c, b)
     # unnormalized interior coefficient is 1 * _raw_scale; norm carries 1/scale
     amp_in = norm * _raw_scale
@@ -319,9 +327,9 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid,
                          interior_amplitude=amp_in)
 
 
-def attach_profile(mode: ModeRecord, params: SphereParams, **grid_kwargs) -> ModeRecord:
-    """Return the mode with a default-grid radial profile tabulated."""
-    grid = default_profile_grid(mode, params, **grid_kwargs)
+def attach_profile(mode: ModeRecord, params: SphereParams) -> ModeRecord:
+    """Return the mode with its radial profile tabulated on the default grid."""
+    grid = default_profile_grid(mode, params)
     return replace(mode, radial_profile=radial_profile(mode, params, grid))
 
 

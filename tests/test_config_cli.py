@@ -104,11 +104,31 @@ def test_with_value_sweep_helper(fast_cfg_path):
 # --- CLI exit codes --------------------------------------------------------------
 
 def test_invalid_config_exit_2_names_field(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG.replace("R = 10e-6", "R = -3e-6"))
-    code = run_cli("modes", bad, tmp_path / "out")
-    assert code == 2
-    assert "sphere.R" in capsys.readouterr().err
+    # non-finite numbers are rejected up front: unchecked, dt = inf fails late
+    # with a numerical error, rho = inf writes "I": Infinity (not JSON) and
+    # Q = inf gives zero thresholds
+    cases = [
+        ("modes", "R = 10e-6", "R = -3e-6", "sphere.R"),
+        ("modes", "R = 10e-6", "R = inf", "sphere.R"),
+        ("modes", "n = 1.52", "n = inf", "sphere.n"),
+        ("lambda", "rho = 2000.0", "rho = inf", "sphere.rho"),
+        ("lambda", "rho = 2000.0", "rho = 2000.0\nI = inf", "sphere.I"),
+        ("modes", "lambda_min = 6.8e-6", "lambda_min = inf", "mode_search.lambda_min"),
+        ("modes", "lambda_max = 8.6e-6", "lambda_max = inf", "mode_search.lambda_max"),
+        ("simulate", "N = 1e4", "N = inf", "coupling.N"),
+        ("simulate", "dt = 1.0", "dt = inf", "simulation.dt"),
+        ("simulate", "dt = 1.0", "dt = nan", "simulation.dt"),
+        ("estimate", "Q = 1e10", "Q = inf", "estimate.Q"),
+        ("simulate", "omega0 = 1e-6, 0, 2e-7", "omega0 = 1e-6, -inf, 2e-7",
+         "simulation.omega0"),
+        ("simulate", "m = 9", "amplitudes = -1:0.5, 1:nan+1j", "coupling.amplitudes"),
+    ]
+    for verb, old, new, field in cases:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CFG.replace(old, new))
+        code = run_cli(verb, bad, tmp_path / "out")
+        assert code == 2, (new, code)
+        assert field in capsys.readouterr().err, new
 
 
 def test_empty_window_exit_1(tmp_path, capsys):

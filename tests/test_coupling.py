@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from wgmspin.wgm import (
     ModeRecord,
     SphereParams,
     attach_profile,
-    default_profile_grid,
     find_resonance,
     radial_profile,
 )
@@ -65,25 +65,45 @@ def test_lambda_zero_without_index_contrast():
 
 
 def test_lambda_matches_trapezoid_oracle(l20_setup):
-    # brute-force oracle: 4x denser grid, plain trapezoid on the same profile
-    # construction
+    # brute-force oracle: plain trapezoid of the tabulated profile on a dense
+    # explicit interior grid
     p, mode = l20_setup
-    cc = compute_lambda(attach_profile(mode, p), p)
-    grid = default_profile_grid(mode, p, points_per_wavelength=256)
-    prof = radial_profile(mode, p, grid)
-    inside = prof.r <= p.R
-    r, u = prof.r[inside], prof.u[inside]
+    cc = compute_lambda(mode, p)
+    prof = radial_profile(mode, p, np.linspace(0.0, p.R, 8001))
+    r, u = prof.r, prof.u
     from scipy.integrate import trapezoid
     lam_oracle = math.pi * mode.kappa_c * (p.n**2 - 1.0) * trapezoid(r * r * u * u, r)
-    assert cc.lambda_ == pytest.approx(lam_oracle, rel=1e-6)
+    assert cc.lambda_ == pytest.approx(lam_oracle, rel=1e-7)
 
 
-def test_lambda_grid_too_coarse_reports_refinement(l20_setup):
+@pytest.fixture(scope="module")
+def l8_mode():
+    p = SphereParams(R=10e-6, n=1.52)
+    modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
+    return p, modes[0]
+
+
+@pytest.mark.parametrize("case", ["l8", "reference"])
+def test_lambda_matches_converged_simpson_oracle(case, l8_mode, ref_params, ref_coupling):
+    # closed form against Simpson of pi kappa_c (n^2 - 1) r^2 u^2 with u
+    # tabulated on a 32 001-point interior grid (converged to ~1e-14)
+    from scipy.integrate import simpson
+
+    p, mode = l8_mode if case == "l8" else (ref_params, ref_coupling.mode)
+    grid = np.linspace(0.0, p.R, 32001)
+    u = radial_profile(mode, p, grid).u
+    lam_oracle = math.pi * mode.kappa_c * (p.n**2 - 1.0) * simpson(grid * grid * u * u, x=grid)
+    assert compute_lambda(mode, p).lambda_ == pytest.approx(lam_oracle, rel=1e-12)
+
+
+def test_lambda_ignores_attached_profile(l20_setup):
+    # Lambda is closed-form: a bare mode, the default profile and a far too
+    # coarse profile all give the same bits
     p, mode = l20_setup
-    coarse = default_profile_grid(mode, p, points_per_wavelength=3)
-    mode_coarse = attach_profile(mode, p, points_per_wavelength=3)
-    with pytest.raises(ValueError, match="refine the grid"):
-        compute_lambda(mode_coarse, p)
+    coarse = replace(mode, radial_profile=radial_profile(mode, p, np.linspace(0.0, p.R, 7)))
+    lams = [compute_lambda(m, p).lambda_ for m in (mode, attach_profile(mode, p), coarse)]
+    assert lams[0] == lams[1] == lams[2]
+    assert lams[0] > 0
 
 
 def test_lambda_tm_rejected(l20_setup):
@@ -96,8 +116,9 @@ def test_lambda_tm_rejected(l20_setup):
 
 def test_lambda_invariant_under_intermediate_rescale(l20_setup):
     # normalization divides out any overall scale of the raw matched solution
+    # the grid reaches 3R, so the exterior normalization is covered too
     p, mode = l20_setup
-    grid = default_profile_grid(mode, p)
+    grid = np.linspace(0.0, 3.0 * p.R, 1201)
     u1 = radial_profile(mode, p, grid).u
     u2 = radial_profile(mode, p, grid, _raw_scale=371.25).u
     assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
