@@ -167,16 +167,16 @@ def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     q_used = cfg.Q if cfg.Q is not None else cc.mode.Q
     thresholds = {}
     for m in cfg.m_list:
-        w_min = coupling.resolvability_threshold(cc.lambda_, int(m), q_used,
+        w_min = coupling.resolvability_threshold(cc.lambda_, m, q_used,
                                                  cc.mode.k0, c=units["c"])
-        thresholds[str(int(m))] = w_min / (2.0 * math.pi)
+        thresholds[str(m)] = w_min / (2.0 * math.pi)
 
     print(f"Lambda = {cc.lambda_:.6f}   Q used for threshold = {q_used:.3e}")
     print(f"precession exact      = {est.exact_hz:.6e} {units['rate']}")
     print(f"precession simplified = {est.simplified_hz:.6e} {units['rate']}")
     print(f"Zeeman resolvability threshold (spin rate, {units['rate']}):")
     for m in cfg.m_list:
-        print(f"  m={int(m):>4d}: {thresholds[str(int(m))]:.6e}")
+        print(f"  m={m:>4d}: {thresholds[str(m)]:.6e}")
     payload = {
         "lambda": cc.lambda_,
         "Q": q_used,
@@ -204,11 +204,6 @@ def _run_single(verb, cfg, outdir, natural):
     return _COMMANDS[verb](cfg, outdir, natural=natural)
 
 
-def _sweep_worker(args):
-    verb, cfg, outdir, natural = args
-    return _run_single(verb, cfg, outdir, natural)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wgmspin",
@@ -226,25 +221,19 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         cfg = RunConfig.from_file(args.config)
-    except ConfigError as exc:
-        for fieldname, message in exc.errors:
-            print(f"config error: {fieldname}: {message}", file=sys.stderr)
-        return EXIT_INVALID
-
-    outdir = Path(args.out if args.out is not None else cfg.directory)
-    try:
+        outdir = Path(args.out if args.out is not None else cfg.directory)
         if cfg.sweep_field is None:
             return _run_single(args.verb, cfg, outdir, args.natural_units)
-        jobs = []
-        for value in cfg.sweep_values:
-            sub = outdir / f"{cfg.sweep_field}={value}"
-            sub_cfg = cfg.with_value(cfg.sweep_field, value)
-            problems = sub_cfg.validate()
-            if problems:
-                raise ConfigError(problems)
-            jobs.append((args.verb, sub_cfg, sub, args.natural_units))
+        values = cfg.sweep_values
+        sub_cfgs = [cfg.with_value(cfg.sweep_field, v) for v in values]
+        problems = [(f, f"{m} ({cfg.sweep_field} = {v})")
+                    for v, sub_cfg in zip(values, sub_cfgs) for f, m in sub_cfg.validate()]
+        if problems:
+            raise ConfigError(problems)
+        subs = [outdir / f"{cfg.sweep_field}={v}" for v in values]
         with concurrent.futures.ProcessPoolExecutor() as pool:
-            codes = list(pool.map(_sweep_worker, jobs))
+            codes = list(pool.map(_run_single, [args.verb] * len(values), sub_cfgs,
+                                  subs, [args.natural_units] * len(values)))
         return max(codes)
     except ConfigError as exc:
         for fieldname, message in exc.errors:

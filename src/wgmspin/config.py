@@ -1,8 +1,10 @@
 """Run configuration: INI file (key/value with sections) -> validated RunConfig.
 
 All quantities are SI. The reference parameter set ships as
-configs/reference.cfg. Configs round-trip through to_dict()/from_dict() with
-canonical (sorted) key order, so serialized forms are byte-stable.
+configs/reference.cfg. One table, _SECTIONS, gives each config key its section
+and its text parser; values from the file and [sweep] values both go through
+that parser. Configs round-trip through to_dict()/from_dict() with canonical
+(sorted) key order, so serialized forms are byte-stable.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 __all__ = ["ConfigError", "RunConfig"]
 
@@ -21,6 +23,50 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(f"{f}: {m}" for f, m in self.errors))
+
+
+def _str_list(raw):
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+def _int_list(raw):
+    return tuple(int(p) for p in _str_list(raw))
+
+
+def _omega0(raw):
+    parts = tuple(float(p) for p in raw.split(","))
+    if len(parts) != 3:
+        raise ValueError("needs 3 comma-separated components")
+    return parts
+
+
+def _amplitudes(raw):
+    out = []
+    for item in _str_list(raw):
+        mstr, cstr = item.split(":")
+        out.append((int(mstr), complex(cstr)))
+    return tuple(out)
+
+
+# section -> config key -> text parser. A key names its RunConfig field, except
+# in [sweep], whose keys field/values are the fields sweep_field/sweep_values.
+_SECTIONS = {
+    "sphere": {"R": float, "n": float, "rho": float, "I": float},
+    "mode_search": {"polarization": str.strip, "l": int, "lambda_min": float,
+                    "lambda_max": float, "scan_points": int},
+    "coupling": {"N": float, "m": int, "amplitudes": _amplitudes},
+    "simulation": {"dt": float, "n_steps": int, "sample_every": int,
+                   "omega0": _omega0},
+    "estimate": {"Q": float, "m_list": _int_list},
+    "output": {"directory": str.strip, "formats": _str_list},
+    "sweep": {"field": str.strip, "values": _str_list},
+}
+_SWEEPABLE = (float, int, str.strip)  # one value per field: no list parsers
+
+
+def _attr(section, key):
+    """RunConfig field that holds config key section.key."""
+    return f"sweep_{key}" if section == "sweep" else key
 
 
 @dataclass(frozen=True)
@@ -53,52 +99,7 @@ class RunConfig:
     formats: tuple = ("csv", "json")
     # [sweep]
     sweep_field: str | None = None
-    sweep_values: tuple = ()
-
-    _SECTIONS = {
-        "sphere": ("R", "n", "rho", "I"),
-        "mode_search": ("polarization", "l", "lambda_min", "lambda_max", "scan_points"),
-        "coupling": ("N", "m", "amplitudes"),
-        "simulation": ("dt", "n_steps", "sample_every", "omega0"),
-        "estimate": ("Q", "m_list"),
-        "output": ("directory", "formats"),
-        "sweep": ("sweep_field", "sweep_values"),
-    }
-
-    @staticmethod
-    def _parse_value(section, key, raw, errors):
-        raw = raw.strip()
-        try:
-            if key in ("l", "n_steps", "sample_every", "scan_points"):
-                return int(raw)
-            if key == "m":
-                return int(raw)
-            if key in ("R", "n", "rho", "I", "lambda_min", "lambda_max", "N",
-                       "dt", "Q"):
-                return float(raw)
-            if key == "omega0":
-                parts = [float(p) for p in raw.split(",")]
-                if len(parts) != 3:
-                    raise ValueError("needs 3 comma-separated components")
-                return tuple(parts)
-            if key == "m_list" or key == "sweep_values":
-                return tuple(float(p) if "." in p or "e" in p.lower() else int(p)
-                             for p in raw.split(",") if p.strip())
-            if key == "amplitudes":
-                out = []
-                for item in raw.split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    mstr, cstr = item.split(":")
-                    out.append((int(mstr), complex(cstr)))
-                return tuple(out)
-            if key == "formats":
-                return tuple(p.strip() for p in raw.split(",") if p.strip())
-            return raw
-        except (ValueError, TypeError) as exc:
-            errors.append((f"{section}.{key}", f"cannot parse {raw!r}: {exc}"))
-            return None
+    sweep_values: tuple = ()                  # text, parsed by the swept field
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -112,20 +113,19 @@ class RunConfig:
             raise ConfigError([("config", f"cannot read {path}")])
         errors = []
         values = {}
-        key_owner = {k: sec for sec, keys in cls._SECTIONS.items() for k in keys}
-        rename = {"field": "sweep_field", "values": "sweep_values"}
         for section in parser.sections():
-            if section not in cls._SECTIONS:
+            if section not in _SECTIONS:
                 errors.append((section, "unknown section"))
                 continue
             for key, raw in parser.items(section):
-                name = rename.get(key, key) if section == "sweep" else key
-                if key_owner.get(name) != section:
+                parse = _SECTIONS[section].get(key)
+                if parse is None:
                     errors.append((f"{section}.{key}", "unknown key"))
                     continue
-                parsed = cls._parse_value(section, name, raw, errors)
-                if parsed is not None:
-                    values[name] = parsed
+                try:
+                    values[_attr(section, key)] = parse(raw)
+                except ValueError as exc:
+                    errors.append((f"{section}.{key}", f"cannot parse {raw!r}: {exc}"))
         if errors:
             raise ConfigError(errors)
         cfg = cls(**values)
@@ -137,15 +137,14 @@ class RunConfig:
     def validate(self):
         """Field-level diagnostics as (dotted-field, message) pairs."""
         bad = []
-        owner = {k: sec for sec, keys in self._SECTIONS.items() for k in keys}
-        scalars = ("R", "n", "rho", "I", "lambda_min", "lambda_max", "N", "dt", "Q")
-        numbers = {k: (getattr(self, k),) for k in scalars}
-        numbers.update(omega0=tuple(self.omega0),
-                       amplitudes=tuple(c for _, c in self.amplitudes))
-        for name, values in numbers.items():
+        numbers = {(section, key): (getattr(self, key),)
+                   for section, keys in _SECTIONS.items()
+                   for key, parse in keys.items() if parse is float}
+        numbers["simulation", "omega0"] = self.omega0
+        numbers["coupling", "amplitudes"] = tuple(c for _, c in self.amplitudes)
+        for (section, key), values in numbers.items():
             if not all(v is None or cmath.isfinite(v) for v in values):
-                shown = values[0] if name in scalars else values
-                bad.append((f"{owner[name]}.{name}", f"must be finite, got {shown}"))
+                bad.append((f"{section}.{key}", f"must be finite, got {getattr(self, key)}"))
         sphere_pos = {"R": self.R, "n": self.n, "rho": self.rho}
         for name, v in sphere_pos.items():
             if not v > 0:
@@ -185,50 +184,55 @@ class RunConfig:
             if fmt not in ("csv", "json"):
                 bad.append(("output.formats", f"unknown format {fmt!r}"))
         if self.sweep_field is not None:
-            known = {f"{sec}.{k}" for sec, keys in self._SECTIONS.items() for k in keys}
-            if self.sweep_field not in known:
-                bad.append(("sweep.field", f"unknown field {self.sweep_field!r}"))
+            section, _, key = self.sweep_field.partition(".")
+            parse = _SECTIONS.get(section, {}).get(key)
             if not self.sweep_values:
                 bad.append(("sweep.values", "sweep requires at least one value"))
+            if parse is None:
+                bad.append(("sweep.field", f"unknown field {self.sweep_field!r}"))
+            elif section == "sweep" or parse not in _SWEEPABLE:
+                bad.append(("sweep.field", f"cannot sweep {self.sweep_field!r}: "
+                            "only a single-valued field outside [sweep] can be swept"))
+            else:
+                for text in self.sweep_values:
+                    try:
+                        parse(text)
+                    except ValueError as exc:
+                        bad.append(("sweep.values", f"cannot parse {text!r} as "
+                                    f"{self.sweep_field}: {exc}"))
         return bad
 
     def to_dict(self):
-        amps = [[m, [c.real, c.imag]] for m, c in self.amplitudes]
-        return {
-            "coupling": {"N": self.N, "amplitudes": amps, "m": self.m},
-            "estimate": {"Q": self.Q, "m_list": list(self.m_list)},
-            "mode_search": {"l": self.l, "lambda_max": self.lambda_max,
-                            "lambda_min": self.lambda_min,
-                            "polarization": self.polarization,
-                            "scan_points": self.scan_points},
-            "output": {"directory": self.directory, "formats": list(self.formats)},
-            "simulation": {"dt": self.dt, "n_steps": self.n_steps,
-                           "omega0": list(self.omega0),
-                           "sample_every": self.sample_every},
-            "sphere": {"I": self.I, "R": self.R, "n": self.n, "rho": self.rho},
-            "sweep": {"field": self.sweep_field, "values": list(self.sweep_values)},
-        }
+        data = {}
+        for section, keys in _SECTIONS.items():
+            data[section] = {}
+            for key in keys:
+                v = getattr(self, _attr(section, key))
+                if key == "amplitudes":
+                    v = [[m, [c.real, c.imag]] for m, c in v]
+                elif isinstance(v, tuple):
+                    v = list(v)
+                data[section][key] = v
+        return data
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
         kw = {}
         for section, content in data.items():
             for key, v in content.items():
-                if section == "sweep":
-                    key = {"field": "sweep_field", "values": "sweep_values"}[key]
                 if key == "amplitudes":
                     v = tuple((m, complex(re, im)) for m, (re, im) in v)
                 elif isinstance(v, list):
                     v = tuple(v)
-                kw[key] = v
+                kw[_attr(section, key)] = v
         return cls(**kw)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def with_value(self, dotted_field, value) -> "RunConfig":
-        """Copy with one dotted field replaced (sweep fan-out helper)."""
+        """Copy with one dotted field set to value, parsed from str(value)
+        by that field's parser (sweep fan-out helper)."""
         section, key = dotted_field.split(".", 1)
-        data = self.to_dict()
-        data[section][key] = value
-        return self.from_dict(data)
+        parse = _SECTIONS[section][key]
+        return replace(self, **{_attr(section, key): parse(str(value))})

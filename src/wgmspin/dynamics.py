@@ -24,6 +24,7 @@ has no such closed form and uses classic RK4.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,10 +327,14 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    for name, count in (("n_steps", n_steps), ("sample_every", sample_every)):
+        try:
+            count = operator.index(count)
+        except TypeError:
+            # samples are stamped at whole steps: a fraction would mislabel t
+            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     lam = _LD(constants.lambda_)
     inertia = _LD(constants.I)
     hb = _LD(hbar)

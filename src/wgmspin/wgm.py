@@ -150,7 +150,7 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol, max_iter=80):
+def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, max_iter=80):
     """Complex Newton refinement of many seeds at once.
 
     Dvec maps a complex ndarray of k to (D(k), dD/dk), one evaluation per
@@ -176,17 +176,16 @@ def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, pole_tol, max_iter=80):
             k[runaway] = k_lo  # safe placeholder, excluded from results
         if not np.any(alive) or np.max(np.abs(step[alive]) / np.abs(k[alive])) < 5e-15:
             break
-    converged = alive & (np.abs(Dvec(k)[0]) / d_scale <= pole_tol)
+    converged = alive & (np.abs(Dvec(k)[0]) / d_scale <= POLE_TOL)
     return k, converged
 
 
 def find_resonance(polarization, l, k_window, params: SphereParams, *,
-                   scan_points=2000, pole_tol=POLE_TOL,
-                   max_relative_width=0.5) -> list[ModeRecord]:
+                   scan_points=2000, max_relative_width=0.5) -> list[ModeRecord]:
     """All quasinormal poles with Re k in the window and kappa_c/k0 below cut.
 
     Seeds are local minima of |D| on a real-axis scan, refined by complex
-    Newton until the edge-normalized residual drops below pole_tol. Returns
+    Newton until the edge-normalized residual drops below POLE_TOL. Returns
     records sorted by k0; empty list when the window holds no pole.
     Non-convergent seeds are logged and skipped.
     """
@@ -207,7 +206,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     seeds = ks[1:-1][interior]
 
     refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
-                                       k_lo, k_hi, d_scale, pole_tol)
+                                       k_lo, k_hi, d_scale)
     for seed, ok in zip(seeds, converged):
         if not ok:
             log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",

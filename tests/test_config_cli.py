@@ -1,11 +1,16 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wgmspin import cli
 from wgmspin.config import ConfigError, RunConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_CFG = (ROOT / "configs" / "reference.cfg").read_text()
 
 FAST_CFG = """
 [sphere]
@@ -122,6 +127,7 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys):
         ("simulate", "omega0 = 1e-6, 0, 2e-7", "omega0 = 1e-6, -inf, 2e-7",
          "simulation.omega0"),
         ("simulate", "m = 9", "amplitudes = -1:0.5, 1:nan+1j", "coupling.amplitudes"),
+        ("estimate", "m_list = 1, 5, 9", "m_list = 1, 0.5", "estimate.m_list"),
     ]
     for verb, old, new, field in cases:
         bad = tmp_path / "bad.cfg"
@@ -232,6 +238,43 @@ def test_sweep_fans_out(tmp_path):
         rows = json.loads((out / f"mode_search.l={l}" / "modes.json").read_text())
         assert rows[0]["l"] == l
         assert rows[0]["lambda_vac"] == pytest.approx(lam, rel=5e-3)
+
+
+@pytest.mark.parametrize("verb, field, values, code, named", [
+    ("modes", "mode_search.polarization", "TE, TM", 0, None),
+    ("modes", "mode_search.l", "120.5", 2, "sweep.values"),
+    ("simulate", "simulation.n_steps", "100.7", 2, "sweep.values"),
+    ("lambda", "mode_search.scan_points", "1.5e3, 2000", 2, "sweep.values"),
+    ("simulate", "simulation.omega0", "1", 2, "sweep.field"),
+])
+def test_sweep_values_parse_as_the_swept_field(tmp_path, capsys, verb, field,
+                                               values, code, named):
+    # sweep values go through the swept field's own parser, and a bad value
+    # is rejected before any run writes a subdirectory
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(REFERENCE_CFG + f"\n[sweep]\nfield = {field}\nvalues = {values}\n")
+    out = tmp_path / "out"
+    assert run_cli(verb, cfg, out) == code
+    if code == 0:
+        expected = [f"{field}={v.strip()}" for v in values.split(",")]
+        assert sorted(p.name for p in out.iterdir()) == expected
+    else:
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_sweep_example_runs(tmp_path):
+    block = re.search(r"```ini\n(\[sweep\]\n.*?)```",
+                      (ROOT / "README.md").read_text(), re.S).group(1)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(REFERENCE_CFG + "\n" + block)
+    out = tmp_path / "out"
+    assert run_cli("lambda", cfg, out) == 0
+    parsed = RunConfig.from_file(cfg)
+    subdirs = sorted(out.iterdir())
+    assert [d.name for d in subdirs] == sorted(
+        f"{parsed.sweep_field}={v}" for v in parsed.sweep_values)
+    assert all((d / "coupling.json").is_file() for d in subdirs)
 
 
 def test_lambda_uniform_medium_prints_zero(tmp_path, capsys):

@@ -460,6 +460,14 @@ def test_simulate_rejects_zero_steps():
         simulate(reference_state(), make_constants(), 1.0, 0)
 
 
+@pytest.mark.parametrize("name", ["n_steps", "sample_every"])
+def test_simulate_rejects_non_integer_counts(name):
+    # samples are stamped at whole steps, so a fractional count would mislabel t
+    counts = {"n_steps": 100, "sample_every": 10, name: 2.5}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulate(reference_state(), make_constants(), 1.2e4, **counts)
+
+
 def test_sampling_stride_is_consistent():
     cc = make_constants()
     state = reference_state()
