@@ -165,8 +165,10 @@ def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     est = coupling.precession_rate_estimate(params, cfg.N, cfg.l, cc.lambda_,
                                             hbar=units["hbar"])
     q_used = cfg.Q if cfg.Q is not None else cc.mode.Q
+    m_list = cfg.m_list if cfg.m_list is not None else tuple(
+        m for m in (1, 10, 120) if m <= cfg.l)
     thresholds = {}
-    for m in cfg.m_list:
+    for m in m_list:
         w_min = coupling.resolvability_threshold(cc.lambda_, m, q_used,
                                                  cc.mode.k0, c=units["c"])
         thresholds[str(m)] = w_min / (2.0 * math.pi)
@@ -175,7 +177,7 @@ def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     print(f"precession exact      = {est.exact_hz:.6e} {units['rate']}")
     print(f"precession simplified = {est.simplified_hz:.6e} {units['rate']}")
     print(f"Zeeman resolvability threshold (spin rate, {units['rate']}):")
-    for m in cfg.m_list:
+    for m in m_list:
         print(f"  m={m:>4d}: {thresholds[str(m)]:.6e}")
     payload = {
         "lambda": cc.lambda_,

@@ -14,6 +14,8 @@ import configparser
 import json
 from dataclasses import dataclass, replace
 
+from .specfun import MAX_ORDER
+
 __all__ = ["ConfigError", "RunConfig"]
 
 
@@ -93,7 +95,7 @@ class RunConfig:
     omega0: tuple = (0.0, 0.0, 0.0)
     # [estimate]
     Q: float | None = None                    # default: radiative Q of the mode
-    m_list: tuple = (1, 10, 120)
+    m_list: tuple | None = None               # default: those of 1, 10, 120 <= l
     # [output]
     directory: str = "out"
     formats: tuple = ("csv", "json")
@@ -155,8 +157,8 @@ class RunConfig:
             bad.append(("sphere.I", f"must be positive, got {self.I}"))
         if self.polarization not in ("TE", "TM"):
             bad.append(("mode_search.polarization", f"must be TE or TM, got {self.polarization!r}"))
-        if self.l < 1:
-            bad.append(("mode_search.l", f"must be >= 1, got {self.l}"))
+        if not 1 <= self.l <= MAX_ORDER:
+            bad.append(("mode_search.l", f"must be in [1, {MAX_ORDER}], got {self.l}"))
         if not (0 < self.lambda_min < self.lambda_max):
             bad.append(("mode_search.lambda_min",
                         f"window [{self.lambda_min}, {self.lambda_max}] must be positive and non-empty"))
@@ -177,9 +179,11 @@ class RunConfig:
             bad.append(("simulation.sample_every", f"must be >= 1, got {self.sample_every}"))
         if self.Q is not None and not self.Q > 0:
             bad.append(("estimate.Q", f"must be positive, got {self.Q}"))
-        for m in self.m_list:
+        for m in self.m_list or ():
             if m == 0:
                 bad.append(("estimate.m_list", "m = 0 has no Zeeman shift"))
+            elif abs(m) > self.l:
+                bad.append(("estimate.m_list", f"|m| must be <= l = {self.l}, got m={m}"))
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 bad.append(("output.formats", f"unknown format {fmt!r}"))
@@ -194,12 +198,16 @@ class RunConfig:
                 bad.append(("sweep.field", f"cannot sweep {self.sweep_field!r}: "
                             "only a single-valued field outside [sweep] can be swept"))
             else:
+                parsed = []
                 for text in self.sweep_values:
                     try:
-                        parse(text)
+                        parsed.append(parse(text))
                     except ValueError as exc:
                         bad.append(("sweep.values", f"cannot parse {text!r} as "
                                     f"{self.sweep_field}: {exc}"))
+                if len(set(parsed)) < len(parsed):
+                    bad.append(("sweep.values", "a value repeats: each value runs once, "
+                                f"got {', '.join(self.sweep_values)}"))
         return bad
 
     def to_dict(self):

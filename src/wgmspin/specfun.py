@@ -8,7 +8,11 @@ Bessels are real-only.
 Stability: j_l is computed by downward (Miller) recurrence normalized through
 the cross Wronskian j_{l+1} y_l - j_l y_{l+1} = 1/z^2, y_l by upward
 recurrence. Upward recurrence of j_l is unstable for l > |z|, which is exactly
-the whispering-gallery regime (l = 120, |z| ~ 84), hence Miller.
+the whispering-gallery regime (l = 120, |z| ~ 84), hence Miller. There is one
+ladder family: h_l^(1) = j_l + i y_l is summed from the Miller j values and the
+y trio they are normalized with, so the tiny Re h = j_l that carries a
+resonance's linewidth is never taken from an upward j recurrence. The sum is
+tight on the strip |Im z| <= 1 and warned off it, where it cancels ~e^{2 Im z}.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ __all__ = [
     "spherical_bessel_y",
     "spherical_hankel1",
     "riccati_bessel",
-    "riccati_psi",
-    "riccati_xi",
     "angular_momentum_matrices",
 ]
 
@@ -68,46 +70,21 @@ def _as_array(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _upward_ladder(l, z, f_m1, f_0, f_1):
-    """f_{l-1}, f_l, f_{l+1} by upward recurrence from f_{-1}, f_0 (f_1() is
-    the closed form used for l = 0), plus a mask of overflowed entries:
-    callers decide (j underflows to zero there, an explicit y/h query raises).
+def _y_ladder(l, z):
+    """y_{l-1}, y_l, y_{l+1} by upward recurrence from y_{-1} = sin(z)/z
+    (= j_0 by convention) and y_0 = -cos(z)/z, plus a mask of overflowed
+    entries: callers decide (j underflows to zero there, an explicit y/h query
+    raises).
     """
+    prev, cur = np.sin(z) / z, -np.cos(z) / z
     # overflow to inf is expected deep in the l >> |z| regime and resolved by
     # the mask below, so silence numpy's per-op warnings here
     with np.errstate(over="ignore", invalid="ignore"):
-        if l == 0:
-            trio = (f_m1, f_0, f_1())
-        else:
-            prev, cur = f_m1, f_0
-            for order in range(0, l + 1):
-                prev, cur = cur, (2 * order + 1) / z * cur - prev
-                if order == l - 1:
-                    keep_lm1 = prev
-            trio = (keep_lm1, prev, cur)
+        for order in range(l):
+            prev, cur = cur, (2 * order + 1) / z * cur - prev
+        trio = (prev, cur, (2 * l + 1) / z * cur - prev)
     big = [np.maximum(np.abs(f.real), np.abs(f.imag)) for f in trio[1:]]
     return trio, ~((big[0] < _Y_OVERFLOW) & (big[1] < _Y_OVERFLOW))
-
-
-def _y_ladder(l, z):
-    """y_{l-1}, y_l, y_{l+1} and overflow mask; y_{-1}(z) = sin(z)/z by
-    convention (= j_0), which makes h1_{-1} = e^{iz}/z."""
-    sz, cz = np.sin(z), np.cos(z)
-    return _upward_ladder(l, z, sz / z, -cz / z, lambda: -cz / (z * z) - sz / z)
-
-
-def _h1_ladder(l, z):
-    """h1_{l-1}, h1_l, h1_{l+1} and overflow mask, from exact seeds.
-
-    h1_0 = -i e^{iz}/z, h1_{-1} = e^{iz}/z. Outgoing h1 is never the minimal
-    solution (it grows like y_l for l >> |z| and like e^{-Im z} suppressed
-    seeds keep the dominant-solution error component at relative eps
-    elsewhere), so upward recurrence is uniformly stable. Separately adding
-    j + i y would cancel catastrophically for Im z >> 1.
-    """
-    eiz = np.exp(1j * z)
-    return _upward_ladder(l, z, eiz / z, -1j * eiz / z,
-                          lambda: -eiz * (z + 1j) / (z * z))
 
 
 def _miller_start(l, z):
@@ -130,9 +107,14 @@ def _j_ladder(l, z):
       cancels catastrophically there).
 
     Mid-recurrence rescales are applied to the whole running set, so they
-    cancel in either normalization ratio.
+    cancel in either normalization ratio. One step grows max(|lo|, |hi|) by at
+    most g + 1, g = (2 nstart + 3)/min|z|, so the rescale test runs only every
+    `stride` orders: (g + 1)^stride <= 1e50 keeps a value that passed it
+    (<= _HUGE = 1e250) below 1e300 until the next test.
     """
     nstart = _miller_start(l, z)
+    zmin = float(np.min(np.abs(z)))
+    stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1))) if zmin > 0 else 1
     hi = np.zeros_like(z)
     lo = np.full_like(z, 1e-30)
     keep = {}
@@ -143,13 +125,14 @@ def _j_ladder(l, z):
     lowest = min(targets)
     for order in range(nstart, -1, -1):
         hi, lo = lo, (2 * order + 3) / z * lo - hi
-        big = (np.abs(lo.real) > _HUGE) | (np.abs(lo.imag) > _HUGE)
-        if np.any(big):
-            factor = np.where(big, 1e-250, 1.0)
-            hi = hi * factor
-            lo = lo * factor
-            for key in keep:
-                keep[key] = keep[key] * factor
+        if order % stride == 0:
+            big = np.maximum(np.abs(lo), np.abs(hi)) > _HUGE
+            if np.any(big):
+                factor = np.where(big, 1e-250, 1.0)
+                hi = hi * factor
+                lo = lo * factor
+                for key in keep:
+                    keep[key] = keep[key] * factor
         if order in targets:
             keep[order] = lo
             if order == lowest:
@@ -233,53 +216,40 @@ def spherical_bessel_y(l, z):
 def spherical_hankel1(l, z):
     """Outgoing spherical Hankel h_l^(1)(z) = j_l(z) + i y_l(z).
 
-    Computed by its own upward ladder from exact seeds (adding separately
-    computed j and i y would cancel ~e^{2 Im z} digits for Im z >> 1).
-    Tight accuracy for Im z >= -1; quasinormal poles (Im z < 0, |Im z| << |z|)
-    are deep inside that envelope.
+    Summed from the Miller j ladder and the y trio it normalizes with. The sum
+    cancels ~e^{2 Im z} of the digits where h decays (Im z > 0): tight on the
+    strip |Im z| <= 1, which holds the quasinormal poles (Im z < 0,
+    |Im z| << |z|), and warned as relaxed off it.
     """
     _check_domain(l, z, need_nonzero=True, im_strip=True)
     arr, scalar = _as_array(z)
-    (_, hl, _), over = _h1_ladder(l, arr)
+    (_, jl, _), (_, yl, _), over = _j_ladder(l, arr)
     if np.any(over):
         raise OverflowError(f"h1_{l} overflowed double precision (|z| too small for l)")
+    hl = jl + 1j * yl
     _signal_nonfinite("h1_l", hl)
     return hl[0] if scalar else hl.reshape(np.shape(z))
-
-
-def _riccati_pair(name, z, f, fp):
-    """(f, f') shaped like z (scalars for scalar z), after the non-finite checks."""
-    _signal_nonfinite(name, f)
-    _signal_nonfinite(name + "'", fp)
-    return f.reshape(np.shape(z))[()], fp.reshape(np.shape(z))[()]
-
-
-def riccati_psi(l, z):
-    """Riccati-Bessel psi_l = z j_l and psi_l', from the Miller j ladder alone."""
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
-    arr, _ = _as_array(z)
-    (jlm1, jl, _), _, _ = _j_ladder(l, arr)
-    return _riccati_pair("psi", z, arr * jl, arr * jlm1 - l * jl)
-
-
-def riccati_xi(l, z):
-    """Riccati-Bessel xi_l = z h_l^(1) and xi_l', from the h1 ladder alone."""
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
-    arr, _ = _as_array(z)
-    (hlm1, hl, _), over = _h1_ladder(l, arr)
-    if np.any(over):
-        raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
-    return _riccati_pair("xi", z, arr * hl, arr * hlm1 - l * hl)
 
 
 def riccati_bessel(l, z):
     """Riccati-Bessel psi_l = z j_l, xi_l = z h_l^(1) and their derivatives.
 
-    Returns (psi, psi', xi, xi'), each with the shape of z. Satisfies the
-    Wronskian identity psi xi' - psi' xi = i. Same |Im z| <= 1 tight envelope
-    as the Hankel functions.
+    Returns (psi, psi', xi, xi'), each with the shape of z, from one Miller j
+    ladder: h = j + i y, and f' = z f_{l-1} - l f_l for f = j, h. Satisfies
+    the Wronskian identity psi xi' - psi' xi = i. Same |Im z| <= 1 tight
+    envelope as the Hankel function.
     """
-    return riccati_psi(l, z) + riccati_xi(l, z)
+    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    arr, _ = _as_array(z)
+    (jlm1, jl, _), (ylm1, yl, _), over = _j_ladder(l, arr)
+    if np.any(over):
+        raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
+    hlm1, hl = jlm1 + 1j * ylm1, jl + 1j * yl
+    out = {"psi": arr * jl, "psi'": arr * jlm1 - l * jl,
+           "xi": arr * hl, "xi'": arr * hlm1 - l * hl}
+    for name, f in out.items():
+        _signal_nonfinite(name, f)
+    return tuple(f.reshape(np.shape(z))[()] for f in out.values())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import riccati_psi, riccati_xi, _j_ladder, _as_array
+from .specfun import riccati_bessel, _j_ladder, _as_array
 
 __all__ = [
     "SphereParams",
@@ -118,9 +118,10 @@ def _characteristic(l, k, params: SphereParams, te):
     """
     n, R = params.n, params.R
     a, b = (n, 1.0) if te else (1.0, n)
-    x = np.asarray(k) * R
-    psi, psip = riccati_psi(l, np.asarray(k) * (n * R))
-    xi, xip = riccati_xi(l, x)
+    # one ladder call on [nkR, kR]: psi is used at nkR, xi at kR
+    z = np.multiply.outer([n * R, R], k)
+    psi, psip, xi, xip = riccati_bessel(l, z)
+    psi, psip, xi, xip, x = psi[0], psip[0], xi[1], xip[1], z[1]
     d = a * psip * xi - b * psi * xip
     slope = R * (((a / n - b) * (l * (l + 1)) / (x * x) + (b - a * n)) * psi * xi
                  + (a - b * n) * psip * xip)
@@ -242,17 +243,16 @@ def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
     n, R = params.n, params.R
     x = k0 * R
     y = n * k0 * R
-    (jym1, jy, jyp1), _, _ = _j_ladder(l, _as_array(y)[0])
-    (jxm1, jx, _), (_, yx, yxp1), over = _j_ladder(l, _as_array(x)[0])
-    if bool(over[0]):
+    (jm1, j, jp1), (_, yl, ylp1), over = _j_ladder(l, np.array([y, x], dtype=complex))
+    if bool(over[1]):
         raise OverflowError("exterior Neumann function out of double range")
-    # j_l' = j_{l-1} - (l+1)/z j_l (and likewise for y via the upward ladder)
-    jy0 = jy[0].real
-    jyp0 = (jym1[0] - (l + 1) / y * jy[0]).real
-    jx0 = jx[0].real
-    jxp0 = (jxm1[0] - (l + 1) / x * jx[0]).real
-    yx0 = yx[0].real
-    yxp0 = (l / x * yx[0] - yxp1[0]).real
+    jm1, j, jp1, yl, ylp1 = (f.real for f in (jm1, j, jp1, yl, ylp1))
+    # j_l' = j_{l-1} - (l+1)/z j_l and y_l' = l/z y_l - y_{l+1}
+    jy0, jx0 = j
+    jyp0 = jm1[0] - (l + 1) / y * jy0
+    jxp0 = jm1[1] - (l + 1) / x * jx0
+    yx0 = yl[1]
+    yxp0 = l / x * yx0 - ylp1[1]
 
     t1 = jy0 * yxp0
     t2 = n * jyp0 * yx0
@@ -262,7 +262,7 @@ def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
     if abs(b) < _B_SNAP_ULPS * b_noise:
         b = 0.0
     norm = math.sqrt(2.0 / math.pi) * k0 / math.hypot(b, c)
-    return b, c, norm, (jym1[0].real, jy0, jyp1[0].real)
+    return b, c, norm, (jm1[0], jy0, jp1[0])
 
 
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
@@ -271,7 +271,7 @@ def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
 
     Inside the sphere u = A j_l(n k0 r), so the spherical-Bessel normalization
     integral gives A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)] with
-    y = n k0 R: no grid, only the two ladders of the matching.
+    y = n k0 R: no grid, only the one ladder call of the matching.
     """
     _, _, amp, (jm1, j, jp1) = _matching_coefficients(mode.l, mode.k0, params)
     return amp * amp * 0.5 * params.R**3 * (j * j - jm1 * jp1)

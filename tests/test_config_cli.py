@@ -128,6 +128,9 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys):
          "simulation.omega0"),
         ("simulate", "m = 9", "amplitudes = -1:0.5, 1:nan+1j", "coupling.amplitudes"),
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 0.5", "estimate.m_list"),
+        # past the special functions' order limit, and |m| above l
+        ("modes", "l = 9", "l = 501", "mode_search.l"),
+        ("estimate", "m_list = 1, 5, 9", "m_list = 1, 500", "estimate.m_list"),
     ]
     for verb, old, new, field in cases:
         bad = tmp_path / "bad.cfg"
@@ -135,6 +138,7 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys):
         code = run_cli(verb, bad, tmp_path / "out")
         assert code == 2, (new, code)
         assert field in capsys.readouterr().err, new
+        assert not (tmp_path / "out").exists(), new
 
 
 def test_empty_window_exit_1(tmp_path, capsys):
@@ -221,6 +225,17 @@ def test_estimate_command_m_table(tmp_path, fast_cfg_path, capsys):
     assert payload["precession_hz_simplified"] > 0
 
 
+def test_estimate_default_m_list_stays_within_l(tmp_path):
+    # without m_list, estimate reports those of m = 1, 10, 120 that do not
+    # exceed l, so the default passes the |m| <= l check for every l
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(FAST_CFG.replace("m_list = 1, 5, 9\n", ""))
+    out = tmp_path / "out"
+    assert run_cli("estimate", cfg, out) == 0
+    payload = json.loads((out / "estimates.json").read_text())
+    assert set(payload["threshold_hz_by_m"]) == {"1"}
+
+
 def test_estimate_natural_units_flag(tmp_path, fast_cfg_path, capsys):
     out = tmp_path / "out"
     assert run_cli("estimate", fast_cfg_path, out, "--natural-units") == 0
@@ -246,6 +261,7 @@ def test_sweep_fans_out(tmp_path):
     ("simulate", "simulation.n_steps", "100.7", 2, "sweep.values"),
     ("lambda", "mode_search.scan_points", "1.5e3, 2000", 2, "sweep.values"),
     ("simulate", "simulation.omega0", "1", 2, "sweep.field"),
+    ("lambda", "mode_search.l", "120, 120", 2, "sweep.values"),
 ])
 def test_sweep_values_parse_as_the_swept_field(tmp_path, capsys, verb, field,
                                                values, code, named):

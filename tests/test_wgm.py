@@ -135,8 +135,9 @@ def test_characteristic_is_riccati_combination(ref_params, l):
     n, R = ref_params.n, ref_params.R
     rng = np.random.default_rng(l)
     k = K_REF * (0.9 + 0.2 * rng.random(64) - 1j * 10.0 ** rng.uniform(-20, -3, 64))
-    psi, psip, _, _ = riccati_bessel(l, k * (n * R))
-    _, _, xi, xip = riccati_bessel(l, k * R)
+    # the same stacked [k nR, k R] argument D passes to its one ladder call
+    psi, psip, xi, xip = riccati_bessel(l, np.stack([k * (n * R), k * R]))
+    psi, psip, xi, xip = psi[0], psip[0], xi[1], xip[1]
     te = n * psip * xi - psi * xip
     tm = psip * xi - n * psi * xip
     assert te_characteristic(l, k, ref_params).tobytes() == te.tobytes()
@@ -218,6 +219,83 @@ def test_tm_l180_survey_window_finds_pole(ref_params):
     window = (12411241.74340223, 12661973.899834597)
     modes = find_resonance("TM", 180, window, ref_params, scan_points=2000)
     _assert_poles_resolved("TM", 180, window, ref_params, modes)
+
+
+def _lly_wavenumber(l, pol, n, R):
+    """First-order WGM position from the asymptotic series of Lam, Leung &
+    Young, JOSA B 9, 1585 (1992), through order nu^(-2/3)."""
+    nu, c, a = l + 0.5, 2.0 ** (-1 / 3), 2.338107410459767  # a: first zero of Ai(-z)
+    p = 1.0 if pol == "TE" else 1.0 / (n * n)
+    nx = (nu + c * a * nu ** (1 / 3) - p * n / math.sqrt(n * n - 1)
+          + 0.3 * c * c * a * a * nu ** (-1 / 3)
+          - c * p * n * (n * n - 2 * p * p / 3) * a * nu ** (-2 / 3) / (n * n - 1) ** 1.5)
+    return nx / (n * R)
+
+
+def _mpmath_pole(pol, l, n=math.sqrt(2.31), R=10e-6, dps=60):
+    """Generator of MPMATH_POLES: the pole of the same D, built from mpmath's
+    besselj/bessely of order l + 1/2 at dps digits, by findroot from the
+    Lam-Leung-Young position. n and R are the doubles the package sees."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        n, nu = mp.mpf(n), l + mp.mpf(1) / 2
+
+        def jy(z, order):
+            f = mp.sqrt(mp.pi / (2 * z))
+            return f * mp.besselj(order, z), f * mp.bessely(order, z)
+
+        def D(x):
+            (j_in, _), (jm1_in, _) = jy(n * x, nu), jy(n * x, nu - 1)
+            (j, y), (jm1, ym1) = jy(x, nu), jy(x, nu - 1)
+            h, hm1 = j + 1j * y, jm1 + 1j * ym1
+            psi, psip = n * x * j_in, n * x * jm1_in - l * j_in
+            xi, xip = x * h, x * hm1 - l * h
+            a, b = (n, 1) if pol == "TE" else (1, n)
+            return a * psip * xi - b * psi * xip
+
+        x0 = mp.mpf(_lly_wavenumber(l, pol, float(n), R) * R)
+        x = mp.findroot(D, mp.mpc(x0, -1e-30), tol=mp.mpf(10) ** -dps, verify=False)
+        return x / mp.mpf(R)
+
+
+# (pol, l): (k0, kappa_c) [1/m] of the highest-Q pole in a +-1 % window about
+# the Lam-Leung-Young position; R = 10 um, n^2 = 2.31; from _mpmath_pole
+MPMATH_POLES = {
+    ("TE", 20): (1603902.727161633451866207, 1394.792875037866906495765),
+    ("TE", 120): (8453719.963871642585373463, 2.302310614501496726616006e-14),
+    ("TE", 147): (10271873.04962075977449298, 2.98625129787515517668449e-19),
+    ("TE", 179): (12420588.63995124818427007, 4.137247852220790681550152e-25),
+    ("TE", 200): (13827953.21341563830951712, 5.531107547528257326217742e-29),
+    ("TM", 20): (1646225.754685607061303892, 2285.644152704988755431259),
+    ("TM", 120): (8502358.634616595501174126, 3.278402545715440003046657e-14),
+    ("TM", 147): (10320667.24765875839720529, 4.22097733541681337388935e-19),
+    ("TM", 179): (12469505.19008324005449045, 5.811552685016449250633523e-25),
+    ("TM", 200): (13876928.59375277255586029, 7.745079716773282576350308e-29),
+}
+
+
+@pytest.mark.parametrize("pol, l", sorted(MPMATH_POLES))
+def test_pole_matches_mpmath_table(ref_params, pol, l):
+    # kappa_c lives in the tiny Re xi(kR) = kR j_l(kR); taken from an upward
+    # j recurrence it was off by 1.9e-7 at TE l = 147 and lost above l ~ 178
+    k0, kappa_c = MPMATH_POLES[pol, l]
+    k = _lly_wavenumber(l, pol, ref_params.n, ref_params.R)
+    modes = find_resonance(pol, l, (0.99 * k, 1.01 * k), ref_params, scan_points=2000)
+    assert modes
+    best = max(modes, key=lambda m: m.Q)
+    assert abs(best.k0 - k0) <= 1e-15 * k0
+    assert abs(best.kappa_c - kappa_c) <= 1e-12 * kappa_c
+    if pol == "TE":
+        assert 0.5 <= compute_lambda(best, ref_params).lambda_ <= 2.0
+
+
+def test_mpmath_table_regenerates():
+    # the cheapest entry, recomputed live by the stored generator
+    pole = _mpmath_pole("TE", 20)
+    k0, kappa_c = MPMATH_POLES["TE", 20]
+    assert abs(float(pole.real) - k0) <= 1e-15 * k0
+    assert abs(float(-2 * pole.imag) - kappa_c) <= 1e-15 * kappa_c
 
 
 def _oracle_poles(fn, l, params, re_range, im_depth):
