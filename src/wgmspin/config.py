@@ -18,6 +18,8 @@ from .specfun import MAX_ORDER
 
 __all__ = ["ConfigError", "RunConfig"]
 
+MAX_SCAN_POINTS = 100_000  # the scan's memory grows with the point count
+
 
 class ConfigError(ValueError):
     """Invalid configuration; .errors lists (field, message) pairs."""
@@ -162,8 +164,9 @@ class RunConfig:
         if not (0 < self.lambda_min < self.lambda_max):
             bad.append(("mode_search.lambda_min",
                         f"window [{self.lambda_min}, {self.lambda_max}] must be positive and non-empty"))
-        if self.scan_points < 10:
-            bad.append(("mode_search.scan_points", "must be >= 10"))
+        if not 10 <= self.scan_points <= MAX_SCAN_POINTS:
+            bad.append(("mode_search.scan_points",
+                        f"must be in [10, {MAX_SCAN_POINTS}], got {self.scan_points}"))
         if self.N < 0:
             bad.append(("coupling.N", f"must be non-negative, got {self.N}"))
         if self.m is not None and abs(self.m) > self.l:

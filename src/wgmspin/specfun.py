@@ -3,7 +3,10 @@
 Everything downstream (characteristic equations, mode profiles, coupling
 matrices) sits on these. The Bessel routines accept complex arguments because
 resonance poles live just below the real wavenumber axis; scipy's spherical
-Bessels are real-only.
+Bessels are real-only. A real argument runs the same ladders in real
+arithmetic: j_l, y_l, psi and psi' come back float64 (as
+scipy.special.spherical_jn does), h, xi and xi' complex128. Any other input is
+computed in complex128.
 
 Stability: j_l is computed by downward (Miller) recurrence normalized through
 the cross Wronskian j_{l+1} y_l - j_l y_{l+1} = 1/z^2, y_l by upward
@@ -49,7 +52,7 @@ def _check_domain(l, z, need_nonzero, im_strip=False):
         raise ValueError(f"order l must be a non-negative integer, got {l!r}")
     if l > MAX_ORDER:
         raise ValueError(f"order l={l} exceeds validated maximum {MAX_ORDER}")
-    arr = np.asarray(z, dtype=complex)
+    arr = np.asarray(z)
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
     if need_nonzero and np.any(arr == 0):
         raise ValueError("argument z = 0 is outside the domain")
@@ -66,7 +69,7 @@ def _check_domain(l, z, need_nonzero, im_strip=False):
 
 
 def _as_array(z):
-    arr = np.asarray(z, dtype=complex)
+    arr = np.asarray(z, dtype=float if np.isrealobj(z) else complex)
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -77,12 +80,13 @@ def _y_ladder(l, z):
     raises).
     """
     prev, cur = np.sin(z) / z, -np.cos(z) / z
+    zinv = 1.0 / z
     # overflow to inf is expected deep in the l >> |z| regime and resolved by
     # the mask below, so silence numpy's per-op warnings here
     with np.errstate(over="ignore", invalid="ignore"):
         for order in range(l):
-            prev, cur = cur, (2 * order + 1) / z * cur - prev
-        trio = (prev, cur, (2 * l + 1) / z * cur - prev)
+            prev, cur = cur, (2 * order + 1) * zinv * cur - prev
+        trio = (prev, cur, (2 * l + 1) * zinv * cur - prev)
     big = [np.maximum(np.abs(f.real), np.abs(f.imag)) for f in trio[1:]]
     return trio, ~((big[0] < _Y_OVERFLOW) & (big[1] < _Y_OVERFLOW))
 
@@ -95,7 +99,8 @@ def _miller_start(l, z):
 
 
 def _j_ladder(l, z):
-    """j_{l-1}, j_l, j_{l+1} (j_{-1} = cos z / z), vectorized over z.
+    """j_{l-1}, j_l, j_{l+1} (j_{-1} = cos z / z), vectorized over a 1-D
+    float64 or complex128 z; the j and y trios keep z's dtype.
 
     Downward recurrence from an arbitrary seed, then per-element scale fixing:
 
@@ -106,10 +111,11 @@ def _j_ladder(l, z):
       is bounded away from zero off the strip, while the Wronskian pairing
       cancels catastrophically there).
 
-    Mid-recurrence rescales are applied to the whole running set, so they
-    cancel in either normalization ratio. One step grows max(|lo|, |hi|) by at
-    most g + 1, g = (2 nstart + 3)/min|z|, so the rescale test runs only every
-    `stride` orders: (g + 1)^stride <= 1e50 keeps a value that passed it
+    One reciprocal 1/z serves every order of the recurrence. Mid-recurrence
+    rescales are applied to the whole running set, so they cancel in either
+    normalization ratio. One step grows max(|lo|, |hi|) by at most g + 1,
+    g = (2 nstart + 3)/min|z|, so the rescale test runs only every `stride`
+    orders: (g + 1)^stride <= 1e50 keeps a value that passed it
     (<= _HUGE = 1e250) below 1e300 until the next test.
     """
     nstart = _miller_start(l, z)
@@ -123,8 +129,9 @@ def _j_ladder(l, z):
     if need_j0:
         targets = targets | {0}
     lowest = min(targets)
+    zinv = 1.0 / z
     for order in range(nstart, -1, -1):
-        hi, lo = lo, (2 * order + 3) / z * lo - hi
+        hi, lo = lo, (2 * order + 3) * zinv * lo - hi
         if order % stride == 0:
             big = np.maximum(np.abs(lo), np.abs(hi)) > _HUGE
             if np.any(big):
@@ -178,11 +185,12 @@ def _signal_nonfinite(name, values):
 
 
 def spherical_bessel_j(l, z):
-    """Spherical Bessel j_l(z) for integer l >= 0 and complex z.
+    """Spherical Bessel j_l(z) for integer l >= 0 and real or complex z.
 
-    Vectorized over z. j_l(0) = delta_{l0}; values below the double-precision
-    floor (l >> |z|) underflow to exactly 0. Relative accuracy ~1e-13 for
-    l <= 200, |z| <= 300; an AccuracyWarning is issued outside that envelope.
+    Vectorized over z; float64 for real z, complex128 otherwise.
+    j_l(0) = delta_{l0}; values below the double-precision floor (l >> |z|)
+    underflow to exactly 0. Relative accuracy ~1e-13 for l <= 200,
+    |z| <= 300; an AccuracyWarning is issued outside that envelope.
     """
     _check_domain(l, z, need_nonzero=False)
     arr, scalar = _as_array(z)
@@ -201,6 +209,8 @@ def spherical_bessel_j(l, z):
 def spherical_bessel_y(l, z):
     """Spherical Bessel y_l(z) (Neumann); raises OverflowError past double range.
 
+    float64 for real z, complex128 otherwise.
+
     Tight accuracy on the strip |Im z| <= 1 (upward recurrence dips with the
     e^{2 Im z} solution split off it); warned as relaxed outside.
     """
@@ -214,7 +224,8 @@ def spherical_bessel_y(l, z):
 
 
 def spherical_hankel1(l, z):
-    """Outgoing spherical Hankel h_l^(1)(z) = j_l(z) + i y_l(z).
+    """Outgoing spherical Hankel h_l^(1)(z) = j_l(z) + i y_l(z), complex128
+    for any z.
 
     Summed from the Miller j ladder and the y trio it normalizes with. The sum
     cancels ~e^{2 Im z} of the digits where h decays (Im z > 0): tight on the
@@ -235,9 +246,10 @@ def riccati_bessel(l, z):
     """Riccati-Bessel psi_l = z j_l, xi_l = z h_l^(1) and their derivatives.
 
     Returns (psi, psi', xi, xi'), each with the shape of z, from one Miller j
-    ladder: h = j + i y, and f' = z f_{l-1} - l f_l for f = j, h. Satisfies
-    the Wronskian identity psi xi' - psi' xi = i. Same |Im z| <= 1 tight
-    envelope as the Hankel function.
+    ladder: h = j + i y, and f' = z f_{l-1} - l f_l for f = j, h. psi and psi'
+    are float64 for real z (complex128 otherwise); xi and xi' are always
+    complex128. Satisfies the Wronskian identity psi xi' - psi' xi = i. Same
+    |Im z| <= 1 tight envelope as the Hankel function.
     """
     _check_domain(l, z, need_nonzero=True, im_strip=True)
     arr, _ = _as_array(z)

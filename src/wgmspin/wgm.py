@@ -16,12 +16,13 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .specfun import riccati_bessel, _j_ladder, _as_array
+from .specfun import riccati_bessel, _j_ladder
 
 __all__ = [
     "SphereParams",
@@ -188,16 +189,19 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     Seeds are local minima of |D| on a real-axis scan, refined by complex
     Newton until the edge-normalized residual drops below POLE_TOL. Returns
     records sorted by k0; empty list when the window holds no pole.
-    Non-convergent seeds are logged and skipped.
+    Non-convergent seeds are logged and skipped. scan_points must be an
+    integer >= 3, so that the scan has an interior point to seed from.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
     k_lo, k_hi = float(min(k_window)), float(max(k_window))
     if not (k_lo > 0 and k_hi > k_lo):
         raise ValueError(f"window must be positive and non-empty, got {k_window}")
+    if not (isinstance(scan_points, numbers.Integral) and scan_points >= 3):
+        raise ValueError(f"scan_points must be an integer >= 3, got {scan_points!r}")
     Dfun = _CHARACTERISTIC[polarization]
 
-    ks = np.linspace(k_lo, k_hi, int(scan_points))
+    ks = np.linspace(k_lo, k_hi, scan_points)
     absd = np.abs(Dfun(l, ks, params)[0])
     d_scale = max(absd[0], absd[-1])
     if d_scale == 0:
@@ -243,10 +247,9 @@ def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
     n, R = params.n, params.R
     x = k0 * R
     y = n * k0 * R
-    (jm1, j, jp1), (_, yl, ylp1), over = _j_ladder(l, np.array([y, x], dtype=complex))
+    (jm1, j, jp1), (_, yl, ylp1), over = _j_ladder(l, np.array([y, x]))
     if bool(over[1]):
         raise OverflowError("exterior Neumann function out of double range")
-    jm1, j, jp1, yl, ylp1 = (f.real for f in (jm1, j, jp1, yl, ylp1))
     # j_l' = j_{l-1} - (l+1)/z j_l and y_l' = l/z y_l - y_{l+1}
     jy0, jx0 = j
     jyp0 = jm1[0] - (l + 1) / y * jy0
@@ -310,18 +313,18 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid,
     u_in = np.zeros_like(zin)
     nz = zin > 0
     if np.any(nz):
-        (_, jl, _), _, _ = _j_ladder(l, _as_array(zin[nz])[0])
-        u_in[nz] = jl.real
+        (_, jl, _), _, _ = _j_ladder(l, zin[nz])
+        u_in[nz] = jl
     if l == 0:
         u_in[~nz] = 1.0
     u[inside] = amp_in * u_in
 
     outside = ~inside
     if np.any(outside):
-        (_, jl, _), (_, yl, _), over = _j_ladder(l, _as_array(k0 * grid[outside])[0])
+        (_, jl, _), (_, yl, _), over = _j_ladder(l, k0 * grid[outside])
         if np.any(over):
             raise OverflowError("exterior Neumann function out of double range")
-        u[outside] = norm * (b * jl.real + c * yl.real)
+        u[outside] = norm * (b * jl + c * yl)
     return RadialProfile(r=grid, u=u, k0=k0, l=l, delta=delta,
                          interior_amplitude=amp_in)
 

@@ -108,10 +108,15 @@ def test_with_value_sweep_helper(fast_cfg_path):
 
 # --- CLI exit codes --------------------------------------------------------------
 
-def test_invalid_config_exit_2_names_field(tmp_path, capsys):
+def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
     # non-finite numbers are rejected up front: unchecked, dt = inf fails late
     # with a numerical error, rho = inf writes "I": Infinity (not JSON) and
-    # Q = inf gives zero thresholds
+    # Q = inf gives zero thresholds. Validation rejects every case before any
+    # pole search, so none of them allocates a scan.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("invalid config reached the pole search")
+
+    monkeypatch.setattr(cli.wgm, "find_resonance", no_scan)
     cases = [
         ("modes", "R = 10e-6", "R = -3e-6", "sphere.R"),
         ("modes", "R = 10e-6", "R = inf", "sphere.R"),
@@ -131,6 +136,8 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys):
         # past the special functions' order limit, and |m| above l
         ("modes", "l = 9", "l = 501", "mode_search.l"),
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 500", "estimate.m_list"),
+        # scan memory grows with the point count
+        ("modes", "scan_points = 1500", "scan_points = 100001", "mode_search.scan_points"),
     ]
     for verb, old, new, field in cases:
         bad = tmp_path / "bad.cfg"

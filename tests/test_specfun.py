@@ -101,16 +101,35 @@ def test_h_against_series_oracle_strip():
 
 
 def test_real_arguments_against_scipy():
+    # a float64 argument runs the ladders in real arithmetic
     scipy_special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(300):
         l = int(rng.integers(0, 201))
         x = float(rng.uniform(0.3, 300.0))
+        yref = scipy_special.spherical_yn(l, x)
+        if abs(yref) <= 1e250:
+            assert abs(spherical_bessel_y(l, x) - yref) <= 1e-10 * abs(yref), (l, x)
         ref = scipy_special.spherical_jn(l, x)
         if abs(ref) < 1e-250:
             continue
-        got = spherical_bessel_j(l, x + 0j).real
+        got = spherical_bessel_j(l, x)
         assert abs(got - ref) <= 1e-10 * abs(ref) + 1e-25, (l, x)
+
+
+def test_real_input_dtypes():
+    # real z: j, y, psi, psi' are float64 (as scipy's spherical_jn); h, xi,
+    # xi' are complex128; complex z gives complex128 throughout
+    for z in (84.5, np.linspace(80.0, 90.0, 5)):
+        psi, psip, xi, xip = riccati_bessel(120, z)
+        real = (spherical_bessel_j(120, z), spherical_bessel_y(120, z), psi, psip)
+        assert all(f.dtype == np.float64 for f in real)
+        assert all(f.dtype == np.complex128
+                   for f in (spherical_hankel1(120, z), xi, xip))
+        zc = np.asarray(z, dtype=complex)
+        assert all(f.dtype == np.complex128
+                   for f in (spherical_bessel_j(120, zc), spherical_bessel_y(120, zc),
+                             *riccati_bessel(120, zc)))
 
 
 # --- Riccati-Bessel -----------------------------------------------------------

@@ -144,6 +144,17 @@ def test_characteristic_is_riccati_combination(ref_params, l):
     assert tm_characteristic(l, k, ref_params).tobytes() == tm.tobytes()
 
 
+@pytest.mark.parametrize("l", [1, 20, 120])
+def test_characteristic_real_path_matches_complex(ref_params, l):
+    # a real k vector runs the ladders in real arithmetic; the same k cast to
+    # complex128 runs them in complex arithmetic
+    ks = np.linspace(*_POLE_WINDOWS[l], 2000)
+    for fn in (te_characteristic, tm_characteristic):
+        d_real = fn(l, ks, ref_params)
+        d_complex = fn(l, ks.astype(np.complex128), ref_params)
+        assert np.max(np.abs(d_real - d_complex)) <= 1e-13 * np.max(np.abs(d_complex))
+
+
 # --- find_resonance --------------------------------------------------------------
 
 def test_resonance_wavelength_and_uniqueness(ref_mode):
@@ -159,6 +170,15 @@ def test_resonance_wavelength_and_uniqueness(ref_mode):
 def test_window_far_below_resonance_is_empty(ref_params):
     R = ref_params.R
     assert find_resonance("TE", 120, (5.0 / R, 10.0 / R), ref_params) == []
+
+
+@pytest.mark.parametrize("points", [1, 2, 2.5, 0, -5])
+def test_scan_points_must_be_integer_at_least_3(ref_params, points):
+    # 1, 2 and 2.5 left no interior scan point and returned [] for this
+    # window, which holds the reference pole; 0 and -5 failed inside numpy
+    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
+    with pytest.raises(ValueError, match="scan_points"):
+        find_resonance("TE", 120, window, ref_params, scan_points=points)
 
 
 def test_pole_residual_normalized(ref_params, ref_mode):
