@@ -31,10 +31,13 @@ EXIT_NUMERICAL = 3
 
 
 def _sphere(cfg: RunConfig) -> wgm.SphereParams:
-    kwargs = {"R": cfg.R, "n": cfg.n, "rho": cfg.rho}
-    if cfg.I is not None:
-        kwargs["I"] = cfg.I
-    return wgm.SphereParams(**kwargs)
+    return wgm.SphereParams(R=cfg.R, n=cfg.n, rho=cfg.rho, I=cfg.I)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _find_modes(cfg: RunConfig):
@@ -102,11 +105,9 @@ def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False) -> int:
         # no index contrast: eps - 1 = 0, so Lambda = 0 for any mode and
         # there is no resonance to attach it to
         params = _sphere(cfg)
-        payload = {"lambda": 0.0, "I": params.I, "l": cfg.l,
-                   "k0": None, "kappa_c": None, "Q": None}
-        with open(outdir / "coupling.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(outdir / "coupling.json",
+                    {"lambda": 0.0, "I": params.I, "l": cfg.l,
+                     "k0": None, "kappa_c": None, "Q": None})
         print("Lambda = 0.000000")
         print(f"I = {params.I:.6e} kg m^2")
         print("Q = n/a (uniform medium has no resonance)")
@@ -148,9 +149,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
         "drift_K": drift["K"],
         "drift_Hr": drift["H_r"],
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "summary.json", summary)
     for key in sorted(summary):
         print(f"{key} = {summary[key]}")
     return EXIT_OK
@@ -179,17 +178,14 @@ def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     print(f"Zeeman resolvability threshold (spin rate, {units['rate']}):")
     for m in m_list:
         print(f"  m={m:>4d}: {thresholds[str(m)]:.6e}")
-    payload = {
+    _write_json(outdir / "estimates.json", {
         "lambda": cc.lambda_,
         "Q": q_used,
         "precession_hz_exact": est.exact_hz,
         "precession_hz_simplified": est.simplified_hz,
         "threshold_hz_by_m": thresholds,
         "units": units["rate"],
-    }
-    with open(outdir / "estimates.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return EXIT_OK
 
 

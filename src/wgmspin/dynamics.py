@@ -8,8 +8,8 @@ The single-mode coupled equations
 exact uniform rotation of S (and of w with it) about the conserved axis
 K = I w - (Lambda-1) hbar S at angular rate Lambda |K| / I. simulate evaluates
 that flow in closed form at every sample time at once (one Rodrigues rotation
-by Lambda |K| t / I per sample, no stepping); step_wgm applies the same
-rotation over one step. |S|, |w|, K and the rotating-frame energy are
+by Lambda |K| t / I per sample, no stepping); step_wgm is the same flow at
+t = dt, orientation included. |S|, |w|, K and the rotating-frame energy are
 conserved to rounding, not to integration order.
 
 State vectors are kept in numpy longdouble (x86 extended precision). A
@@ -50,10 +50,15 @@ _IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 
 def _ld3(v):
-    arr = np.asarray(v, dtype=_LD).reshape(3).copy()
+    arr = np.array(v, dtype=_LD).reshape(3)
     if not np.all(np.isfinite(arr.astype(float))):
         raise ValueError(f"vector components must be finite, got {v!r}")
     return arr
+
+
+def _check_dt(dt):
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class SpinState:
         object.__setattr__(self, "omega", _ld3(self.omega))
         object.__setattr__(self, "S", _ld3(self.S))
         q = self.orientation
-        q = np.asarray(_IDENTITY_Q if q is None else q, dtype=_LD).reshape(4).copy()
+        q = np.array(_IDENTITY_Q if q is None else q, dtype=_LD).reshape(4)
         norm = np.sqrt(np.sum(q * q))
         if not (0.9 < float(norm) < 1.1):
             raise ValueError("orientation quaternion is far from unit norm")
@@ -167,25 +172,30 @@ def _rotation_quat(v, t):
     return (np.cos(half), vx * s, vy * s, vz * s)
 
 
-def _advance_orientation(q, w, dt):
-    arr = np.array(_quat_mul(_rotation_quat(w, dt), tuple(q)), dtype=_LD)
-    return arr / np.sqrt(np.sum(arr * arr))
+# --- WGM coupled flow (exact rotation about conserved K) --------------------
 
+def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
+    """Exact flow from state over elapsed time t (scalar or array).
 
-# --- WGM coupled step (exact rotation about conserved K) --------------------
-
-def _step_wgm_scalars(sx, sy, sz, wx, wy, wz, inertia, lam, hbar, dt):
-    # dt may be an array of elapsed times: the result is then the exact flow
-    # evaluated at each of them (S and w components as arrays)
-    lm1h = (lam - 1.0) * hbar
+    S rotates about the conserved K = I w - (Lambda-1) hbar S by Omega t,
+    Omega = Lambda |K| / I, and w moves by the matching increment of S. w(t)
+    is w0 rotated about K at Omega, so the orientation is
+    q(t) = q(K^, Omega t) q(w0 - Omega K^, t) q0. Returns the S, w and q
+    component tuples (arrays over t for array t).
+    """
+    lam = _LD(constants.lambda_)
+    inertia = _LD(constants.I)
+    lm1h = (lam - 1.0) * _LD(hbar)
+    sx, sy, sz = state.S
+    wx, wy, wz = state.omega
     kx = inertia * wx - lm1h * sx
     ky = inertia * wy - lm1h * sy
     kz = inertia * wz - lm1h * sz
     kn = np.sqrt(kx * kx + ky * ky + kz * kz)
-    if kn == 0.0:
-        return sx, sy, sz, wx, wy, wz
-    ux, uy, uz = kx / kn, ky / kn, kz / kn
-    theta = lam * kn / inertia * dt
+    # K = 0: a zero axis makes the S rotation the identity, and w stands still
+    ux, uy, uz = (kx / kn, ky / kn, kz / kn) if kn else (0.0, 0.0, 0.0)
+    rate = lam * kn / inertia
+    theta = rate * t
     c = np.cos(theta)
     s = np.sin(theta)
     half_s = np.sin(0.5 * theta)
@@ -212,35 +222,25 @@ def _step_wgm_scalars(sx, sy, sz, wx, wy, wz, inertia, lam, hbar, dt):
     wx2 = wx + scale * (sx2 - sx)
     wy2 = wy + scale * (sy2 - sy)
     wz2 = wz + scale * (sz2 - sz)
-    return sx2, sy2, sz2, wx2, wy2, wz2
+    q = _quat_mul(_rotation_quat((ux, uy, uz), theta),
+                  _quat_mul(_rotation_quat((wx - rate * ux, wy - rate * uy,
+                                            wz - rate * uz), t),
+                            tuple(state.orientation)))
+    return (sx2, sy2, sz2), (wx2, wy2, wz2), q
 
 
 def step_wgm(state: SpinState, dt: float, constants: CouplingConstants, *,
              hbar: float = HBAR) -> SpinState:
-    """One exact-flow step of the coupled precession equations.
+    """The exact flow of the coupled precession equations over one step dt.
 
     Rotates S about the conserved axis K = I w - (Lambda-1) hbar S by
     Lambda |K| dt / I (Rodrigues), advances w by the matching increment, and
-    advances the orientation by the rotation generated by the incoming w.
-    S and w stay exact for any dt (the rotation is the closed-form flow);
-    orientation bookkeeping holds the incoming w over the step, so prefer
-    dt <= 0.01 * min(2 pi / (Lambda |w|), 2 pi I / (Lambda |Lambda-1| hbar |S|))
-    when the orientation itself matters. w = S = 0 is a valid fixed point.
+    rotates the orientation by the closed-form body rotation over dt. The
+    state is exact for any dt; w = S = 0 is a valid fixed point.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    lam = _LD(constants.lambda_)
-    inertia = _LD(constants.I)
-    hb = _LD(hbar)
-    dtl = _LD(dt)
-    sx, sy, sz = state.S
-    wx, wy, wz = state.omega
-    sx, sy, sz, wx2, wy2, wz2 = _step_wgm_scalars(
-        sx, sy, sz, wx, wy, wz, inertia, lam, hb, dtl)
-    q = _advance_orientation(state.orientation, state.omega, dtl)
-    return SpinState(omega=np.array([wx2, wy2, wz2], dtype=_LD),
-                     S=np.array([sx, sy, sz], dtype=_LD),
-                     orientation=q, t=state.t + dt)
+    _check_dt(dt)
+    s, w, q = _flow(state, constants, hbar, _LD(dt))
+    return SpinState(omega=w, S=s, orientation=q, t=state.t + dt)
 
 
 # --- general torque step (RK4) ----------------------------------------------
@@ -255,8 +255,7 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
     precesses w at frequency |Gamma|/I and cannot change its magnitude.
     Unconditional projection would be wrong, since the dGamma/dt term can.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     w0 = state.omega.astype(float)
     t0 = state.t
 
@@ -276,7 +275,7 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
         n1 = np.linalg.norm(w1)
         if n1 > 0:
             w1 = w1 * (n0 / n1)
-    q = _advance_orientation(state.orientation, state.omega, _LD(dt))
+    q = _quat_mul(_rotation_quat(state.omega, _LD(dt)), tuple(state.orientation))
     return SpinState(omega=w1, S=state.S, orientation=q, t=t0 + dt)
 
 
@@ -316,17 +315,15 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
              monitor_tol: float = 1e-6) -> Trajectory:
     """Exact flow at steps 0, sample_every, 2 sample_every, ... and n_steps.
 
-    Each sample is the closed-form flow at its elapsed time t = step * dt: S
-    rotated about K by Lambda |K| t / I and w advanced by the matching
-    increment of S, from the kernel of step_wgm evaluated for all sample times
-    at once. w(t) is w(0) rotated about K at Omega = Lambda |K| / I, so the
-    orientation is exact too: q(t) = q(K^, Omega t) q(w0 - Omega K^, t) q0.
-    Monitor channels (|S|, |w|, K, H_r) are recorded per sample; relative
-    drift beyond monitor_tol raises RuntimeError (it indicates misuse, e.g.
-    state scales beyond the working precision). Deterministic for fixed inputs.
+    Each sample is the closed-form flow at its elapsed time t = step * dt,
+    the flow of step_wgm evaluated for all sample times at once: S rotated
+    about K by Lambda |K| t / I, w advanced by the matching increment of S,
+    and the exact orientation. Monitor channels (|S|, |w|, K, H_r) are
+    recorded per sample; relative drift beyond monitor_tol raises
+    RuntimeError (it indicates misuse, e.g. state scales beyond the working
+    precision). Deterministic for fixed inputs.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     for name, count in (("n_steps", n_steps), ("sample_every", sample_every)):
         try:
             count = operator.index(count)
@@ -339,20 +336,9 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
     inertia = _LD(constants.I)
     hb = _LD(hbar)
     steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
-    elapsed = steps * _LD(dt)
-
-    sw = _columns(_step_wgm_scalars(*initial.S, *initial.omega, inertia, lam,
-                                    hb, elapsed), steps.size)
-    s, w = sw[:, :3], sw[:, 3:]
+    s, w, q = (_columns(cols, steps.size)
+               for cols in _flow(initial, constants, hbar, steps * _LD(dt)))
     k = inertia * w - (lam - 1.0) * hb * s
-    k_norm = np.sqrt(np.sum(k[0] * k[0]))
-    rate = lam * k_norm / inertia
-    k_hat = k[0] / k_norm if k_norm else np.zeros(3, dtype=_LD)
-    q = _columns(_quat_mul(
-        _rotation_quat(k_hat, rate * elapsed),
-        _quat_mul(_rotation_quat(initial.omega - rate * k_hat, elapsed),
-                  tuple(initial.orientation))), steps.size)
-
     w2 = np.sum(w * w, axis=1)
     traj = Trajectory(
         samples=[SpinState(omega=w[i], S=s[i], orientation=q[i],

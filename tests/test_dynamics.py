@@ -34,6 +34,34 @@ def reference_state(tilt=0.4):
     return SpinState(omega=omega, S=s)
 
 
+# --- SpinState -------------------------------------------------------------------
+
+def test_spin_state_does_not_alias_inputs():
+    # longdouble inputs need no cast, so only an explicit copy keeps them apart
+    def fields(st):
+        return (st.omega, st.S, st.orientation)
+
+    def assert_unchanged(st, want):
+        for got, w in zip(fields(st), want):
+            np.testing.assert_array_equal(got, w)
+
+    omega = np.array([1e-9, 0.0, 2e-10], dtype=np.longdouble)
+    s = np.array([3e5, 0.0, 1.1e6], dtype=np.longdouble)
+    q = np.array([0.8, 0.0, 0.6, 0.0], dtype=np.longdouble)
+    state = SpinState(omega=omega, S=s, orientation=q)
+    want = [x.copy() for x in fields(state)]
+    for arr in (omega, s, q):
+        arr[:] = 7.0
+    assert_unchanged(state, want)
+    stepped = [step_wgm(state, 1.2e4, make_constants()),
+               step_general(state, 1.0, 1.0, lambda t: (np.zeros(3), np.zeros(3)))]
+    want_stepped = [[x.copy() for x in fields(st)] for st in stepped]
+    for arr in fields(state):
+        arr[:] = 7.0
+    for st, w in zip(stepped, want_stepped):
+        assert_unchanged(st, w)
+
+
 # --- Euler kinematics -----------------------------------------------------------
 
 def test_pure_z_rotation():
@@ -209,32 +237,40 @@ def test_simulate_orientation_exact_for_constant_spin():
     np.testing.assert_allclose(got.astype(float), want, rtol=0, atol=1e-16)
 
 
-def test_step_wgm_orientation_converges_to_closed_form():
-    # step_wgm holds the incoming w over a step, so its orientation error
-    # against simulate's exact flow is first order in dt
+def _quat_distance(p, q):
+    # q and -q are the same rotation
+    return float(min(np.linalg.norm(p - q), np.linalg.norm(p + q)))
+
+
+def test_step_wgm_orientation_matches_closed_form():
+    # step_wgm is the exact flow at t = dt, orientation included, so a chain
+    # of n steps lands on simulate's closed-form orientation at any n
     cc = make_constants(lambda_=1.37, inertia=0.8, l=3)
     state = SpinState(omega=[0.3, -0.2, 0.5], S=[0.4, 0.1, -0.3],
                       orientation=[0.8, 0.0, 0.6, 0.0])
     total = 4.0
     want = simulate(state, cc, total, 1, hbar=1.0).samples[-1].orientation
-    errors = []
     for n in (100, 200, 400):
         cur = state
         for _ in range(n):
             cur = step_wgm(cur, total / n, cc, hbar=1.0)
-        q = cur.orientation
-        errors.append(float(min(np.linalg.norm(q - want),
-                                np.linalg.norm(q + want))))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 1.9 < coarse / fine < 2.1
+        assert _quat_distance(cur.orientation, want) <= 1e-15, n
 
 
 def test_dt_must_be_positive():
-    with pytest.raises(ValueError):
-        step_wgm(reference_state(), 0.0, make_constants())
+    for dt in (0.0, -1.2e4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_wgm(reference_state(), dt, make_constants())
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.2e4, math.nan])
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+def test_step_general_dt_must_be_positive(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_general(reference_state(), dt, 1.0,
+                     lambda t: (np.zeros(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.2e4, math.nan, math.inf])
 def test_simulate_dt_must_be_positive(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         simulate(reference_state(), make_constants(), dt, 10)
@@ -260,6 +296,7 @@ def test_simulate_matches_step_wgm_chain():
             ref = want[cur.t]
             assert np.max(np.abs(cur.S - ref.S)) <= 1e-15 * s_scale
             assert np.max(np.abs(cur.omega - ref.omega)) <= 1e-13 * w_scale
+            assert _quat_distance(cur.orientation, ref.orientation) <= 1e-15
             checked += 1
     assert checked == len(traj.samples)
 
@@ -284,6 +321,28 @@ def test_drifts_on_million_step_reference():
     }
     for channel, value in drift.items():
         assert value <= 1e-14, channel
+
+
+def test_drifts_in_balanced_regime():
+    # |K| = 1e-4 I|w|: w nearly cancels (Lambda-1) hbar S / I, so K is a small
+    # difference of large vectors; its drift must still meet criterion 4
+    cc = make_constants()
+    s = 1.2e7 * np.array([math.sin(0.4), 0.0, math.cos(0.4)])
+    w_bal = (cc.lambda_ - 1.0) * HBAR * s / cc.I
+    tilt = np.array([0.0, 1.0, 0.3]) / np.linalg.norm([0.0, 1.0, 0.3])
+    state = SpinState(omega=w_bal + 1e-4 * np.linalg.norm(w_bal) * tilt, S=s)
+    k = conserved_K(state, cc).astype(float)
+    assert math.isclose(np.linalg.norm(k),
+                        1e-4 * cc.I * np.linalg.norm(state.omega.astype(float)),
+                        rel_tol=1e-3)
+    rate = cc.lambda_ * np.linalg.norm(k) / cc.I
+    traj = simulate(state, cc, 2.0 * math.pi / (200.0 * rate), 100_000,
+                    sample_every=1000)
+    drift = traj.drift
+    assert drift["abs_S"] <= 1e-13
+    assert drift["abs_omega"] <= 1e-13
+    assert drift["K"] <= 1e-12
+    assert drift["H_r"] <= 1e-10
 
 
 # --- time reversal ----------------------------------------------------------------
