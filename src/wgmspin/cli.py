@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import logging
 import math
 import sys
@@ -21,6 +20,7 @@ import numpy as np
 from . import coupling, dynamics, wgm
 from .config import ConfigError, RunConfig
 from .constants import C_LIGHT, HBAR
+from .wgm import _write_json
 
 log = logging.getLogger("wgmspin")
 
@@ -32,12 +32,6 @@ EXIT_NUMERICAL = 3
 
 def _sphere(cfg: RunConfig) -> wgm.SphereParams:
     return wgm.SphereParams(R=cfg.R, n=cfg.n, rho=cfg.rho, I=cfg.I)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _find_modes(cfg: RunConfig):

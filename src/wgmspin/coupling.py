@@ -3,26 +3,27 @@
 The dimensionless coupling constant is
 
     Lambda = pi kappa_c integral_0^R (eps - 1) r^2 |u(k0, r)|^2 dr
-           = pi kappa_c (n^2 - 1) A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)]
+           = kappa_c (n^2 - 1) [y psi'^2 + (y - l(l+1)/y) psi^2 - psi psi']
+             / (n k0 |D(k0)|^2)
 
 with u the continuum-normalized radial mode at the resonance center, equal to
-A j_l(n k0 r) inside the sphere, and y = n k0 R: the spherical-Bessel
-normalization integral gives the second line in closed form. The optical
-angular momentum S of the multiplet lives in the spin-l representation;
-dynamics treat S as a mean-field expectation vector built from coherent
-amplitudes (no Fock-space state is represented).
+A j_l(n k0 r) inside the sphere with A = sqrt(2/pi) k0 n / |D(k0)|, D the TE
+characteristic function on the real axis and psi, psi' the Riccati-Bessel
+values at y = n k0 R: Lommel's integral gives the second line in closed form.
+The optical angular momentum S of the multiplet lives in the spin-l
+representation; dynamics treat S as a mean-field expectation vector built
+from coherent amplitudes (no Fock-space state is represented).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .wgm import ModeRecord, SphereParams, interior_norm_integral
+from .wgm import ModeRecord, SphereParams, _write_json, interior_norm_integral
 
 __all__ = [
     "CouplingConstants",
@@ -65,15 +66,14 @@ class PrecessionEstimate:
 
 
 def compute_lambda(mode: ModeRecord, params: SphereParams) -> CouplingConstants:
-    """Lambda = pi kappa_c (n^2 - 1) A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)].
+    """Lambda = kappa_c (n^2 - 1) [y psi'^2 + (y - l(l+1)/y) psi^2 - psi psi']
+    / (n k0 |D|^2), with D the real-axis TE D(k0) and psi, psi' at y = n k0 R.
 
-    A = sqrt(2/pi) k0 / hypot(b, c) is the interior amplitude of the
-    continuum-normalized mode (b, c its exterior matching coefficients) and
-    y = n k0 R. Closed form, no quadrature: an attached radial profile is
-    ignored, so the result does not depend on one.
+    That is pi kappa_c (n^2 - 1) times the interior norm integral of the
+    continuum-normalized mode. Closed form, no quadrature: an attached radial
+    profile is ignored, so the result does not depend on one. A TM mode
+    raises ValueError.
     """
-    if mode.polarization != "TE":
-        raise ValueError("Lambda is defined for TE modes only")
     lam = math.pi * mode.kappa_c * (params.n**2 - 1.0) * interior_norm_integral(mode, params)
     return CouplingConstants(lambda_=lam, I=params.I, mode=mode, l=mode.l)
 
@@ -140,7 +140,5 @@ def coupling_to_json(cc: CouplingConstants, path=None):
         "Q": cc.mode.Q,
     }
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
     return payload

@@ -174,6 +174,17 @@ def _rotation_quat(v, t):
 
 # --- WGM coupled flow (exact rotation about conserved K) --------------------
 
+def _k_vector(omega, S, constants: CouplingConstants, hbar):
+    """K = I w - (Lambda-1) hbar S in longdouble, over the last axis of w and
+    S (one state or an array of samples)."""
+    return _LD(constants.I) * omega - (_LD(constants.lambda_) - 1.0) * _LD(hbar) * S
+
+
+def _h_r(omega, constants: CouplingConstants):
+    """H_r = I |w|^2 / 2 in longdouble, over the last axis of w."""
+    return 0.5 * _LD(constants.I) * np.sum(omega * omega, axis=-1)
+
+
 def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     """Exact flow from state over elapsed time t (scalar or array).
 
@@ -188,9 +199,7 @@ def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     lm1h = (lam - 1.0) * _LD(hbar)
     sx, sy, sz = state.S
     wx, wy, wz = state.omega
-    kx = inertia * wx - lm1h * sx
-    ky = inertia * wy - lm1h * sy
-    kz = inertia * wz - lm1h * sz
+    kx, ky, kz = _k_vector(state.omega, state.S, constants, hbar)
     kn = np.sqrt(kx * kx + ky * ky + kz * kz)
     # K = 0: a zero axis makes the S rotation the identity, and w stands still
     ux, uy, uz = (kx / kn, ky / kn, kz / kn) if kn else (0.0, 0.0, 0.0)
@@ -284,8 +293,7 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
 def conserved_K(state: SpinState, constants: CouplingConstants, *,
                 hbar: float = HBAR):
     """K = I w - (Lambda-1) hbar S, the exact precession axis [SI]."""
-    return (constants.I * state.omega
-            - (constants.lambda_ - 1.0) * _LD(hbar) * state.S)
+    return _k_vector(state.omega, state.S, constants, hbar)
 
 
 def rotating_frame_energy(state: SpinState, constants: CouplingConstants, *,
@@ -297,7 +305,7 @@ def rotating_frame_energy(state: SpinState, constants: CouplingConstants, *,
     the bracket is |I w|^2 and H_r = I |w|^2 / 2, evaluated in that form (no
     cancellation of large terms). hbar is accepted for a uniform signature.
     """
-    return float(0.5 * constants.I * np.sum(state.omega * state.omega))
+    return float(_h_r(state.omega, constants))
 
 
 # --- driver ------------------------------------------------------------------
@@ -332,22 +340,17 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
             raise ValueError(f"{name} must be an integer, got {count!r}") from None
         if count < 1:
             raise ValueError(f"{name} must be >= 1")
-    lam = _LD(constants.lambda_)
-    inertia = _LD(constants.I)
-    hb = _LD(hbar)
     steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
     s, w, q = (_columns(cols, steps.size)
                for cols in _flow(initial, constants, hbar, steps * _LD(dt)))
-    k = inertia * w - (lam - 1.0) * hb * s
-    w2 = np.sum(w * w, axis=1)
     traj = Trajectory(
         samples=[SpinState(omega=w[i], S=s[i], orientation=q[i],
                            t=initial.t + int(n) * dt)
                  for i, n in enumerate(steps)],
         abs_S=np.sqrt(np.sum(s * s, axis=1)).astype(float),
-        abs_omega=np.sqrt(w2).astype(float),
-        K=k.astype(float),
-        H_r=(0.5 * inertia * w2).astype(float))
+        abs_omega=np.sqrt(np.sum(w * w, axis=1)).astype(float),
+        K=_k_vector(w, s, constants, hbar).astype(float),
+        H_r=_h_r(w, constants).astype(float))
     channel, drift = max(traj.drift.items(), key=lambda item: item[1])
     if drift > monitor_tol:
         raise RuntimeError(

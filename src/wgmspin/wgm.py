@@ -1,13 +1,16 @@
 """Whispering-gallery resonances of a dielectric sphere.
 
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
-search (real-axis seeding + complex Newton), and continuum-normalized radial
-mode profiles. Conventions:
+search (real-axis seeding + complex Newton), and continuum-normalized TE
+radial mode profiles. Conventions:
 
 * poles sit at k0 - i*kappa_c/2 in the lower half plane; kappa_c is the full
   linewidth (intensity FWHM / energy decay rate in wavenumber), Q = k0/kappa_c;
 * radial profiles carry delta-in-k continuum normalization, exterior
-  asymptotic form sqrt(2/pi) sin(k r - l pi/2 + delta_l)/r.
+  asymptotic form sqrt(2/pi) sin(k r - l pi/2 + delta_l)/r. They are matched
+  through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
+  coefficients b, c), so they and the interior norm integral are TE-only;
+  exterior grids past k0 r = 300 raise an AccuracyWarning.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import riccati_bessel, _j_ladder
+from .specfun import riccati_bessel, spherical_bessel_j, spherical_hankel1
 
 __all__ = [
     "SphereParams",
@@ -42,7 +45,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
-_B_SNAP_ULPS = 100.0      # resonance-peak coefficient snap threshold
+_B_SNAP_ULPS = 100.0      # Im D snap threshold at a resonance center
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,14 @@ class ModeRecord:
         return 2.0 * math.pi / self.k0
 
 
+def _riccati_pair(l, k, params: SphereParams):
+    """psi, psi' at nkR and xi, xi' at x = kR, plus x, from one ladder call
+    on the stacked arguments [nkR, kR]."""
+    z = np.multiply.outer([params.n * params.R, params.R], k)
+    psi, psip, xi, xip = riccati_bessel(l, z)
+    return psi[0], psip[0], xi[1], xip[1], z[1]
+
+
 def _characteristic(l, k, params: SphereParams, te):
     """(D, dD/dk) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR), vectorized
     over k; weights (a, b) = (n, 1) for TE and (1, n) for TM.
@@ -119,10 +130,7 @@ def _characteristic(l, k, params: SphereParams, te):
     """
     n, R = params.n, params.R
     a, b = (n, 1.0) if te else (1.0, n)
-    # one ladder call on [nkR, kR]: psi is used at nkR, xi at kR
-    z = np.multiply.outer([n * R, R], k)
-    psi, psip, xi, xip = riccati_bessel(l, z)
-    psi, psip, xi, xip, x = psi[0], psip[0], xi[1], xip[1], z[1]
+    psi, psip, xi, xip, x = _riccati_pair(l, k, params)
     d = a * psip * xi - b * psi * xip
     slope = R * (((a / n - b) * (l * (l + 1)) / (x * x) + (b - a * n)) * psi * xi
                  + (a - b * n) * psip * xip)
@@ -233,51 +241,42 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     ]
 
 
-def _matching_coefficients(l, k0, params: SphereParams, raw_scale=1.0):
-    """Real-axis matching of interior j_l(n k0 r) to exterior b j_l + c y_l.
+def _te_matching(mode: ModeRecord, params: SphereParams):
+    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R, from the
+    stacked ladder call of the characteristic function.
 
-    Returns (b, c, norm, (j_{l-1}, j_l, j_{l+1}) at y = n k0 R), with
-    norm = sqrt(2/pi) k0 / hypot(b, c) the continuum normalization. When k0
-    sits at a resonance center located to machine precision, the true b is
-    orders of magnitude below its own floating-point evaluation noise; such b
-    is snapped to exactly 0 (the Lorentzian peak). raw_scale multiplies the
-    unnormalized coefficients and must cancel downstream (normalization
-    invariance hook).
+    For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
+    exterior coefficients (b j_l + c y_l outside) of the continuum mode that
+    is j_l(n k r) inside: D holds the whole matching. When k0 sits at a
+    resonance center located to machine precision, the true b is orders of
+    magnitude below its own rounding noise; Im D = -n b is then snapped to
+    exactly 0 (the Lorentzian peak). Profiles and Lambda are defined for TE
+    only.
     """
-    n, R = params.n, params.R
-    x = k0 * R
-    y = n * k0 * R
-    (jm1, j, jp1), (_, yl, ylp1), over = _j_ladder(l, np.array([y, x]))
-    if bool(over[1]):
-        raise OverflowError("exterior Neumann function out of double range")
-    # j_l' = j_{l-1} - (l+1)/z j_l and y_l' = l/z y_l - y_{l+1}
-    jy0, jx0 = j
-    jyp0 = jm1[0] - (l + 1) / y * jy0
-    jxp0 = jm1[1] - (l + 1) / x * jx0
-    yx0 = yl[1]
-    yxp0 = l / x * yx0 - ylp1[1]
-
-    t1 = jy0 * yxp0
-    t2 = n * jyp0 * yx0
-    b = x * x * (t1 - t2) * raw_scale
-    b_noise = x * x * (abs(t1) + abs(t2)) * np.finfo(float).eps * abs(raw_scale)
-    c = x * x * (n * jyp0 * jx0 - jy0 * jxp0) * raw_scale
-    if abs(b) < _B_SNAP_ULPS * b_noise:
-        b = 0.0
-    norm = math.sqrt(2.0 / math.pi) * k0 / math.hypot(b, c)
-    return b, c, norm, (jm1[0], jy0, jp1[0])
+    if mode.polarization != "TE":
+        raise ValueError("continuum matching is defined for TE modes only, "
+                         f"got {mode.polarization!r}")
+    psi, psip, xi, xip, _ = _riccati_pair(mode.l, mode.k0, params)
+    t1, t2 = params.n * psip * xi, psi * xip
+    d = complex(t1 - t2)
+    if abs(d.imag) < _B_SNAP_ULPS * np.finfo(float).eps * (abs(t1.imag) + abs(t2.imag)):
+        d = complex(d.real, 0.0)
+    return d, float(psi), float(psip)
 
 
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
-    """integral_0^R r^2 u(k0, r)^2 dr of the continuum-normalized mode, in
+    """integral_0^R r^2 u(k0, r)^2 dr of the continuum-normalized TE mode, in
     closed form.
 
-    Inside the sphere u = A j_l(n k0 r), so the spherical-Bessel normalization
-    integral gives A^2 (R^3/2) [j_l(y)^2 - j_{l-1}(y) j_{l+1}(y)] with
-    y = n k0 R: no grid, only the one ladder call of the matching.
+    Inside the sphere u = A j_l(n k0 r) with A = sqrt(2/pi) k0 n / |D(k0)|.
+    Lommel's integral in Riccati form, int_0^y psi^2 = [y psi'^2 +
+    (y - l(l+1)/y) psi^2 - psi psi'] / 2 at y = n k0 R, turns it into that
+    bracket over pi n k0 |D|^2: no grid, only the ladder call of D.
     """
-    _, _, amp, (jm1, j, jp1) = _matching_coefficients(mode.l, mode.k0, params)
-    return amp * amp * 0.5 * params.R**3 * (j * j - jm1 * jp1)
+    d, psi, psip = _te_matching(mode, params)
+    l, y = mode.l, params.n * params.R * mode.k0
+    bracket = y * psip * psip + (y - l * (l + 1) / y) * psi * psi - psi * psip
+    return bracket / (math.pi * params.n * mode.k0 * abs(d) ** 2)
 
 
 def default_profile_grid(mode: ModeRecord, params: SphereParams):
@@ -287,13 +286,15 @@ def default_profile_grid(mode: ModeRecord, params: SphereParams):
     return np.linspace(0.0, params.R, int(math.ceil(64 * max(n_wave, 1.0))) + 1)
 
 
-def radial_profile(mode: ModeRecord, params: SphereParams, grid,
-                   _raw_scale=1.0) -> RadialProfile:
-    """Continuum mode u(k0, r) at the pole's real part, tabulated on grid.
+def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> RadialProfile:
+    """Continuum TE mode u(k0, r) at the pole's real part, tabulated on grid.
 
-    Interior (r <= R): A j_l(n k0 r); exterior: sqrt(2/pi) k0 (b j_l + c y_l)
-    / sqrt(b^2+c^2); A fixed by continuity, i.e. the same normalization. The
-    grid must start at <= 0+ and reach past R.
+    With D = D(k0) on the real axis: interior (r <= R) A j_l(n k0 r),
+    A = sqrt(2/pi) k0 n / |D|; exterior sqrt(2/pi) k0 Im[conj(D) h_l(k0 r)]
+    / |D|, the same matching, so u is continuous at R; scattering phase
+    delta = atan2(-Re D, -Im D). The grid must start at <= 0+ and reach past
+    R; exterior points past k0 r = 300 leave the tight Bessel envelope and
+    raise an AccuracyWarning.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -302,31 +303,16 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid,
     if grid[0] > 1e-9 * R or grid[-1] < R:
         raise ValueError("grid must cover [0, r_max] with r_max >= R")
 
-    b, c, norm, _ = _matching_coefficients(l, k0, params, raw_scale=_raw_scale)
-    delta = math.atan2(-c, b)
-    # unnormalized interior coefficient is 1 * _raw_scale; norm carries 1/scale
-    amp_in = norm * _raw_scale
-
+    d, _, _ = _te_matching(mode, params)
+    scale = math.sqrt(2.0 / math.pi) * k0 / abs(d)
     u = np.empty_like(grid)
     inside = grid <= R
-    zin = n * k0 * grid[inside]
-    u_in = np.zeros_like(zin)
-    nz = zin > 0
-    if np.any(nz):
-        (_, jl, _), _, _ = _j_ladder(l, zin[nz])
-        u_in[nz] = jl
-    if l == 0:
-        u_in[~nz] = 1.0
-    u[inside] = amp_in * u_in
-
+    u[inside] = n * scale * spherical_bessel_j(l, n * k0 * grid[inside])
     outside = ~inside
     if np.any(outside):
-        (_, jl, _), (_, yl, _), over = _j_ladder(l, k0 * grid[outside])
-        if np.any(over):
-            raise OverflowError("exterior Neumann function out of double range")
-        u[outside] = norm * (b * jl + c * yl)
-    return RadialProfile(r=grid, u=u, k0=k0, l=l, delta=delta,
-                         interior_amplitude=amp_in)
+        u[outside] = scale * (d.conjugate() * spherical_hankel1(l, k0 * grid[outside])).imag
+    return RadialProfile(r=grid, u=u, k0=k0, l=l, delta=math.atan2(-d.real, -d.imag),
+                         interior_amplitude=n * scale)
 
 
 def attach_profile(mode: ModeRecord, params: SphereParams) -> ModeRecord:
@@ -353,7 +339,13 @@ def modes_to_csv(modes, path):
                              for k, v in _mode_row(m).items()})
 
 
-def modes_to_json(modes, path):
+def _write_json(path, payload):
+    """The package's JSON artifact format: indent 2, sorted keys, trailing
+    newline."""
     with open(path, "w") as fh:
-        json.dump([_mode_row(m) for m in modes], fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def modes_to_json(modes, path):
+    _write_json(path, [_mode_row(m) for m in modes])

@@ -20,6 +20,7 @@ from wgmspin.wgm import (
     SphereParams,
     attach_profile,
     find_resonance,
+    interior_norm_integral,
     radial_profile,
 )
 
@@ -83,13 +84,26 @@ def l8_mode():
     return p, modes[0]
 
 
-@pytest.mark.parametrize("case", ["l8", "reference"])
+# +-1 % windows about the Lam-Leung-Young position of the TE l = 147 and
+# l = 200 survey poles (R = 10 um, n^2 = 2.31), the highest-Q cases
+SURVEY_WINDOWS = {147: (10165443.4111994, 10370805.904354943),
+                  200: (13686627.823431732, 13963125.355218234)}
+
+
+@pytest.mark.parametrize("case", ["l8", "reference", 147, 200])
 def test_lambda_matches_converged_simpson_oracle(case, l8_mode, ref_params, ref_coupling):
     # closed form against Simpson of pi kappa_c (n^2 - 1) r^2 u^2 with u
     # tabulated on a 32 001-point interior grid (converged to ~1e-14)
     from scipy.integrate import simpson
 
-    p, mode = l8_mode if case == "l8" else (ref_params, ref_coupling.mode)
+    if case == "l8":
+        p, mode = l8_mode
+    elif case == "reference":
+        p, mode = ref_params, ref_coupling.mode
+    else:
+        p = ref_params
+        modes = find_resonance("TE", case, SURVEY_WINDOWS[case], p, scan_points=2000)
+        mode = max(modes, key=lambda m: m.Q)
     grid = np.linspace(0.0, p.R, 32001)
     u = radial_profile(mode, p, grid).u
     lam_oracle = math.pi * mode.kappa_c * (p.n**2 - 1.0) * simpson(grid * grid * u * u, x=grid)
@@ -114,14 +128,19 @@ def test_lambda_tm_rejected(l20_setup):
         compute_lambda(tm_mode, p)
 
 
-def test_lambda_invariant_under_intermediate_rescale(l20_setup):
-    # normalization divides out any overall scale of the raw matched solution
-    # the grid reaches 3R, so the exterior normalization is covered too
-    p, mode = l20_setup
-    grid = np.linspace(0.0, 3.0 * p.R, 1201)
-    u1 = radial_profile(mode, p, grid).u
-    u2 = radial_profile(mode, p, grid, _raw_scale=371.25).u
-    assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
+@pytest.mark.parametrize("call", [
+    lambda m, p: radial_profile(m, p, np.linspace(0.0, 2.0 * p.R, 101)),
+    attach_profile,
+    interior_norm_integral,
+], ids=["radial_profile", "attach_profile", "interior_norm_integral"])
+def test_profile_tm_rejected(call, ref_params):
+    # the continuum matching is TE's; a TM mode must not be profiled with TE
+    # weights (on the TM l = 120 pole that put the profile 18 orders of
+    # magnitude off resonance)
+    tm_mode = find_resonance("TM", 120, (2.0 * math.pi / 745e-9, 2.0 * math.pi / 730e-9),
+                             ref_params)[0]
+    with pytest.raises(ValueError, match="TE"):
+        call(tm_mode, ref_params)
 
 
 def test_coupling_json_fields(tmp_path, ref_coupling):
