@@ -17,8 +17,13 @@ simulate sample is one rotation of the initial state, so its rounding does not
 accumulate; extended precision matters for long step_wgm chains, where plain
 float64 rounding random-walks to ~2e-13 relative over 1e6 steps, right at the
 conservation contract, and for w, which is advanced by the increment of the
-much larger S. The general torque equation I dw/dt = -w x Gamma + dGamma/dt
-has no such closed form and uses classic RK4.
+much larger S. Three contracts hold only where numpy's longdouble is the x86
+80-bit format (elsewhere it may be plain float64 or a software quad, neither
+tested): time reversibility of step_wgm chains to 1e-10 (acceptance criterion
+9), step_wgm chains landing on simulate's samples, and the 1e-12 K drift in
+the balanced regime |K| ~ 1e-4 I|w|, where float64 rounding of K alone is
+~1.5e-12. The general torque equation I dw/dt = -w x Gamma + dGamma/dt has no
+such closed form and uses classic RK4.
 """
 
 from __future__ import annotations
@@ -263,6 +268,8 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
     back to its incoming value after the step: the pure -w x Gamma term only
     precesses w at frequency |Gamma|/I and cannot change its magnitude.
     Unconditional projection would be wrong, since the dGamma/dt term can.
+    The orientation turns by half the step at the start-of-step w and half at
+    the end-of-step w, q(w1, dt/2) q(w0, dt/2) q0: second order in dt.
     """
     _check_dt(dt)
     w0 = state.omega.astype(float)
@@ -284,7 +291,10 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
         n1 = np.linalg.norm(w1)
         if n1 > 0:
             w1 = w1 * (n0 / n1)
-    q = _quat_mul(_rotation_quat(state.omega, _LD(dt)), tuple(state.orientation))
+    half = _LD(0.5 * dt)
+    q = _quat_mul(_rotation_quat(w1, half),
+                  _quat_mul(_rotation_quat(state.omega, half),
+                            tuple(state.orientation)))
     return SpinState(omega=w1, S=state.S, orientation=q, t=t0 + dt)
 
 
@@ -296,14 +306,13 @@ def conserved_K(state: SpinState, constants: CouplingConstants, *,
     return _k_vector(state.omega, state.S, constants, hbar)
 
 
-def rotating_frame_energy(state: SpinState, constants: CouplingConstants, *,
-                          hbar: float = HBAR) -> float:
+def rotating_frame_energy(state: SpinState, constants: CouplingConstants) -> float:
     """H_r = [Lambda (J+S)^2 + (1-Lambda) J^2 + Lambda(Lambda-1) S^2] / 2I
     with J = I w - Lambda S (all vectors in SI units; S scaled by hbar).
 
     J + S = K = I w - (Lambda-1) hbar S makes the S terms cancel exactly, so
     the bracket is |I w|^2 and H_r = I |w|^2 / 2, evaluated in that form (no
-    cancellation of large terms). hbar is accepted for a uniform signature.
+    cancellation of large terms), which does not involve hbar.
     """
     return float(_h_r(state.omega, constants))
 

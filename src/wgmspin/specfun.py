@@ -8,14 +8,15 @@ arithmetic: j_l, y_l, psi and psi' come back float64 (as
 scipy.special.spherical_jn does), h, xi and xi' complex128. Any other input is
 computed in complex128.
 
-Stability: j_l is computed by downward (Miller) recurrence normalized through
-the cross Wronskian j_{l+1} y_l - j_l y_{l+1} = 1/z^2, y_l by upward
-recurrence. Upward recurrence of j_l is unstable for l > |z|, which is exactly
-the whispering-gallery regime (l = 120, |z| ~ 84), hence Miller. There is one
-ladder family: h_l^(1) = j_l + i y_l is summed from the Miller j values and the
-y trio they are normalized with, so the tiny Re h = j_l that carries a
-resonance's linewidth is never taken from an upward j recurrence. The sum is
-tight on the strip |Im z| <= 1 and warned off it, where it cancels ~e^{2 Im z}.
+Stability: j_l is computed by downward (Miller) recurrence to order l - 1,
+normalized through the cross Wronskian of the pair it ends on,
+j_l y_{l-1} - j_{l-1} y_l = 1/z^2, y_l by upward recurrence. Upward recurrence
+of j_l is unstable for l > |z|, which is exactly the whispering-gallery regime
+(l = 120, |z| ~ 84), hence Miller. There is one ladder family:
+h_l^(1) = j_l + i y_l is summed from the Miller j values and the y pair they
+are normalized with, so the tiny Re h = j_l that carries a resonance's
+linewidth is never taken from an upward j recurrence. The sum is tight on the
+strip |Im z| <= 1 and warned off it, where it cancels ~e^{2 Im z}.
 """
 
 from __future__ import annotations
@@ -74,10 +75,9 @@ def _as_array(z):
 
 
 def _y_ladder(l, z):
-    """y_{l-1}, y_l, y_{l+1} by upward recurrence from y_{-1} = sin(z)/z
-    (= j_0 by convention) and y_0 = -cos(z)/z, plus a mask of overflowed
-    entries: callers decide (j underflows to zero there, an explicit y/h query
-    raises).
+    """y_{l-1}, y_l by upward recurrence from y_{-1} = sin(z)/z (= j_0 by
+    convention) and y_0 = -cos(z)/z, plus a mask of overflowed entries:
+    callers decide (j underflows to zero there, an explicit y/h query raises).
     """
     prev, cur = np.sin(z) / z, -np.cos(z) / z
     zinv = 1.0 / z
@@ -86,9 +86,8 @@ def _y_ladder(l, z):
     with np.errstate(over="ignore", invalid="ignore"):
         for order in range(l):
             prev, cur = cur, (2 * order + 1) * zinv * cur - prev
-        trio = (prev, cur, (2 * l + 1) * zinv * cur - prev)
-    big = [np.maximum(np.abs(f.real), np.abs(f.imag)) for f in trio[1:]]
-    return trio, ~((big[0] < _Y_OVERFLOW) & (big[1] < _Y_OVERFLOW))
+    big = np.maximum(np.abs(prev), np.abs(cur))
+    return (prev, cur), ~(big < _Y_OVERFLOW)
 
 
 def _miller_start(l, z):
@@ -98,18 +97,35 @@ def _miller_start(l, z):
     return int(turn + 8.0 * np.sqrt(turn) + 10.0)
 
 
+def _downward(lo, hi, orders, zinv, stride, *carried):
+    """Run f_n = (2n + 3)/z f_{n+1} - f_{n+2} over the descending orders,
+    returning the last (f_n, f_{n+1}) and the carried arrays. A rescale
+    multiplies the running pair and the carried arrays alike, so ratios
+    between them stay exact."""
+    for order in orders:
+        hi, lo = lo, (2 * order + 3) * zinv * lo - hi
+        if order % stride == 0:
+            big = np.maximum(np.abs(lo), np.abs(hi)) > _HUGE
+            if np.any(big):
+                factor = np.where(big, 1e-250, 1.0)
+                lo, hi, *carried = (f * factor for f in (lo, hi, *carried))
+    return lo, hi, carried
+
+
 def _j_ladder(l, z):
-    """j_{l-1}, j_l, j_{l+1} (j_{-1} = cos z / z), vectorized over a 1-D
-    float64 or complex128 z; the j and y trios keep z's dtype.
+    """(j_{l-1}, j_l) and (y_{l-1}, y_l) (j_{-1} = cos z / z, y_{-1} = j_0),
+    vectorized over a 1-D float64 or complex128 z and keeping its dtype, plus
+    the y overflow mask.
 
-    Downward recurrence from an arbitrary seed, then per-element scale fixing:
+    Downward recurrence from an arbitrary seed to order l - 1, then
+    per-element scale fixing:
 
-    * |Im z| <= 1: cross Wronskian with y_l (j_{l+1} y_l - j_l y_{l+1} = 1/z^2;
-      the combination is conditioned like e^{2 Im z}, fine in this strip, and
-      immune to the real zeros of sin z);
-    * |Im z| > 1: classic j_0 = sin(z)/z normalization (|sin z| >= sinh|Im z|
-      is bounded away from zero off the strip, while the Wronskian pairing
-      cancels catastrophically there).
+    * |Im z| <= 1: cross Wronskian with the y pair (j_l y_{l-1} - j_{l-1} y_l
+      = 1/z^2; the combination is conditioned like e^{2 Im z}, fine in this
+      strip, and immune to the real zeros of sin z);
+    * |Im z| > 1: the recurrence continues to order -1 for the closed form
+      j_{-1} = cos(z)/z (|cos z| >= sinh|Im z| is bounded away from zero off
+      the strip, while the Wronskian pairing cancels catastrophically there).
 
     One reciprocal 1/z serves every order of the recurrence. Mid-recurrence
     rescales are applied to the whole running set, so they cancel in either
@@ -121,62 +137,33 @@ def _j_ladder(l, z):
     nstart = _miller_start(l, z)
     zmin = float(np.min(np.abs(z)))
     stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1))) if zmin > 0 else 1
-    hi = np.zeros_like(z)
-    lo = np.full_like(z, 1e-30)
-    keep = {}
-    targets = {l + 1, l, l - 1} if l >= 1 else {l + 1, l}
-    need_j0 = bool(np.any(np.abs(z.imag) > 1.0))
-    if need_j0:
-        targets = targets | {0}
-    lowest = min(targets)
     zinv = 1.0 / z
-    for order in range(nstart, -1, -1):
-        hi, lo = lo, (2 * order + 3) * zinv * lo - hi
-        if order % stride == 0:
-            big = np.maximum(np.abs(lo), np.abs(hi)) > _HUGE
-            if np.any(big):
-                factor = np.where(big, 1e-250, 1.0)
-                hi = hi * factor
-                lo = lo * factor
-                for key in keep:
-                    keep[key] = keep[key] * factor
-        if order in targets:
-            keep[order] = lo
-            if order == lowest:
-                break
-
-    (ym1, yl, ylp1), y_over = _y_ladder(l, z)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        # normalize keeps to unit scale so the Wronskian products stay in range
-        scale = np.maximum(np.abs(keep[l]), np.abs(keep[l + 1]))
+    lo, hi, _ = _downward(np.full_like(z, 1e-30), np.zeros_like(z),
+                          range(nstart, l - 2, -1), zinv, stride)
+    (ylm1, yl), y_over = _y_ladder(l, z)
+    off = np.abs(z.imag) > 1.0
+    with np.errstate(all="ignore"):
+        # unit scale keeps the Wronskian products (and the off-strip
+        # continuation's underflow headroom) in range
+        scale = np.maximum(np.abs(lo), np.abs(hi))
         scale = np.where(scale == 0, 1.0, scale)
-        kl = keep[l] / scale
-        klp1 = keep[l + 1] / scale
-        klm1 = keep[l - 1] / scale if l >= 1 else None
-        denom = z * z * (klp1 * yl - kl * ylp1)   # = j-scale^{-1} by Wronskian
+        lo, hi = lo / scale, hi / scale
+        denom = z * z * (hi * ylm1 - lo * yl)   # = j-scale^{-1} by Wronskian
         bad = (denom == 0) | ~np.isfinite(denom)
         denom = np.where(bad, 1.0, denom)
-        jl = kl / denom
-        jlp1 = klp1 / denom
-        jlm1 = (klm1 / denom) if l >= 1 else np.cos(z) / z
-
-        if need_j0:
-            k0 = keep[0] / scale
-            ok0 = (k0 != 0) & (np.abs(z.imag) > 1.0)
-            ratio = np.sin(z) / z / np.where(k0 == 0, 1.0, k0)
-            jl = np.where(ok0, kl * ratio, jl)
-            jlp1 = np.where(ok0, klp1 * ratio, jlp1)
-            if l >= 1:
-                jlm1 = np.where(ok0, klm1 * ratio, jlm1)
+        jlm1, jl = lo / denom, hi / denom
+        if np.any(off):
+            fm1, _, (flm1, fl) = _downward(lo, hi, range(l - 2, -2, -1), zinv,
+                                          stride, lo, hi)
+            ratio = np.cos(z) / z / fm1
+            jlm1 = np.where(off, flm1 * ratio, jlm1)
+            jl = np.where(off, fl * ratio, jl)
     # where y overflowed, l >> |z| in the monotone regime and j underflows
-    zero = y_over | bad
-    if need_j0:
-        zero = zero & ~ok0
+    zero = (y_over | bad) & ~off
     if np.any(zero):
         jlm1 = np.where(zero, 0.0, jlm1)
         jl = np.where(zero, 0.0, jl)
-        jlp1 = np.where(zero, 0.0, jlp1)
-    return (jlm1, jl, jlp1), (ym1, yl, ylp1), y_over
+    return (jlm1, jl), (ylm1, yl), y_over
 
 
 def _signal_nonfinite(name, values):
@@ -200,7 +187,7 @@ def spherical_bessel_j(l, z):
         out[zero] = 1.0 if l == 0 else 0.0
     rest = ~zero
     if np.any(rest):
-        (_, jl, _), _, _ = _j_ladder(l, arr[rest])
+        (_, jl), _, _ = _j_ladder(l, arr[rest])
         _signal_nonfinite("j_l", jl)
         out[rest] = jl
     return out[0] if scalar else out.reshape(np.shape(z))
@@ -216,7 +203,7 @@ def spherical_bessel_y(l, z):
     """
     _check_domain(l, z, need_nonzero=True, im_strip=True)
     arr, scalar = _as_array(z)
-    (_, yl, _), over = _y_ladder(l, arr)
+    (_, yl), over = _y_ladder(l, arr)
     if np.any(over):
         raise OverflowError(f"y_{l} overflowed double precision (|z| too small for l)")
     _signal_nonfinite("y_l", yl)
@@ -227,14 +214,14 @@ def spherical_hankel1(l, z):
     """Outgoing spherical Hankel h_l^(1)(z) = j_l(z) + i y_l(z), complex128
     for any z.
 
-    Summed from the Miller j ladder and the y trio it normalizes with. The sum
+    Summed from the Miller j ladder and the y pair it normalizes with. The sum
     cancels ~e^{2 Im z} of the digits where h decays (Im z > 0): tight on the
     strip |Im z| <= 1, which holds the quasinormal poles (Im z < 0,
     |Im z| << |z|), and warned as relaxed off it.
     """
     _check_domain(l, z, need_nonzero=True, im_strip=True)
     arr, scalar = _as_array(z)
-    (_, jl, _), (_, yl, _), over = _j_ladder(l, arr)
+    (_, jl), (_, yl), over = _j_ladder(l, arr)
     if np.any(over):
         raise OverflowError(f"h1_{l} overflowed double precision (|z| too small for l)")
     hl = jl + 1j * yl
@@ -253,7 +240,7 @@ def riccati_bessel(l, z):
     """
     _check_domain(l, z, need_nonzero=True, im_strip=True)
     arr, _ = _as_array(z)
-    (jlm1, jl, _), (ylm1, yl, _), over = _j_ladder(l, arr)
+    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr)
     if np.any(over):
         raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
     hlm1, hl = jlm1 + 1j * ylm1, jl + 1j * yl

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 
 POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
 _B_SNAP_ULPS = 100.0      # Im D snap threshold at a resonance center
+_NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, max_iter=80):
+def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale):
     """Complex Newton refinement of many seeds at once.
 
     Dvec maps a complex ndarray of k to (D(k), dD/dk), one evaluation per
@@ -173,7 +174,7 @@ def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale, max_iter=80):
         return k, np.zeros(0, dtype=bool)
     alive = np.ones(k.size, dtype=bool)
     span = k_hi - k_lo
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         d0, dp = Dvec(k)
         ok = alive & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)

@@ -300,6 +300,17 @@ def test_readme_sweep_example_runs(tmp_path):
     assert all((d / "coupling.json").is_file() for d in subdirs)
 
 
+def test_readme_python_blocks_run():
+    # the library sketch, then the dynamics example that uses its cc
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    scope = {}
+    for block in blocks:
+        exec(block, scope)
+    assert scope["cc"].lambda_ == pytest.approx(1.12387, abs=1e-5)
+    assert len(scope["traj"].samples) == 1001
+
+
 def test_lambda_uniform_medium_prints_zero(tmp_path, capsys):
     cfg = tmp_path / "uniform.cfg"
     cfg.write_text(FAST_CFG.replace("n = 1.52", "n = 1.0"))

@@ -433,7 +433,7 @@ def test_energy_equals_expanded_bracket(seed):
     state = SpinState(omega=rng.uniform(-1e3, 1e3, 3),
                       S=rng.uniform(-1e3, 1e3, 3))
     want = _expanded_energy(state, cc, 1.0)
-    got = rotating_frame_energy(state, cc, hbar=1.0)
+    got = rotating_frame_energy(state, cc)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -470,6 +470,36 @@ def test_zero_gamma_keeps_omega():
     out = step_general(state, 0.1, 1.7, provider)
     np.testing.assert_array_equal(out.omega.astype(float),
                                   state.omega.astype(float))
+
+
+def test_step_general_orientation_second_order():
+    # constant Gamma precesses w about Gamma^ at Omega = |Gamma|/I, so the
+    # orientation has the closed form q(Gamma^, Omega t) q(w0 - Omega Gamma^, t) q0;
+    # at 1000 steps a second-order orientation update is off by ~8e-7, a
+    # first-order one by ~1e-3
+    inertia, gamma = 1.0, np.array([0.0, 0.0, 1.0])
+    w0 = np.array([0.3, 0.0, 0.4])
+    total, n = 5.0, 1000
+
+    def provider(t):
+        return gamma, np.zeros(3)
+
+    cur = SpinState(omega=w0, S=[0.0, 0.0, 0.0])
+    for _ in range(n):
+        cur = step_general(cur, total / n, inertia, provider)
+    rate = np.linalg.norm(gamma) / inertia
+
+    def quat(axis, angle):
+        return np.array([math.cos(angle / 2), *(math.sin(angle / 2) * axis)])
+
+    def mul(p, q):
+        return np.array([p[0] * q[0] - p[1:] @ q[1:],
+                         *(p[0] * q[1:] + q[0] * p[1:] + np.cross(p[1:], q[1:]))])
+
+    body = w0 - rate * gamma
+    want = mul(quat(gamma, rate * total),
+               quat(body / np.linalg.norm(body), np.linalg.norm(body) * total))
+    assert _quat_distance(cur.orientation.astype(float), want) <= 1e-5
 
 
 def test_linear_gamma_integrates_directly():

@@ -209,8 +209,14 @@ def test_relaxed_accuracy_warning():
 
 
 def test_underflow_to_zero_below_double_range():
-    # l >> |z|: true value < 1e-300, correctly rounded double is 0
+    # l >> |z|: true value < 1e-300, correctly rounded double is 0, on the
+    # strip and off it (j_200(3 - 1.5i) ~ 6.4e-332)
     assert spherical_bessel_j(120, 1e-3) == 0.0
+    assert spherical_bessel_j(200, 3 - 0.9j) == 0.0
+    assert spherical_bessel_j(200, 3 - 1.5j) == 0.0
+    # while j_180 at the same off-strip argument (~8.5e-291) is still resolved
+    jref = complex(sph_j_oracle(180, 3 - 1.5j))
+    assert abs(spherical_bessel_j(180, 3 - 1.5j) - jref) / abs(jref) < 1e-10
 
 
 def test_y_overflow_signalled():
