@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coupling, dynamics, wgm
 from .config import ConfigError, RunConfig
-from .constants import C_LIGHT, HBAR
+from .constants import C_LIGHT
 from .wgm import _write_json
 
 log = logging.getLogger("wgmspin")
@@ -61,12 +61,6 @@ def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
         m = cfg.l if cfg.m is None else cfg.m
         alpha[m + cfg.l] = math.sqrt(cfg.N)
     return alpha
-
-
-def _units(natural):
-    if natural:
-        return {"hbar": 1.0, "c": 1.0, "rate": "1/m (natural, c=hbar=1)"}
-    return {"hbar": HBAR, "c": C_LIGHT, "rate": "Hz"}
 
 
 def cmd_modes(cfg: RunConfig, outdir: Path, natural=False) -> int:
@@ -150,35 +144,35 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
-    units = _units(natural)
+    # rates are computed in SI; with hbar = c = 1 a rate in Hz becomes Hz / c
+    hz_per_unit, unit = (C_LIGHT, "1/m (natural, c=hbar=1)") if natural else (1.0, "Hz")
     params, cc = _coupling_constants(cfg)
     if cc is None:
         print("no resonance in window")
         return EXIT_EMPTY
-    est = coupling.precession_rate_estimate(params, cfg.N, cfg.l, cc.lambda_,
-                                            hbar=units["hbar"])
+    est = coupling.precession_rate_estimate(params, cfg.N, cfg.l, cc.lambda_)
+    exact, simplified = est.exact_hz / hz_per_unit, est.simplified_hz / hz_per_unit
     q_used = cfg.Q if cfg.Q is not None else cc.mode.Q
     m_list = cfg.m_list if cfg.m_list is not None else tuple(
         m for m in (1, 10, 120) if m <= cfg.l)
     thresholds = {}
     for m in m_list:
-        w_min = coupling.resolvability_threshold(cc.lambda_, m, q_used,
-                                                 cc.mode.k0, c=units["c"])
-        thresholds[str(m)] = w_min / (2.0 * math.pi)
+        w_min = coupling.resolvability_threshold(cc.lambda_, m, q_used, cc.mode.k0)
+        thresholds[str(m)] = w_min / (2.0 * math.pi) / hz_per_unit
 
     print(f"Lambda = {cc.lambda_:.6f}   Q used for threshold = {q_used:.3e}")
-    print(f"precession exact      = {est.exact_hz:.6e} {units['rate']}")
-    print(f"precession simplified = {est.simplified_hz:.6e} {units['rate']}")
-    print(f"Zeeman resolvability threshold (spin rate, {units['rate']}):")
+    print(f"precession exact      = {exact:.6e} {unit}")
+    print(f"precession simplified = {simplified:.6e} {unit}")
+    print(f"Zeeman resolvability threshold (spin rate, {unit}):")
     for m in m_list:
         print(f"  m={m:>4d}: {thresholds[str(m)]:.6e}")
     _write_json(outdir / "estimates.json", {
         "lambda": cc.lambda_,
         "Q": q_used,
-        "precession_hz_exact": est.exact_hz,
-        "precession_hz_simplified": est.simplified_hz,
+        "precession_hz_exact": exact,
+        "precession_hz_simplified": simplified,
         "threshold_hz_by_m": thresholds,
-        "units": units["rate"],
+        "units": unit,
     })
     return EXIT_OK
 

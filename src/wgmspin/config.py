@@ -19,6 +19,7 @@ from .specfun import MAX_ORDER
 __all__ = ["ConfigError", "RunConfig"]
 
 MAX_SCAN_POINTS = 100_000  # the scan's memory grows with the point count
+MAX_SAMPLES = 100_000      # so does simulate's, ~1.3 KB per sample
 
 
 class ConfigError(ValueError):
@@ -149,8 +150,7 @@ class RunConfig:
         for (section, key), values in numbers.items():
             if not all(v is None or cmath.isfinite(v) for v in values):
                 bad.append((f"{section}.{key}", f"must be finite, got {getattr(self, key)}"))
-        sphere_pos = {"R": self.R, "n": self.n, "rho": self.rho}
-        for name, v in sphere_pos.items():
+        for name, v in (("R", self.R), ("rho", self.rho)):
             if not v > 0:
                 bad.append((f"sphere.{name}", f"must be positive, got {v}"))
         if self.n < 1:
@@ -180,6 +180,10 @@ class RunConfig:
             bad.append(("simulation.n_steps", f"must be >= 1, got {self.n_steps}"))
         if self.sample_every < 1:
             bad.append(("simulation.sample_every", f"must be >= 1, got {self.sample_every}"))
+        elif -(-self.n_steps // self.sample_every) + 1 > MAX_SAMPLES:
+            # samples at steps 0, sample_every, 2 sample_every, ... and n_steps
+            bad.append(("simulation.n_steps", f"n_steps / sample_every must give at most "
+                        f"{MAX_SAMPLES} samples, got {self.n_steps} / {self.sample_every}"))
         if self.Q is not None and not self.Q > 0:
             bad.append(("estimate.Q", f"must be positive, got {self.Q}"))
         for m in self.m_list or ():

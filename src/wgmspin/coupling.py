@@ -102,19 +102,18 @@ def zeeman_shift(m: int, lambda_: float, omega_z: float) -> float:
     return m * lambda_ * omega_z
 
 
-def resolvability_threshold(lambda_: float, m: int, Q: float, k0: float, *,
-                            c: float = C_LIGHT) -> float:
+def resolvability_threshold(lambda_: float, m: int, Q: float, k0: float) -> float:
     """Smallest spin rate omega_z [rad/s] whose Zeeman shift matches the cavity
     linewidth: |m| Lambda omega_z = c k0 / Q."""
     if m == 0:
         raise ValueError("m = 0 carries no shift and can never be resolved")
     if not (Q > 0 and k0 > 0):
         raise ValueError("Q and k0 must be positive")
-    return c * k0 / (Q * abs(m) * lambda_)
+    return C_LIGHT * k0 / (Q * abs(m) * lambda_)
 
 
 def precession_rate_estimate(params: SphereParams, N: float, l: int,
-                             lambda_: float, *, hbar: float = HBAR) -> PrecessionEstimate:
+                             lambda_: float) -> PrecessionEstimate:
     """Order-of-magnitude mechanical precession rate for N photons at m = l.
 
     exact:      Lambda (Lambda - 1) <S> / I with <S> = N l hbar
@@ -123,8 +122,8 @@ def precession_rate_estimate(params: SphereParams, N: float, l: int,
     """
     if N < 0:
         raise ValueError("photon number must be non-negative")
-    exact = lambda_ * (lambda_ - 1.0) * N * l * hbar / params.I
-    simplified = (params.n**2 - 1.0) * N * hbar * l / (params.rho * params.R**5)
+    exact = lambda_ * (lambda_ - 1.0) * N * l * HBAR / params.I
+    simplified = (params.n**2 - 1.0) * N * HBAR * l / (params.rho * params.R**5)
     return PrecessionEstimate(exact_hz=exact / (2.0 * math.pi),
                               simplified_hz=simplified / (2.0 * math.pi))
 

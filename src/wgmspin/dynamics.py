@@ -22,8 +22,9 @@ much larger S. Three contracts hold only where numpy's longdouble is the x86
 tested): time reversibility of step_wgm chains to 1e-10 (acceptance criterion
 9), step_wgm chains landing on simulate's samples, and the 1e-12 K drift in
 the balanced regime |K| ~ 1e-4 I|w|, where float64 rounding of K alone is
-~1.5e-12. The general torque equation I dw/dt = -w x Gamma + dGamma/dt has no
-such closed form and uses classic RK4.
+~1.5e-12. The general torque equation I dw/dt = -w x Gamma + dGamma/dt
+rotates u = I w - Gamma about Gamma(t); step_general takes that rotation as
+one fourth-order Magnus vector per step, exact for constant Gamma.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def canonical_J(angles, momenta):
     ])
 
 
-# --- quaternions (scalar-first) --------------------------------------------
+# --- rotations (quaternions scalar-first) -----------------------------------
 
 def _quat_mul(p, q):
     pw, px, py, pz = p
@@ -175,6 +176,33 @@ def _rotation_quat(v, t):
     half = 0.5 * vn * t
     s = np.sin(half) / vn
     return (np.cos(half), vx * s, vy * s, vz * s)
+
+
+def _rodrigues(v, axis, theta):
+    """v rotated by theta (scalar or array) about the unit axis (a zero axis
+    is the identity), as component tuples. |v| is restored to its incoming
+    value: the fixed-angle Rodrigues form has a same-sign per-step norm bias
+    that would otherwise accumulate linearly."""
+    vx, vy, vz = v
+    ux, uy, uz = axis
+    c = np.cos(theta)
+    s = np.sin(theta)
+    half_s = np.sin(0.5 * theta)
+    omc = 2.0 * half_s * half_s          # 1 - cos, cancellation-free
+    dot = ux * vx + uy * vy + uz * vz
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    x2 = vx * c + cx * s + ux * dot * omc
+    y2 = vy * c + cy * s + uy * dot * omc
+    z2 = vz * c + cz * s + uz * dot * omc
+    n_old = np.sqrt(vx * vx + vy * vy + vz * vz)
+    if n_old > 0.0:
+        f = n_old / np.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+        x2 = x2 * f
+        y2 = y2 * f
+        z2 = z2 * f
+    return x2, y2, z2
 
 
 # --- WGM coupled flow (exact rotation about conserved K) --------------------
@@ -210,25 +238,7 @@ def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     ux, uy, uz = (kx / kn, ky / kn, kz / kn) if kn else (0.0, 0.0, 0.0)
     rate = lam * kn / inertia
     theta = rate * t
-    c = np.cos(theta)
-    s = np.sin(theta)
-    half_s = np.sin(0.5 * theta)
-    omc = 2.0 * half_s * half_s          # 1 - cos, cancellation-free
-    dot = ux * sx + uy * sy + uz * sz
-    cx = uy * sz - uz * sy
-    cy = uz * sx - ux * sz
-    cz = ux * sy - uy * sx
-    sx2 = sx * c + cx * s + ux * dot * omc
-    sy2 = sy * c + cy * s + uy * dot * omc
-    sz2 = sz * c + cz * s + uz * dot * omc
-    # restore |S| to the incoming norm: the fixed-angle Rodrigues form has a
-    # same-sign per-step norm bias that would otherwise accumulate linearly
-    sn_old = np.sqrt(sx * sx + sy * sy + sz * sz)
-    if sn_old > 0.0:
-        f = sn_old / np.sqrt(sx2 * sx2 + sy2 * sy2 + sz2 * sz2)
-        sx2 = sx2 * f
-        sy2 = sy2 * f
-        sz2 = sz2 * f
+    sx2, sy2, sz2 = _rodrigues(state.S, (ux, uy, uz), theta)
     # advance omega by the increment of S: K = I w - (lam-1) hbar S is then
     # conserved identically, and the S-dominated regime (|K| >> I|w|) never
     # reconstructs small w from a cancellation of large vectors
@@ -257,45 +267,36 @@ def step_wgm(state: SpinState, dt: float, constants: CouplingConstants, *,
     return SpinState(omega=w, S=s, orientation=q, t=state.t + dt)
 
 
-# --- general torque step (RK4) ----------------------------------------------
+# --- general torque step (one Magnus rotation) -----------------------------
 
 def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
                  project_omega_norm: bool = False) -> SpinState:
-    """Classic RK4 step of I dw/dt = -w x Gamma(t) + dGamma/dt.
+    """One step of I dw/dt = -w x Gamma(t) + dGamma/dt as one rotation.
 
-    gamma_provider(t) returns (Gamma, dGamma/dt) as 3-vectors [SI]. With
-    project_omega_norm=True (caller declares dGamma/dt == 0), |w| is projected
-    back to its incoming value after the step: the pure -w x Gamma term only
-    precesses w at frequency |Gamma|/I and cannot change its magnitude.
-    Unconditional projection would be wrong, since the dGamma/dt term can.
-    The orientation turns by half the step at the start-of-step w and half at
-    the end-of-step w, q(w1, dt/2) q(w0, dt/2) q0: second order in dt.
+    u = I w - Gamma obeys du/dt = (Gamma/I) x u, so u turns about Gamma(t), by
+    the fourth-order Magnus vector phi = (dt/6)(a0 + 4 am + a1) +
+    (dt^2/12) a1 x a0 of a = Gamma/I at t0, t0 + dt/2 and t0 + dt (Blanes,
+    Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)). w advances by the
+    increment of (u + Gamma)/I, as in _flow, so Gamma = 0 leaves w bit-exact.
+    In the frame turning with u the body rate is the constant u0/I, so the
+    orientation is q(phi) q(u0/I, dt) q0. Exact for constant Gamma (|w| then
+    holds to rounding), fourth order in dt otherwise. gamma_provider(t)
+    returns (Gamma, dGamma/dt) [SI]; dGamma/dt is not read. The
+    project_omega_norm keyword is accepted and ignored.
     """
     _check_dt(dt)
-    w0 = state.omega.astype(float)
     t0 = state.t
-
-    def rhs(t, w):
-        gamma, dgamma = gamma_provider(t)
-        gamma = np.asarray(gamma, dtype=float)
-        dgamma = np.asarray(dgamma, dtype=float)
-        return (-np.cross(w, gamma) + dgamma) / inertia
-
-    k1 = rhs(t0, w0)
-    k2 = rhs(t0 + 0.5 * dt, w0 + 0.5 * dt * k1)
-    k3 = rhs(t0 + 0.5 * dt, w0 + 0.5 * dt * k2)
-    k4 = rhs(t0 + dt, w0 + dt * k3)
-    w1 = w0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if project_omega_norm:
-        n0 = np.linalg.norm(w0)
-        n1 = np.linalg.norm(w1)
-        if n1 > 0:
-            w1 = w1 * (n0 / n1)
-    half = _LD(0.5 * dt)
-    q = _quat_mul(_rotation_quat(w1, half),
-                  _quat_mul(_rotation_quat(state.omega, half),
-                            tuple(state.orientation)))
-    return SpinState(omega=w1, S=state.S, orientation=q, t=t0 + dt)
+    a0, am, a1 = (np.asarray(gamma_provider(t)[0], dtype=_LD) / _LD(inertia)
+                  for t in (t0, t0 + 0.5 * dt, t0 + dt))
+    h = _LD(dt)
+    phi = (h / 6.0) * (a0 + 4.0 * am + a1) + (h * h / 12.0) * np.cross(a1, a0)
+    angle = np.sqrt(np.sum(phi * phi))
+    v0 = state.omega - a0  # u0 / I
+    v1 = np.array(_rodrigues(v0, phi / angle if angle else (0.0, 0.0, 0.0), angle))
+    q = _quat_mul(_rotation_quat(phi, 1.0),
+                  _quat_mul(_rotation_quat(v0, h), tuple(state.orientation)))
+    return SpinState(omega=state.omega + ((v1 - v0) + (a1 - a0)), S=state.S,
+                     orientation=q, t=t0 + dt)
 
 
 # --- invariants --------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wgmspin import cli
-from wgmspin.config import ConfigError, RunConfig
+from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
+from wgmspin.constants import C_LIGHT
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CFG = (ROOT / "configs" / "reference.cfg").read_text()
@@ -84,6 +85,20 @@ def test_config_field_level_diagnostics(tmp_path):
     assert any(f == "sphere.R" for f, _ in err.value.errors)
 
 
+def test_negative_index_reports_one_error():
+    # n >= 1 implies n > 0, so a negative n is one diagnostic, not two
+    assert RunConfig(n=-1.0).validate() == [("sphere.n", "must be >= 1, got -1.0")]
+
+
+def test_sample_count_capped_at_max_samples():
+    # simulate holds every sample (steps 0, sample_every, ... and n_steps)
+    assert RunConfig(n_steps=MAX_SAMPLES - 1, sample_every=1).validate() == []
+    assert RunConfig(n_steps=2 * MAX_SAMPLES - 2, sample_every=2).validate() == []
+    for n_steps, every in ((MAX_SAMPLES, 1), (2 * MAX_SAMPLES - 1, 2)):
+        errors = RunConfig(n_steps=n_steps, sample_every=every).validate()
+        assert [f for f, _ in errors] == ["simulation.n_steps"], (n_steps, every)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST_CFG.replace("rho = 2000.0", "rho = 2000.0\nbogus = 1"))
@@ -112,11 +127,12 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
     # non-finite numbers are rejected up front: unchecked, dt = inf fails late
     # with a numerical error, rho = inf writes "I": Infinity (not JSON) and
     # Q = inf gives zero thresholds. Validation rejects every case before any
-    # pole search, so none of them allocates a scan.
-    def no_scan(*args, **kwargs):
-        raise AssertionError("invalid config reached the pole search")
+    # pole search, so none of them allocates a scan or simulate's samples.
+    def no_run(*args, **kwargs):
+        raise AssertionError("invalid config reached a run")
 
-    monkeypatch.setattr(cli.wgm, "find_resonance", no_scan)
+    monkeypatch.setattr(cli.wgm, "find_resonance", no_run)
+    monkeypatch.setattr(cli.dynamics, "simulate", no_run)
     cases = [
         ("modes", "R = 10e-6", "R = -3e-6", "sphere.R"),
         ("modes", "R = 10e-6", "R = inf", "sphere.R"),
@@ -138,6 +154,9 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 500", "estimate.m_list"),
         # scan memory grows with the point count
         ("modes", "scan_points = 1500", "scan_points = 100001", "mode_search.scan_points"),
+        # as does simulate's, ~1.3 KB per sample: 1e9 samples would exhaust it
+        ("simulate", "n_steps = 60\nsample_every = 10",
+         "n_steps = 1000000000\nsample_every = 1", "simulation.n_steps"),
     ]
     for verb, old, new, field in cases:
         bad = tmp_path / "bad.cfg"
@@ -244,10 +263,18 @@ def test_estimate_default_m_list_stays_within_l(tmp_path):
 
 
 def test_estimate_natural_units_flag(tmp_path, fast_cfg_path, capsys):
-    out = tmp_path / "out"
-    assert run_cli("estimate", fast_cfg_path, out, "--natural-units") == 0
-    payload = json.loads((out / "estimates.json").read_text())
-    assert "natural" in payload["units"]
+    # hbar = c = 1 turns a rate in Hz into Hz / c: every natural-unit rate
+    # times c is the SI rate
+    si, nat = ({}, {})
+    for payload, flags in ((si, ()), (nat, ("--natural-units",))):
+        out = tmp_path / f"out{len(flags)}"
+        assert run_cli("estimate", fast_cfg_path, out, *flags) == 0
+        payload.update(json.loads((out / "estimates.json").read_text()))
+    assert "natural" in nat["units"] and si["units"] == "Hz"
+    pairs = [(nat[k], si[k]) for k in ("precession_hz_exact", "precession_hz_simplified")]
+    pairs += [(nat["threshold_hz_by_m"][m], v) for m, v in si["threshold_hz_by_m"].items()]
+    for natural, want in pairs:
+        assert natural * C_LIGHT == pytest.approx(want, rel=1e-15)
 
 
 def test_sweep_fans_out(tmp_path):

@@ -439,7 +439,10 @@ def test_energy_equals_expanded_bracket(seed):
 
 # --- step_general -------------------------------------------------------------------
 
-def test_constant_gamma_precession_frequency():
+@pytest.mark.parametrize("project", [True, False])
+def test_constant_gamma_precession_frequency(project):
+    # the step is an exact rotation for constant Gamma, so |w| holds to
+    # rounding with or without the (ignored) projection keyword
     inertia = 2.0
     big_g = 3.0
 
@@ -453,7 +456,7 @@ def test_constant_gamma_precession_frequency():
     times, omegas = [state.t], [w0]
     cur = state
     for _ in range(n):
-        cur = step_general(cur, dt, inertia, provider, project_omega_norm=True)
+        cur = step_general(cur, dt, inertia, provider, project_omega_norm=project)
         times.append(cur.t)
         omegas.append(cur.omega.astype(float))
     rate = precession_frequency(times, omegas, np.array([0.0, 0.0, 1.0]))
@@ -474,9 +477,9 @@ def test_zero_gamma_keeps_omega():
 
 def test_step_general_orientation_second_order():
     # constant Gamma precesses w about Gamma^ at Omega = |Gamma|/I, so the
-    # orientation has the closed form q(Gamma^, Omega t) q(w0 - Omega Gamma^, t) q0;
-    # at 1000 steps a second-order orientation update is off by ~8e-7, a
-    # first-order one by ~1e-3
+    # orientation has the closed form q(Gamma^, Omega t) q(w0 - Omega Gamma^, t) q0.
+    # The step composes the same two rotations, so 1000 steps land on it to
+    # rounding (~4e-16); a second-order split step is off by ~8e-7
     inertia, gamma = 1.0, np.array([0.0, 0.0, 1.0])
     w0 = np.array([0.3, 0.0, 0.4])
     total, n = 5.0, 1000
@@ -499,7 +502,40 @@ def test_step_general_orientation_second_order():
     body = w0 - rate * gamma
     want = mul(quat(gamma, rate * total),
                quat(body / np.linalg.norm(body), np.linalg.norm(body) * total))
-    assert _quat_distance(cur.orientation.astype(float), want) <= 1e-5
+    assert _quat_distance(cur.orientation.astype(float), want) <= 1e-13
+
+
+def test_step_general_fourth_order_for_time_varying_gamma():
+    # against a DOP853 reference of I dw/dt = -w x Gamma + dGamma/dt and
+    # dq/dt = (0, w) q / 2: w and q converge at fourth order (error ratio
+    # ~16 per halving of dt; a second-order orientation gives ~4)
+    from scipy.integrate import solve_ivp
+
+    inertia, total = 1.3, 2.0
+    w0, q0 = np.array([0.3, -0.2, 0.5]), np.array([0.8, 0.0, 0.6, 0.0])
+
+    def gamma(t):
+        return np.array([0.5 * math.cos(2 * t), 0.5 * math.sin(2 * t), 0.9 * t + 0.2])
+
+    def dgamma(t):
+        return np.array([-math.sin(2 * t), math.cos(2 * t), 0.9])
+
+    def rhs(t, y):
+        w, q = y[:3], y[3:]
+        dq = 0.5 * np.array([-w @ q[1:], *(q[0] * w + np.cross(w, q[1:]))])
+        return np.concatenate([(-np.cross(w, gamma(t)) + dgamma(t)) / inertia, dq])
+
+    ref = solve_ivp(rhs, (0.0, total), np.concatenate([w0, q0]), method="DOP853",
+                    rtol=1e-13, atol=1e-15).y[:, -1]
+    errors = []
+    for n in (100, 200, 400):
+        cur = SpinState(omega=w0, S=[0.0, 0.0, 0.0], orientation=q0)
+        for _ in range(n):
+            cur = step_general(cur, total / n, inertia, lambda t: (gamma(t), dgamma(t)))
+        errors.append((np.linalg.norm(cur.omega.astype(float) - ref[:3]),
+                       _quat_distance(cur.orientation.astype(float), ref[3:])))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert min(c / f for c, f in zip(coarse, fine)) >= 12, errors
 
 
 def test_linear_gamma_integrates_directly():
