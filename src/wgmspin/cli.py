@@ -63,6 +63,11 @@ def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
     return alpha
 
 
+# (Hz per displayed unit, unit) by --natural-units: rates are computed in SI;
+# with hbar = c = 1 a rate in Hz becomes Hz / c
+_RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
+
+
 def cmd_modes(cfg: RunConfig, outdir: Path, natural=False) -> int:
     params, modes = _find_modes(cfg)
     if "csv" in cfg.formats:
@@ -121,12 +126,14 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     traj = dynamics.simulate(initial, cc, cfg.dt, cfg.n_steps, cfg.sample_every)
     dynamics.trajectory_to_csv(traj, outdir / "trajectory.csv")
 
+    hz_per_unit, unit = _RATE_UNIT[natural]
+    rad_per_unit = 2.0 * math.pi * hz_per_unit
     k0_vec = traj.K[0]
     k_norm = float(np.linalg.norm(k0_vec))
-    predicted = cc.lambda_ * k_norm / cc.I / (2.0 * math.pi) if k_norm else None
+    predicted = cc.lambda_ * k_norm / cc.I / rad_per_unit if k_norm else None
     omegas = np.array([s.omega.astype(float) for s in traj.samples])
     measured_rad = dynamics.precession_frequency(traj.t, omegas, k0_vec)
-    measured = None if measured_rad is None else measured_rad / (2.0 * math.pi)
+    measured = None if measured_rad is None else measured_rad / rad_per_unit
 
     drift = traj.drift
     summary = {
@@ -136,6 +143,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
         "drift_abs_omega": drift["abs_omega"],
         "drift_K": drift["K"],
         "drift_Hr": drift["H_r"],
+        "units": unit,
     }
     _write_json(outdir / "summary.json", summary)
     for key in sorted(summary):
@@ -144,8 +152,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
-    # rates are computed in SI; with hbar = c = 1 a rate in Hz becomes Hz / c
-    hz_per_unit, unit = (C_LIGHT, "1/m (natural, c=hbar=1)") if natural else (1.0, "Hz")
+    hz_per_unit, unit = _RATE_UNIT[natural]
     params, cc = _coupling_constants(cfg)
     if cc is None:
         print("no resonance in window")
@@ -200,7 +207,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: [output] directory from the config)")
     parser.add_argument("--natural-units", action="store_true",
-                        help="display rates with hbar = c = 1")
+                        help="display the rates of estimate and simulate with "
+                             "hbar = c = 1 (modes and lambda print no rates)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

@@ -7,10 +7,11 @@ The single-mode coupled equations
 (S in hbar units) imply d/dt [I w - (Lambda-1) hbar S] = 0, so the flow is an
 exact uniform rotation of S (and of w with it) about the conserved axis
 K = I w - (Lambda-1) hbar S at angular rate Lambda |K| / I. simulate evaluates
-that flow in closed form at every sample time at once (one Rodrigues rotation
-by Lambda |K| t / I per sample, no stepping); step_wgm is the same flow at
-t = dt, orientation included. |S|, |w|, K and the rotating-frame energy are
-conserved to rounding, not to integration order.
+that flow in closed form at every sample time at once (no stepping): one
+quaternion per sample, the rotation by Lambda |K| t / I about K, turns both S
+and the body frame. step_wgm is the same flow at t = dt, orientation
+included. |S|, |w|, K and the rotating-frame energy are conserved to
+rounding, not to integration order.
 
 State vectors are kept in numpy longdouble (x86 extended precision). A
 simulate sample is one rotation of the initial state, so its rounding does not
@@ -178,24 +179,19 @@ def _rotation_quat(v, t):
     return (np.cos(half), vx * s, vy * s, vz * s)
 
 
-def _rodrigues(v, axis, theta):
-    """v rotated by theta (scalar or array) about the unit axis (a zero axis
-    is the identity), as component tuples. |v| is restored to its incoming
-    value: the fixed-angle Rodrigues form has a same-sign per-step norm bias
-    that would otherwise accumulate linearly."""
+def _rotate(q, v):
+    """v turned by the unit quaternion q = (w, qv), as component tuples (q may
+    hold arrays): v + w t + qv x t with t = 2 qv x v. |v| is restored to its
+    incoming value: a rotation repeated at a fixed angle has a same-sign
+    per-step norm bias that would otherwise accumulate linearly."""
+    w, qx, qy, qz = q
     vx, vy, vz = v
-    ux, uy, uz = axis
-    c = np.cos(theta)
-    s = np.sin(theta)
-    half_s = np.sin(0.5 * theta)
-    omc = 2.0 * half_s * half_s          # 1 - cos, cancellation-free
-    dot = ux * vx + uy * vy + uz * vz
-    cx = uy * vz - uz * vy
-    cy = uz * vx - ux * vz
-    cz = ux * vy - uy * vx
-    x2 = vx * c + cx * s + ux * dot * omc
-    y2 = vy * c + cy * s + uy * dot * omc
-    z2 = vz * c + cz * s + uz * dot * omc
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    x2 = vx + w * tx + (qy * tz - qz * ty)
+    y2 = vy + w * ty + (qz * tx - qx * tz)
+    z2 = vz + w * tz + (qx * ty - qy * tx)
     n_old = np.sqrt(vx * vx + vy * vy + vz * vz)
     if n_old > 0.0:
         f = n_old / np.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
@@ -224,32 +220,27 @@ def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     S rotates about the conserved K = I w - (Lambda-1) hbar S by Omega t,
     Omega = Lambda |K| / I, and w moves by the matching increment of S. w(t)
     is w0 rotated about K at Omega, so the orientation is
-    q(t) = q(K^, Omega t) q(w0 - Omega K^, t) q0. Returns the S, w and q
-    component tuples (arrays over t for array t).
+    q(t) = q_K q(w0 - Omega K^, t) q0 with q_K the rotation that turns S, and
+    w0 - Omega K^ = w0 - (Lambda/I) K. K = 0 makes q_K the identity. Returns
+    the S, w and q component tuples (arrays over t for array t).
     """
     lam = _LD(constants.lambda_)
     inertia = _LD(constants.I)
-    lm1h = (lam - 1.0) * _LD(hbar)
+    lam_i = lam / inertia
     sx, sy, sz = state.S
     wx, wy, wz = state.omega
-    kx, ky, kz = _k_vector(state.omega, state.S, constants, hbar)
-    kn = np.sqrt(kx * kx + ky * ky + kz * kz)
-    # K = 0: a zero axis makes the S rotation the identity, and w stands still
-    ux, uy, uz = (kx / kn, ky / kn, kz / kn) if kn else (0.0, 0.0, 0.0)
-    rate = lam * kn / inertia
-    theta = rate * t
-    sx2, sy2, sz2 = _rodrigues(state.S, (ux, uy, uz), theta)
+    k = _k_vector(state.omega, state.S, constants, hbar)
+    q_k = _rotation_quat(k, lam_i * t)
+    sx2, sy2, sz2 = _rotate(q_k, state.S)
     # advance omega by the increment of S: K = I w - (lam-1) hbar S is then
     # conserved identically, and the S-dominated regime (|K| >> I|w|) never
     # reconstructs small w from a cancellation of large vectors
-    scale = lm1h / inertia
+    scale = (lam - 1.0) * _LD(hbar) / inertia
     wx2 = wx + scale * (sx2 - sx)
     wy2 = wy + scale * (sy2 - sy)
     wz2 = wz + scale * (sz2 - sz)
-    q = _quat_mul(_rotation_quat((ux, uy, uz), theta),
-                  _quat_mul(_rotation_quat((wx - rate * ux, wy - rate * uy,
-                                            wz - rate * uz), t),
-                            tuple(state.orientation)))
+    q = _quat_mul(q_k, _quat_mul(_rotation_quat(state.omega - lam_i * k, t),
+                                 tuple(state.orientation)))
     return (sx2, sy2, sz2), (wx2, wy2, wz2), q
 
 
@@ -258,9 +249,10 @@ def step_wgm(state: SpinState, dt: float, constants: CouplingConstants, *,
     """The exact flow of the coupled precession equations over one step dt.
 
     Rotates S about the conserved axis K = I w - (Lambda-1) hbar S by
-    Lambda |K| dt / I (Rodrigues), advances w by the matching increment, and
-    rotates the orientation by the closed-form body rotation over dt. The
-    state is exact for any dt; w = S = 0 is a valid fixed point.
+    Lambda |K| dt / I, advances w by the matching increment, and turns the
+    orientation by the same rotation composed with the closed-form body
+    rotation over dt. The state is exact for any dt; w = S = 0 is a valid
+    fixed point.
     """
     _check_dt(dt)
     s, w, q = _flow(state, constants, hbar, _LD(dt))
@@ -279,10 +271,10 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
     Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)). w advances by the
     increment of (u + Gamma)/I, as in _flow, so Gamma = 0 leaves w bit-exact.
     In the frame turning with u the body rate is the constant u0/I, so the
-    orientation is q(phi) q(u0/I, dt) q0. Exact for constant Gamma (|w| then
-    holds to rounding), fourth order in dt otherwise. gamma_provider(t)
-    returns (Gamma, dGamma/dt) [SI]; dGamma/dt is not read. The
-    project_omega_norm keyword is accepted and ignored.
+    orientation is q(phi) q(u0/I, dt) q0, and q(phi) also turns u. Exact for
+    constant Gamma (|w| then holds to rounding), fourth order in dt
+    otherwise. gamma_provider(t) returns (Gamma, dGamma/dt) [SI]; dGamma/dt
+    is not read. The project_omega_norm keyword is accepted and ignored.
     """
     _check_dt(dt)
     t0 = state.t
@@ -290,11 +282,10 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
                   for t in (t0, t0 + 0.5 * dt, t0 + dt))
     h = _LD(dt)
     phi = (h / 6.0) * (a0 + 4.0 * am + a1) + (h * h / 12.0) * np.cross(a1, a0)
-    angle = np.sqrt(np.sum(phi * phi))
+    q_phi = _rotation_quat(phi, 1.0)
     v0 = state.omega - a0  # u0 / I
-    v1 = np.array(_rodrigues(v0, phi / angle if angle else (0.0, 0.0, 0.0), angle))
-    q = _quat_mul(_rotation_quat(phi, 1.0),
-                  _quat_mul(_rotation_quat(v0, h), tuple(state.orientation)))
+    v1 = np.array(_rotate(q_phi, v0))
+    q = _quat_mul(q_phi, _quat_mul(_rotation_quat(v0, h), tuple(state.orientation)))
     return SpinState(omega=state.omega + ((v1 - v0) + (a1 - a0)), S=state.S,
                      orientation=q, t=t0 + dt)
 

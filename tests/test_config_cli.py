@@ -220,7 +220,8 @@ def test_simulate_command_summary_and_reproducibility(tmp_path, fast_cfg_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert set(summary) == {"precession_hz_measured", "precession_hz_predicted",
                             "drift_abs_S", "drift_abs_omega", "drift_K",
-                            "drift_Hr"}
+                            "drift_Hr", "units"}
+    assert summary["units"] == "Hz"
     assert summary["drift_abs_S"] < 1e-12
     assert summary["drift_Hr"] < 1e-9
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
@@ -275,6 +276,20 @@ def test_estimate_natural_units_flag(tmp_path, fast_cfg_path, capsys):
     pairs += [(nat["threshold_hz_by_m"][m], v) for m, v in si["threshold_hz_by_m"].items()]
     for natural, want in pairs:
         assert natural * C_LIGHT == pytest.approx(want, rel=1e-15)
+
+
+def test_simulate_natural_units_flag(tmp_path, fast_cfg_path):
+    # the precession rates are divided by c, the drifts are unit-free
+    si, nat = ({}, {})
+    for payload, flags in ((si, ()), (nat, ("--natural-units",))):
+        out = tmp_path / f"out{len(flags)}"
+        assert run_cli("simulate", fast_cfg_path, out, *flags) == 0
+        payload.update(json.loads((out / "summary.json").read_text()))
+    assert "natural" in nat["units"] and si["units"] == "Hz"
+    for key in ("precession_hz_measured", "precession_hz_predicted"):
+        assert nat[key] * C_LIGHT == pytest.approx(si[key], rel=1e-15)
+    for key in ("drift_abs_S", "drift_abs_omega", "drift_K", "drift_Hr"):
+        assert nat[key] == si[key]
 
 
 def test_sweep_fans_out(tmp_path):
