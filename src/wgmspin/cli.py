@@ -94,9 +94,9 @@ def _coupling_constants(cfg: RunConfig):
 
 
 def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False) -> int:
-    if cfg.n == 1.0:
-        # no index contrast: eps - 1 = 0, so Lambda = 0 for any mode and
-        # there is no resonance to attach it to
+    if cfg.n == 1.0 and cfg.polarization == "TE":
+        # no index contrast: eps - 1 = 0, so Lambda = 0 for any TE mode and
+        # there is no resonance to attach it to; TM is rejected as at any n
         params = _sphere(cfg)
         _write_json(outdir / "coupling.json",
                     {"lambda": 0.0, "I": params.I, "l": cfg.l,
@@ -131,8 +131,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     k0_vec = traj.K[0]
     k_norm = float(np.linalg.norm(k0_vec))
     predicted = cc.lambda_ * k_norm / cc.I / rad_per_unit if k_norm else None
-    omegas = np.array([s.omega.astype(float) for s in traj.samples])
-    measured_rad = dynamics.precession_frequency(traj.t, omegas, k0_vec)
+    measured_rad = dynamics.precession_frequency(traj.t, traj.omega, k0_vec)
     measured = None if measured_rad is None else measured_rad / rad_per_unit
 
     drift = traj.drift

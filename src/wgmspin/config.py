@@ -19,7 +19,7 @@ from .specfun import MAX_ORDER
 __all__ = ["ConfigError", "RunConfig"]
 
 MAX_SCAN_POINTS = 100_000  # the scan's memory grows with the point count
-MAX_SAMPLES = 100_000      # so does simulate's, ~1.3 KB per sample
+MAX_SAMPLES = 100_000      # so does simulate's, ~220 B per sample held
 
 
 class ConfigError(ValueError):

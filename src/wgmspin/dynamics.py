@@ -92,17 +92,30 @@ class SpinState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered spin states plus conservation monitor channels."""
+    """The arrays simulate computes: times t (n,), longdouble omega and S (n, 3),
+    unit orientation quaternions (n, 4) and the float64 monitor channels
+    abs_S, abs_omega, K and H_r. samples is derived from them on each read."""
 
-    samples: list
+    t: np.ndarray
+    omega: np.ndarray
+    S: np.ndarray
+    orientation: np.ndarray
     abs_S: np.ndarray
     abs_omega: np.ndarray
     K: np.ndarray      # (n, 3), K = I w - (Lambda-1) hbar S
     H_r: np.ndarray
 
     @property
-    def t(self):
-        return np.array([s.t for s in self.samples])
+    def samples(self):
+        """One SpinState per sample, row i bit for bit: the rows are taken as
+        they are (views), since normalizing a unit quaternion again can move it
+        by an ulp."""
+        states = []
+        for w, s, q, t in zip(self.omega, self.S, self.orientation, self.t.tolist()):
+            state = object.__new__(SpinState)
+            state.__dict__.update(omega=w, S=s, orientation=q, t=t)
+            states.append(state)
+        return states
 
     @property
     def drift(self):
@@ -311,14 +324,6 @@ def rotating_frame_energy(state: SpinState, constants: CouplingConstants) -> flo
 
 # --- driver ------------------------------------------------------------------
 
-def _columns(cols, n):
-    """(n, len(cols)) longdouble array from scalar or length-n columns."""
-    out = np.empty((n, len(cols)), dtype=_LD)
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
-
-
 def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
              n_steps: int, sample_every: int = 1, *, hbar: float = HBAR,
              monitor_tol: float = 1e-6) -> Trajectory:
@@ -342,12 +347,11 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
         if count < 1:
             raise ValueError(f"{name} must be >= 1")
     steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
-    s, w, q = (_columns(cols, steps.size)
+    s, w, q = (np.stack([np.broadcast_to(c, steps.shape) for c in cols], axis=1)
                for cols in _flow(initial, constants, hbar, steps * _LD(dt)))
     traj = Trajectory(
-        samples=[SpinState(omega=w[i], S=s[i], orientation=q[i],
-                           t=initial.t + int(n) * dt)
-                 for i, n in enumerate(steps)],
+        t=initial.t + steps * dt, omega=w, S=s,
+        orientation=q / np.sqrt(np.sum(q * q, axis=1, keepdims=True)),
         abs_S=np.sqrt(np.sum(s * s, axis=1)).astype(float),
         abs_omega=np.sqrt(np.sum(w * w, axis=1)).astype(float),
         K=_k_vector(w, s, constants, hbar).astype(float),
@@ -366,14 +370,10 @@ def trajectory_to_csv(traj: Trajectory, path):
         fh.write("# t [s]; omega [rad/s]; S [hbar units]; K [kg m^2/s]; H_r [J]\n")
         fh.write("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,"
                  "abs_omega,abs_S,K_x,K_y,K_z,H_r\n")
-        for i, s in enumerate(traj.samples):
-            w = s.omega.astype(float)
-            sv = s.S.astype(float)
-            k = traj.K[i]
-            fh.write(",".join(repr(float(v)) for v in (
-                s.t, w[0], w[1], w[2], sv[0], sv[1], sv[2],
-                traj.abs_omega[i], traj.abs_S[i], k[0], k[1], k[2],
-                traj.H_r[i])) + "\n")
+        rows = np.column_stack((traj.t, traj.omega.astype(float), traj.S.astype(float),
+                                traj.abs_omega, traj.abs_S, traj.K, traj.H_r))
+        for row in rows:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def precession_frequency(times, vectors, axis):

@@ -49,7 +49,7 @@ class AccuracyWarning(UserWarning):
 
 
 def _check_domain(l, z, need_nonzero, im_strip=False):
-    if l < 0 or int(l) != l:
+    if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"order l must be a non-negative integer, got {l!r}")
     if l > MAX_ORDER:
         raise ValueError(f"order l={l} exceeds validated maximum {MAX_ORDER}")

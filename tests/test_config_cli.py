@@ -377,12 +377,16 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_lambda_for_tm_rejected_as_invalid_input(tmp_path, capsys):
+@pytest.mark.parametrize("n", ["1.52", "1.0"])
+def test_lambda_for_tm_rejected_as_invalid_input(tmp_path, capsys, n):
+    # n = 1 takes the no-contrast shortcut for TE; TM must still be rejected
     cfg = tmp_path / "tm.cfg"
-    cfg.write_text(FAST_CFG.replace("polarization = TE", "polarization = TM"))
+    cfg.write_text(FAST_CFG.replace("polarization = TE", "polarization = TM")
+                   .replace("n = 1.52", f"n = {n}"))
     code = run_cli("lambda", cfg, tmp_path / "out")
     assert code == 2
     assert "mode_search.polarization" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coupling.json").exists()
 
 
 def test_estimate_zero_photons_zero_estimate(tmp_path):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmspin.config import MAX_SAMPLES
 from wgmspin.constants import HBAR
 from wgmspin.coupling import CouplingConstants
 from wgmspin.dynamics import (
@@ -683,6 +685,51 @@ def test_trajectory_csv_header_and_determinism(tmp_path):
     assert lines[1] == ("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,"
                        "abs_omega,abs_S,K_x,K_y,K_z,H_r")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_trajectory_csv_rows_are_the_arrays(tmp_path):
+    traj = simulate(reference_state(), make_constants(), 1.2e4, 100, sample_every=7)
+    path = tmp_path / "t.csv"
+    trajectory_to_csv(traj, path)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[2:]])
+    assert rows.shape == (traj.t.size, 13)
+
+    def assert_bits(got, want):
+        want = np.asarray(want, dtype=float)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    for cols, want in ((slice(0, 1), traj.t[:, None]),
+                       (slice(1, 4), traj.omega.astype(float)),
+                       (slice(4, 7), traj.S.astype(float)),
+                       (slice(7, 8), traj.abs_omega[:, None]),
+                       (slice(8, 9), traj.abs_S[:, None]),
+                       (slice(9, 12), traj.K),
+                       (slice(12, 13), traj.H_r[:, None])):
+        assert_bits(rows[:, cols], want)
+    samples = traj.samples
+    assert len(samples) == traj.t.size
+    for i, s in enumerate(samples):
+        assert s.t == traj.t[i]
+        for got, want in ((s.omega, traj.omega[i]), (s.S, traj.S[i]),
+                          (s.orientation, traj.orientation[i])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_simulate_memory_bounded_at_sample_cap():
+    # MAX_SAMPLES samples are held as arrays: t, w, S, orientation and the
+    # four monitor channels take ~21 MiB, and simulate peaks at ~35 MiB
+    # (x86-64, 16-byte longdouble)
+    tracemalloc.start()
+    try:
+        traj = simulate(reference_state(), make_constants(), 1.2e4, MAX_SAMPLES - 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.t.size == MAX_SAMPLES
+    assert held < 32 * 2**20
+    assert peak < 48 * 2**20
 
 
 def test_all_zero_state_is_fixed_point():

@@ -192,6 +192,13 @@ def test_wronskian_property(l, x, y):
 def test_order_domain_error():
     with pytest.raises(ValueError):
         spherical_bessel_j(501, 10.0)
+    # an integral float is not an integer order: the ladders need range(l)
+    for func in (spherical_bessel_j, spherical_bessel_y, spherical_hankel1,
+                 riccati_bessel):
+        for l in (2.0, 2.5):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                func(l, 1.5)
+        func(np.int64(2), 1.5)
 
 
 def test_hankel_zero_argument_error():
