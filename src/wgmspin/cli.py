@@ -2,8 +2,8 @@
 
 Verbs: modes, lambda, simulate, estimate. Every command is a pure function of
 its config file: no wall clock, no RNG, byte-identical outputs for identical
-inputs. Exit codes: 0 success, 1 empty result, 2 invalid input, 3 internal
-numerical failure.
+inputs. Exit codes: 0 success, 1 empty result, 2 invalid input (config or
+output path), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -21,8 +22,6 @@ from . import coupling, dynamics, wgm
 from .config import ConfigError, RunConfig
 from .constants import C_LIGHT
 from .wgm import _write_json
-
-log = logging.getLogger("wgmspin")
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -70,10 +69,8 @@ _RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
 
 def cmd_modes(cfg: RunConfig, outdir: Path, natural=False) -> int:
     params, modes = _find_modes(cfg)
-    if "csv" in cfg.formats:
-        wgm.modes_to_csv(modes, outdir / "modes.csv")
-    if "json" in cfg.formats:
-        wgm.modes_to_json(modes, outdir / "modes.json")
+    wgm.modes_to_csv(modes, outdir / "modes.csv")
+    wgm.modes_to_json(modes, outdir / "modes.json")
     for m in modes:
         print(f"{m.polarization} l={m.l}  lambda_vac={m.lambda_vac:.6e} m  "
               f"k0={m.k0:.10e} 1/m  kappa_c={m.kappa_c:.6e} 1/m  Q={m.Q:.6e}")
@@ -224,13 +221,17 @@ def main(argv=None) -> int:
         if problems:
             raise ConfigError(problems)
         subs = [outdir / f"{cfg.sweep_field}={v}" for v in values]
-        with concurrent.futures.ProcessPoolExecutor() as pool:
+        workers = min(len(values), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_single, [args.verb] * len(values), sub_cfgs,
                                   subs, [args.natural_units] * len(values)))
         return max(codes)
     except ConfigError as exc:
         for fieldname, message in exc.errors:
             print(f"config error: {fieldname}: {message}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, OverflowError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

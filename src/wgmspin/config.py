@@ -3,15 +3,13 @@
 All quantities are SI. The reference parameter set ships as
 configs/reference.cfg. One table, _SECTIONS, gives each config key its section
 and its text parser; values from the file and [sweep] values both go through
-that parser. Configs round-trip through to_dict()/from_dict() with canonical
-(sorted) key order, so serialized forms are byte-stable.
+that parser.
 """
 
 from __future__ import annotations
 
 import cmath
 import configparser
-import json
 from dataclasses import dataclass, replace
 
 from .specfun import MAX_ORDER
@@ -63,7 +61,7 @@ _SECTIONS = {
     "simulation": {"dt": float, "n_steps": int, "sample_every": int,
                    "omega0": _omega0},
     "estimate": {"Q": float, "m_list": _int_list},
-    "output": {"directory": str.strip, "formats": _str_list},
+    "output": {"directory": str.strip},
     "sweep": {"field": str.strip, "values": _str_list},
 }
 _SWEEPABLE = (float, int, str.strip)  # one value per field: no list parsers
@@ -101,7 +99,6 @@ class RunConfig:
     m_list: tuple | None = None               # default: those of 1, 10, 120 <= l
     # [output]
     directory: str = "out"
-    formats: tuple = ("csv", "json")
     # [sweep]
     sweep_field: str | None = None
     sweep_values: tuple = ()                  # text, parsed by the swept field
@@ -174,6 +171,10 @@ class RunConfig:
         for m, _ in self.amplitudes:
             if abs(m) > self.l:
                 bad.append(("coupling.amplitudes", f"|m| must be <= l, got m={m}"))
+        if self.amplitudes and self.m is not None:
+            bad.append(("coupling.amplitudes", "set either m or amplitudes, not both"))
+        if self.amplitudes and self.N > 0 and not any(c for _, c in self.amplitudes):
+            bad.append(("coupling.amplitudes", f"all zero, so no photons at N = {self.N}"))
         if not self.dt > 0:
             bad.append(("simulation.dt", f"must be positive, got {self.dt}"))
         if self.n_steps < 1:
@@ -191,9 +192,6 @@ class RunConfig:
                 bad.append(("estimate.m_list", "m = 0 has no Zeeman shift"))
             elif abs(m) > self.l:
                 bad.append(("estimate.m_list", f"|m| must be <= l = {self.l}, got m={m}"))
-        for fmt in self.formats:
-            if fmt not in ("csv", "json"):
-                bad.append(("output.formats", f"unknown format {fmt!r}"))
         if self.sweep_field is not None:
             section, _, key = self.sweep_field.partition(".")
             parse = _SECTIONS.get(section, {}).get(key)
@@ -216,34 +214,6 @@ class RunConfig:
                     bad.append(("sweep.values", "a value repeats: each value runs once, "
                                 f"got {', '.join(self.sweep_values)}"))
         return bad
-
-    def to_dict(self):
-        data = {}
-        for section, keys in _SECTIONS.items():
-            data[section] = {}
-            for key in keys:
-                v = getattr(self, _attr(section, key))
-                if key == "amplitudes":
-                    v = [[m, [c.real, c.imag]] for m, c in v]
-                elif isinstance(v, tuple):
-                    v = list(v)
-                data[section][key] = v
-        return data
-
-    @classmethod
-    def from_dict(cls, data) -> "RunConfig":
-        kw = {}
-        for section, content in data.items():
-            for key, v in content.items():
-                if key == "amplitudes":
-                    v = tuple((m, complex(re, im)) for m, (re, im) in v)
-                elif isinstance(v, list):
-                    v = tuple(v)
-                kw[_attr(section, key)] = v
-        return cls(**kw)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def with_value(self, dotted_field, value) -> "RunConfig":
         """Copy with one dotted field set to value, parsed from str(value)

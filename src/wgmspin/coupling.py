@@ -128,8 +128,8 @@ def precession_rate_estimate(params: SphereParams, N: float, l: int,
                               simplified_hz=simplified / (2.0 * math.pi))
 
 
-def coupling_to_json(cc: CouplingConstants, path=None):
-    """CouplingConstants as JSON with fields lambda, I, l, k0, kappa_c, Q."""
+def coupling_to_json(cc: CouplingConstants, path):
+    """Write cc to path as JSON (lambda, I, l, k0, kappa_c, Q); return it."""
     payload = {
         "lambda": cc.lambda_,
         "I": cc.I,
@@ -138,6 +138,5 @@ def coupling_to_json(cc: CouplingConstants, path=None):
         "kappa_c": cc.mode.kappa_c,
         "Q": cc.mode.Q,
     }
-    if path is not None:
-        _write_json(path, payload)
+    _write_json(path, payload)
     return payload

@@ -52,6 +52,7 @@ __all__ = [
     "precession_frequency",
 ]
 
+MONITOR_TOL = 1e-6  # relative drift of a monitor channel at which simulate raises
 _LD = np.longdouble
 _IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -325,15 +326,14 @@ def rotating_frame_energy(state: SpinState, constants: CouplingConstants) -> flo
 # --- driver ------------------------------------------------------------------
 
 def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
-             n_steps: int, sample_every: int = 1, *, hbar: float = HBAR,
-             monitor_tol: float = 1e-6) -> Trajectory:
+             n_steps: int, sample_every: int = 1, *, hbar: float = HBAR) -> Trajectory:
     """Exact flow at steps 0, sample_every, 2 sample_every, ... and n_steps.
 
     Each sample is the closed-form flow at its elapsed time t = step * dt,
     the flow of step_wgm evaluated for all sample times at once: S rotated
     about K by Lambda |K| t / I, w advanced by the matching increment of S,
     and the exact orientation. Monitor channels (|S|, |w|, K, H_r) are
-    recorded per sample; relative drift beyond monitor_tol raises
+    recorded per sample; relative drift beyond MONITOR_TOL raises
     RuntimeError (it indicates misuse, e.g. state scales beyond the working
     precision). Deterministic for fixed inputs.
     """
@@ -357,10 +357,10 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
         K=_k_vector(w, s, constants, hbar).astype(float),
         H_r=_h_r(w, constants).astype(float))
     channel, drift = max(traj.drift.items(), key=lambda item: item[1])
-    if drift > monitor_tol:
+    if drift > MONITOR_TOL:
         raise RuntimeError(
             f"conservation monitor drift {drift:.3e} in {channel} beyond "
-            f"{monitor_tol:.1e}: integrator misuse (check dt and state scales)")
+            f"{MONITOR_TOL:.1e}: integrator misuse (check dt and state scales)")
     return traj
 
 

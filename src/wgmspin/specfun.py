@@ -48,21 +48,22 @@ class AccuracyWarning(UserWarning):
     """Outside the validated (l, |z|) envelope; result computed best-effort."""
 
 
-def _check_domain(l, z, need_nonzero, im_strip=False):
+def _check_domain(l, z, uses_y):
+    # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"order l must be a non-negative integer, got {l!r}")
     if l > MAX_ORDER:
         raise ValueError(f"order l={l} exceeds validated maximum {MAX_ORDER}")
     arr = np.asarray(z)
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if need_nonzero and np.any(arr == 0):
+    if uses_y and np.any(arr == 0):
         raise ValueError("argument z = 0 is outside the domain")
-    off_strip = im_strip and arr.size and float(np.max(np.abs(arr.imag))) > 1.0
+    off_strip = uses_y and arr.size and float(np.max(np.abs(arr.imag))) > 1.0
     if l > TIGHT_ORDER or amax > TIGHT_ARG or off_strip:
         warnings.warn(
             f"(l={l}, max|z|={amax:.3g}) outside tight-tolerance range "
             f"(l <= {TIGHT_ORDER}, |z| <= {TIGHT_ARG}"
-            + (", |Im z| <= 1 for y/h" if im_strip else "")
+            + (", |Im z| <= 1 for y/h" if uses_y else "")
             + "); accuracy relaxed",
             AccuracyWarning,
             stacklevel=3,
@@ -179,7 +180,7 @@ def spherical_bessel_j(l, z):
     underflow to exactly 0. Relative accuracy ~1e-13 for l <= 200,
     |z| <= 300; an AccuracyWarning is issued outside that envelope.
     """
-    _check_domain(l, z, need_nonzero=False)
+    _check_domain(l, z, uses_y=False)
     arr, scalar = _as_array(z)
     out = np.empty_like(arr)
     zero = arr == 0
@@ -201,7 +202,7 @@ def spherical_bessel_y(l, z):
     Tight accuracy on the strip |Im z| <= 1 (upward recurrence dips with the
     e^{2 Im z} solution split off it); warned as relaxed outside.
     """
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    _check_domain(l, z, uses_y=True)
     arr, scalar = _as_array(z)
     (_, yl), over = _y_ladder(l, arr)
     if np.any(over):
@@ -219,7 +220,7 @@ def spherical_hankel1(l, z):
     strip |Im z| <= 1, which holds the quasinormal poles (Im z < 0,
     |Im z| << |z|), and warned as relaxed off it.
     """
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    _check_domain(l, z, uses_y=True)
     arr, scalar = _as_array(z)
     (_, jl), (_, yl), over = _j_ladder(l, arr)
     if np.any(over):
@@ -238,7 +239,7 @@ def riccati_bessel(l, z):
     complex128. Satisfies the Wronskian identity psi xi' - psi' xi = i. Same
     |Im z| <= 1 tight envelope as the Hankel function.
     """
-    _check_domain(l, z, need_nonzero=True, im_strip=True)
+    _check_domain(l, z, uses_y=True)
     arr, _ = _as_array(z)
     (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr)
     if np.any(over):

@@ -45,6 +45,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
+MAX_RELATIVE_WIDTH = 0.5  # poles with kappa_c/k0 at or above this are dropped
 _B_SNAP_ULPS = 100.0      # Im D snap threshold at a resonance center
 _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 
@@ -192,8 +193,8 @@ def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale):
 
 
 def find_resonance(polarization, l, k_window, params: SphereParams, *,
-                   scan_points=2000, max_relative_width=0.5) -> list[ModeRecord]:
-    """All quasinormal poles with Re k in the window and kappa_c/k0 below cut.
+                   scan_points=2000) -> list[ModeRecord]:
+    """All poles with Re k in the window and kappa_c/k0 < MAX_RELATIVE_WIDTH.
 
     Seeds are local minima of |D| on a real-axis scan, refined by complex
     Newton until the edge-normalized residual drops below POLE_TOL. Returns
@@ -230,7 +231,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     for pole in refined[converged]:
         pole = complex(pole)
         if (pole.imag < 0 and k_lo <= pole.real <= k_hi
-                and -2.0 * pole.imag / pole.real < max_relative_width
+                and -2.0 * pole.imag / pole.real < MAX_RELATIVE_WIDTH
                 and not any(abs(pole - p) < 1e-8 * abs(p) for p in poles)):
             poles.append(pole)
 

@@ -11,7 +11,8 @@ from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
 from wgmspin.constants import C_LIGHT
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE_CFG = (ROOT / "configs" / "reference.cfg").read_text()
+REFERENCE_CFG_PATH = ROOT / "configs" / "reference.cfg"
+REFERENCE_CFG = REFERENCE_CFG_PATH.read_text()
 
 FAST_CFG = """
 [sphere]
@@ -42,7 +43,6 @@ m_list = 1, 5, 9
 
 [output]
 directory = out
-formats = csv, json
 """
 
 
@@ -59,14 +59,6 @@ def run_cli(verb, cfg_path, out_dir, *extra):
 
 
 # --- RunConfig ----------------------------------------------------------------
-
-def test_config_roundtrip_byte_identical(fast_cfg_path):
-    cfg = RunConfig.from_file(fast_cfg_path)
-    blob1 = cfg.canonical_json()
-    cfg2 = RunConfig.from_dict(json.loads(blob1))
-    assert cfg2.canonical_json() == blob1
-    assert cfg2 == cfg
-
 
 def test_reference_config_parses():
     cfg = RunConfig.from_file("configs/reference.cfg")
@@ -114,6 +106,13 @@ def test_config_amplitude_parsing(tmp_path):
     assert cfg.amplitudes == ((-1, 0.5 + 0.5j), (1, 0.5 + 0j))
 
 
+def test_zero_amplitudes_need_zero_photons():
+    # all-zero amplitudes are the empty state: valid only for N = 0
+    assert RunConfig(N=0.0, amplitudes=((5, 0j),)).validate() == []
+    errors = RunConfig(N=1e5, amplitudes=((5, 0j),)).validate()
+    assert [f for f, _ in errors] == ["coupling.amplitudes"]
+
+
 def test_with_value_sweep_helper(fast_cfg_path):
     cfg = RunConfig.from_file(fast_cfg_path)
     swapped = cfg.with_value("mode_search.l", 10)
@@ -148,6 +147,10 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         ("simulate", "omega0 = 1e-6, 0, 2e-7", "omega0 = 1e-6, -inf, 2e-7",
          "simulation.omega0"),
         ("simulate", "m = 9", "amplitudes = -1:0.5, 1:nan+1j", "coupling.amplitudes"),
+        # m would be dropped for the amplitudes, and all-zero amplitudes would
+        # simulate no photons at N > 0
+        ("simulate", "m = 9", "m = 3\namplitudes = 5:1.0", "coupling.amplitudes"),
+        ("simulate", "m = 9", "amplitudes = 5:0", "coupling.amplitudes"),
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 0.5", "estimate.m_list"),
         # past the special functions' order limit, and |m| above l
         ("modes", "l = 9", "l = 501", "mode_search.l"),
@@ -165,6 +168,16 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         assert code == 2, (new, code)
         assert field in capsys.readouterr().err, new
         assert not (tmp_path / "out").exists(), new
+
+
+def test_unusable_out_exit_2(tmp_path, capsys):
+    # an --out that names an existing file cannot become the output directory
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert run_cli("lambda", REFERENCE_CFG_PATH, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert out.read_text() == "keep\n"
 
 
 def test_empty_window_exit_1(tmp_path, capsys):
@@ -302,6 +315,32 @@ def test_sweep_fans_out(tmp_path):
         rows = json.loads((out / f"mode_search.l={l}" / "modes.json").read_text())
         assert rows[0]["l"] == l
         assert rows[0]["lambda_vac"] == pytest.approx(lam, rel=5e-3)
+
+
+def test_sweep_pool_sized_to_the_sweep(tmp_path, monkeypatch):
+    # a pool without max_workers starts os.cpu_count() workers at the first
+    # submit, however few values the sweep has
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FAST_CFG + "\n[sweep]\nfield = mode_search.scan_points\n"
+                   "values = 1500, 1600, 1700\n")
+    assert run_cli("modes", cfg, tmp_path / "out") == 0
+    assert len(asked) == 1 and asked[0] is not None and 1 <= asked[0] <= 3
 
 
 @pytest.mark.parametrize("verb, field, values, code, named", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmspin import dynamics
 from wgmspin.config import MAX_SAMPLES
 from wgmspin.constants import HBAR
 from wgmspin.coupling import CouplingConstants
@@ -663,13 +664,14 @@ def test_zero_field_reports_no_precession():
     np.testing.assert_array_equal(omegas[0], omegas[-1])
 
 
-def test_monitor_abort_on_nonsense():
+def test_monitor_abort_on_nonsense(monkeypatch):
     cc = make_constants()
     state = reference_state()
     # 1000 steps: the float64 monitor channels pick up rounding-level drift
     # (|w| ~2e-16) well above the absurd tolerance; 10 steps may not
+    monkeypatch.setattr(dynamics, "MONITOR_TOL", 1e-22)
     with pytest.raises(RuntimeError, match="monitor"):
-        simulate(state, cc, 1e4, 1000, monitor_tol=1e-22)
+        simulate(state, cc, 1e4, 1000)
 
 
 def test_trajectory_csv_header_and_determinism(tmp_path):

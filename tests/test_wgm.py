@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wgmspin import wgm
 from wgmspin.coupling import compute_lambda
 from wgmspin.specfun import AccuracyWarning, riccati_bessel
 from wgmspin.wgm import (
@@ -111,13 +112,13 @@ def _cauchy_derivative(fn, k, radius, points=32):
 @pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 @pytest.mark.parametrize("l", [1, 20, 120])
-def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l):
+def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
     # dD/dk from the Riccati-Bessel ODE against a contour derivative of the
     # public D, on a pole, just off it, and away from it on both sides of the
     # real axis. Radius 0.01/R and 32 nodes give <= 4e-13 relative here.
     R = ref_params.R
-    modes = find_resonance(pol, l, _POLE_WINDOWS[l], ref_params, scan_points=3000,
-                           max_relative_width=0.6)
+    monkeypatch.setattr(wgm, "MAX_RELATIVE_WIDTH", 0.6)
+    modes = find_resonance(pol, l, _POLE_WINDOWS[l], ref_params, scan_points=3000)
     assert modes
     pole = modes[len(modes) // 2].pole
     public = _CHARACTERISTIC_PUBLIC[pol]
@@ -325,15 +326,15 @@ def _oracle_poles(fn, l, params, re_range, im_depth):
 
 
 @pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
-def test_low_l_poles_match_contour_oracle():
+def test_low_l_poles_match_contour_oracle(monkeypatch):
     # very lossy l=1 modes of the reference sphere in x = kR in [0.1, 5]
     p = SphereParams(R=10e-6, n=1.52)
     R = p.R
     window = (0.1 / R, 5.0 / R)
     # widened width cut so the pole sitting right at kappa_c/k0 = 0.5 is
     # compared robustly on both sides
-    found = find_resonance("TE", 1, window, p, scan_points=4000,
-                           max_relative_width=0.6)
+    monkeypatch.setattr(wgm, "MAX_RELATIVE_WIDTH", 0.6)
+    found = find_resonance("TE", 1, window, p, scan_points=4000)
     oracle = _oracle_poles(te_characteristic, 1, p, window, 1.0 / R)
     oracle = [z for z in oracle if window[0] <= z.real <= window[1]]
     assert len(found) == len(oracle) > 0
