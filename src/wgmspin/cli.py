@@ -4,15 +4,17 @@ Verbs: modes, lambda, simulate, estimate. Every command is a pure function of
 its config file: no wall clock, no RNG, byte-identical outputs for identical
 inputs. Exit codes: 0 success, 1 empty result, 2 invalid input (config or
 output path), 3 internal numerical failure.
+
+A [sweep] runs its values one after another in this process, each after a
+"[<field>=<value>]" stdout line and into the subdirectory of that name; a
+failing value does not stop the rest, and the exit code is the largest.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -29,6 +31,10 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+class _NoResonance(Exception):
+    """The search window holds no resonance (exit 1)."""
+
+
 def _sphere(cfg: RunConfig) -> wgm.SphereParams:
     return wgm.SphereParams(R=cfg.R, n=cfg.n, rho=cfg.rho, I=cfg.I)
 
@@ -41,25 +47,13 @@ def _find_modes(cfg: RunConfig):
     return params, modes
 
 
-def _best_mode(modes):
-    # fundamental = narrowest resonance in the window
-    return max(modes, key=lambda m: m.Q)
-
-
 def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
     """Coherent amplitudes per m = -l..l, normalized to N photons."""
-    dim = 2 * cfg.l + 1
-    alpha = np.zeros(dim, dtype=complex)
-    if cfg.amplitudes:
-        for m, c in cfg.amplitudes:
-            alpha[m + cfg.l] = c
-        total = np.sum(np.abs(alpha) ** 2)
-        if total > 0:
-            alpha *= math.sqrt(cfg.N / total)
-    else:
-        m = cfg.l if cfg.m is None else cfg.m
-        alpha[m + cfg.l] = math.sqrt(cfg.N)
-    return alpha
+    alpha = np.zeros(2 * cfg.l + 1, dtype=complex)
+    for m, c in cfg.amplitudes or ((cfg.l if cfg.m is None else cfg.m, 1.0),):
+        alpha[m + cfg.l] = c
+    total = np.sum(np.abs(alpha) ** 2)
+    return alpha * math.sqrt(cfg.N / total) if total > 0 else alpha
 
 
 # (Hz per displayed unit, unit) by --natural-units: rates are computed in SI;
@@ -67,7 +61,7 @@ def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
 _RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
 
 
-def cmd_modes(cfg: RunConfig, outdir: Path, natural=False) -> int:
+def cmd_modes(cfg: RunConfig, outdir: Path, natural=False):
     params, modes = _find_modes(cfg)
     wgm.modes_to_csv(modes, outdir / "modes.csv")
     wgm.modes_to_json(modes, outdir / "modes.json")
@@ -75,9 +69,7 @@ def cmd_modes(cfg: RunConfig, outdir: Path, natural=False) -> int:
         print(f"{m.polarization} l={m.l}  lambda_vac={m.lambda_vac:.6e} m  "
               f"k0={m.k0:.10e} 1/m  kappa_c={m.kappa_c:.6e} 1/m  Q={m.Q:.6e}")
     if not modes:
-        print("no resonance in window")
-        return EXIT_EMPTY
-    return EXIT_OK
+        raise _NoResonance
 
 
 def _coupling_constants(cfg: RunConfig):
@@ -86,11 +78,12 @@ def _coupling_constants(cfg: RunConfig):
                             "coupling constant is defined for TE modes only")])
     params, modes = _find_modes(cfg)
     if not modes:
-        return params, None
-    return params, coupling.compute_lambda(_best_mode(modes), params)
+        raise _NoResonance
+    best = max(modes, key=lambda m: m.Q)  # fundamental = narrowest resonance
+    return params, coupling.compute_lambda(best, params)
 
 
-def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False) -> int:
+def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False):
     if cfg.n == 1.0 and cfg.polarization == "TE":
         # no index contrast: eps - 1 = 0, so Lambda = 0 for any TE mode and
         # there is no resonance to attach it to; TM is rejected as at any n
@@ -101,23 +94,16 @@ def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False) -> int:
         print("Lambda = 0.000000")
         print(f"I = {params.I:.6e} kg m^2")
         print("Q = n/a (uniform medium has no resonance)")
-        return EXIT_OK
+        return
     params, cc = _coupling_constants(cfg)
-    if cc is None:
-        print("no resonance in window")
-        return EXIT_EMPTY
     coupling.coupling_to_json(cc, outdir / "coupling.json")
     print(f"Lambda = {cc.lambda_:.6f}")
     print(f"I = {cc.I:.6e} kg m^2")
     print(f"Q = {cc.mode.Q:.6e}")
-    return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
+def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False):
     params, cc = _coupling_constants(cfg)
-    if cc is None:
-        print("no resonance in window")
-        return EXIT_EMPTY
     s_vec = coupling.optical_S_from_amplitudes(_amplitude_vector(cfg))
     initial = dynamics.SpinState(omega=np.array(cfg.omega0), S=s_vec.S)
     traj = dynamics.simulate(initial, cc, cfg.dt, cfg.n_steps, cfg.sample_every)
@@ -144,15 +130,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False) -> int:
     _write_json(outdir / "summary.json", summary)
     for key in sorted(summary):
         print(f"{key} = {summary[key]}")
-    return EXIT_OK
 
 
-def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
+def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False):
     hz_per_unit, unit = _RATE_UNIT[natural]
     params, cc = _coupling_constants(cfg)
-    if cc is None:
-        print("no resonance in window")
-        return EXIT_EMPTY
     est = coupling.precession_rate_estimate(params, cfg.N, cfg.l, cc.lambda_)
     exact, simplified = est.exact_hz / hz_per_unit, est.simplified_hz / hz_per_unit
     q_used = cfg.Q if cfg.Q is not None else cc.mode.Q
@@ -177,7 +159,6 @@ def cmd_estimate(cfg: RunConfig, outdir: Path, natural=False) -> int:
         "threshold_hz_by_m": thresholds,
         "units": unit,
     })
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -188,9 +169,32 @@ _COMMANDS = {
 }
 
 
-def _run_single(verb, cfg, outdir, natural):
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[verb](cfg, outdir, natural=natural)
+def _config_error(exc: ConfigError) -> int:
+    for fieldname, message in exc.errors:
+        print(f"config error: {fieldname}: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
+def _run(verb, cfg, outdir, natural) -> int:
+    """Run one verb on one config into outdir, first naming a sweep's value on
+    stdout; return the outcome as an exit code."""
+    if cfg.sweep_field is not None:
+        print(f"[{outdir.name}]")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[verb](cfg, outdir, natural=natural)
+    except _NoResonance:
+        print("no resonance in window")
+        return EXIT_EMPTY
+    except ConfigError as exc:
+        return _config_error(exc)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, OverflowError, RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -212,30 +216,18 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
         outdir = Path(args.out if args.out is not None else cfg.directory)
-        if cfg.sweep_field is None:
-            return _run_single(args.verb, cfg, outdir, args.natural_units)
-        values = cfg.sweep_values
-        sub_cfgs = [cfg.with_value(cfg.sweep_field, v) for v in values]
-        problems = [(f, f"{m} ({cfg.sweep_field} = {v})")
-                    for v, sub_cfg in zip(values, sub_cfgs) for f, m in sub_cfg.validate()]
-        if problems:
-            raise ConfigError(problems)
-        subs = [outdir / f"{cfg.sweep_field}={v}" for v in values]
-        workers = min(len(values), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_single, [args.verb] * len(values), sub_cfgs,
-                                  subs, [args.natural_units] * len(values)))
-        return max(codes)
+        runs = {outdir: cfg}
+        if cfg.sweep_field is not None:
+            runs = {outdir / f"{cfg.sweep_field}={v}": cfg.with_value(cfg.sweep_field, v)
+                    for v in cfg.sweep_values}
+            problems = [(f, f"{m} ({sub.name})") for sub, sub_cfg in runs.items()
+                        for f, m in sub_cfg.validate()]
+            if problems:
+                raise ConfigError(problems)
     except ConfigError as exc:
-        for fieldname, message in exc.errors:
-            print(f"config error: {fieldname}: {message}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OverflowError, RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _config_error(exc)
+    return max(_run(args.verb, sub_cfg, sub, args.natural_units)
+               for sub, sub_cfg in runs.items())
 
 
 if __name__ == "__main__":

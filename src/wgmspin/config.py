@@ -109,7 +109,7 @@ class RunConfig:
         parser.optionxform = str  # keys are case-sensitive (R vs rho)
         try:
             read = parser.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError([("config", f"malformed file: {exc}")]) from exc
         if not read:
             raise ConfigError([("config", f"cannot read {path}")])
@@ -175,6 +175,10 @@ class RunConfig:
             bad.append(("coupling.amplitudes", "set either m or amplitudes, not both"))
         if self.amplitudes and self.N > 0 and not any(c for _, c in self.amplitudes):
             bad.append(("coupling.amplitudes", f"all zero, so no photons at N = {self.N}"))
+        for name, ms in (("coupling.amplitudes", [m for m, _ in self.amplitudes]),
+                         ("estimate.m_list", self.m_list or ())):
+            if len(set(ms)) < len(ms):
+                bad.append((name, f"an m repeats: each m is one entry, got m = {list(ms)}"))
         if not self.dt > 0:
             bad.append(("simulation.dt", f"must be positive, got {self.dt}"))
         if self.n_steps < 1:
@@ -199,9 +203,10 @@ class RunConfig:
                 bad.append(("sweep.values", "sweep requires at least one value"))
             if parse is None:
                 bad.append(("sweep.field", f"unknown field {self.sweep_field!r}"))
-            elif section == "sweep" or parse not in _SWEEPABLE:
-                bad.append(("sweep.field", f"cannot sweep {self.sweep_field!r}: "
-                            "only a single-valued field outside [sweep] can be swept"))
+            elif section in ("sweep", "output") or parse not in _SWEEPABLE:
+                # a swept output.directory would be ignored: each value has its subdirectory
+                bad.append(("sweep.field", f"cannot sweep {self.sweep_field!r}: only a "
+                            "single-valued field outside [sweep] and [output] can be swept"))
             else:
                 parsed = []
                 for text in self.sweep_values:

@@ -151,6 +151,12 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         # simulate no photons at N > 0
         ("simulate", "m = 9", "m = 3\namplitudes = 5:1.0", "coupling.amplitudes"),
         ("simulate", "m = 9", "amplitudes = 5:0", "coupling.amplitudes"),
+        # a repeated m would keep only its last coefficient, or print its
+        # threshold twice; a swept output directory would never be read
+        ("simulate", "m = 9", "amplitudes = 5:1, 5:2", "coupling.amplitudes"),
+        ("estimate", "m_list = 1, 5, 9", "m_list = 5, 5", "estimate.m_list"),
+        ("modes", "directory = out", "directory = out\n[sweep]\nfield = output.directory\n"
+         "values = a, b", "output.directory"),
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 0.5", "estimate.m_list"),
         # past the special functions' order limit, and |m| above l
         ("modes", "l = 9", "l = 501", "mode_search.l"),
@@ -317,32 +323,6 @@ def test_sweep_fans_out(tmp_path):
         assert rows[0]["lambda_vac"] == pytest.approx(lam, rel=5e-3)
 
 
-def test_sweep_pool_sized_to_the_sweep(tmp_path, monkeypatch):
-    # a pool without max_workers starts os.cpu_count() workers at the first
-    # submit, however few values the sweep has
-    asked = []
-
-    class InProcessPool:
-        def __init__(self, max_workers=None):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(FAST_CFG + "\n[sweep]\nfield = mode_search.scan_points\n"
-                   "values = 1500, 1600, 1700\n")
-    assert run_cli("modes", cfg, tmp_path / "out") == 0
-    assert len(asked) == 1 and asked[0] is not None and 1 <= asked[0] <= 3
-
-
 @pytest.mark.parametrize("verb, field, values, code, named", [
     ("modes", "mode_search.polarization", "TE, TM", 0, None),
     ("modes", "mode_search.l", "120.5", 2, "sweep.values"),
@@ -365,6 +345,37 @@ def test_sweep_values_parse_as_the_swept_field(tmp_path, capsys, verb, field,
     else:
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_sweep_value_error_does_not_stop_the_sweep(tmp_path, capsys):
+    # TM fails at run time (Lambda is defined for TE only); TE still runs and
+    # writes what a plain TE run writes
+    plain, out = tmp_path / "plain", tmp_path / "out"
+    assert run_cli("lambda", REFERENCE_CFG_PATH, plain) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(REFERENCE_CFG + "\n[sweep]\nfield = mode_search.polarization\n"
+                   "values = TM, TE\n")
+    assert run_cli("lambda", cfg, out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not (out / "mode_search.polarization=TM" / "coupling.json").exists()
+    te = out / "mode_search.polarization=TE" / "coupling.json"
+    assert te.read_bytes() == (plain / "coupling.json").read_bytes()
+
+
+def test_sweep_stdout_names_each_value_in_order(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FAST_CFG + "\n[sweep]\nfield = mode_search.l\nvalues = 10, 9\n")
+    printed = []
+    for run in ("a", "b"):
+        assert run_cli("modes", cfg, tmp_path / run) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    lines = printed[0].splitlines()
+    assert [line for line in lines if line.startswith("[")] == [
+        "[mode_search.l=10]", "[mode_search.l=9]"]
+    assert lines[0] == "[mode_search.l=10]" and lines[1].startswith("TE l=10 ")
 
 
 def test_readme_sweep_example_runs(tmp_path):
