@@ -1,44 +1,13 @@
 """Whispering-gallery resonances of a dielectric sphere and the rotational
 optomechanical coupling they mediate: mode solver, coupling constant,
-closed-form rate estimates, and a conservation-exact precession integrator."""
+closed-form rate estimates, and a conservation-exact precession integrator.
 
-from .constants import C_LIGHT, HBAR
-from .coupling import (
-    CouplingConstants,
-    OpticalAngularMomentum,
-    PrecessionEstimate,
-    compute_lambda,
-    optical_S_from_amplitudes,
-    precession_rate_estimate,
-    resolvability_threshold,
-    zeeman_shift,
-)
-from .dynamics import (
-    SpinState,
-    Trajectory,
-    canonical_J,
-    euler_rates_to_omega,
-    rotating_frame_energy,
-    simulate,
-    step_general,
-    step_wgm,
-)
-from .specfun import (
-    AngularMomentumMatrices,
-    angular_momentum_matrices,
-    riccati_bessel,
-    spherical_bessel_j,
-    spherical_bessel_y,
-    spherical_hankel1,
-)
-from .wgm import (
-    ModeRecord,
-    RadialProfile,
-    SphereParams,
-    find_resonance,
-    radial_profile,
-    te_characteristic,
-    tm_characteristic,
-)
+The package namespace holds the five names of the README's library sketch;
+everything else is imported from its module: wgmspin.wgm, .coupling,
+.dynamics and .specfun."""
+
+from .coupling import compute_lambda
+from .dynamics import SpinState, simulate
+from .wgm import SphereParams, find_resonance
 
 __version__ = "0.1.0"

@@ -42,10 +42,9 @@ from .coupling import CouplingConstants
 __all__ = [
     "SpinState",
     "Trajectory",
-    "euler_rates_to_omega",
-    "canonical_J",
     "step_wgm",
     "step_general",
+    "conserved_K",
     "rotating_frame_energy",
     "simulate",
     "trajectory_to_csv",
@@ -130,43 +129,6 @@ class Trajectory:
             out[name] = (float(np.max(np.abs(series - series[0]))) / ref
                          if ref else 0.0)
         return out
-
-
-# --- Euler-angle kinematics (z-y-z convention, R = Rz(a) Ry(b) Rz(g)) ------
-
-def euler_rates_to_omega(angles, rates):
-    """Space-frame angular velocity from Euler angles (a, b, g) and rates.
-
-    w = (g' sin b cos a - b' sin a, g' sin b sin a + b' cos a, a' + g' cos b).
-    """
-    a, b, _ = angles
-    da, db, dg = rates
-    return np.array([
-        dg * math.sin(b) * math.cos(a) - db * math.sin(a),
-        dg * math.sin(b) * math.sin(a) + db * math.cos(a),
-        da + dg * math.cos(b),
-    ])
-
-
-def canonical_J(angles, momenta):
-    """Canonical angular momentum from Euler angles and conjugate momenta.
-
-    J_x = -cot b cos a p_a - sin a p_b + csc b cos a p_g  (and cyclic for J_y),
-    J_z = p_a. Raises at the gimbal singularity sin b = 0 where the chart is
-    degenerate.
-    """
-    a, b, _ = angles
-    pa, pb, pg = momenta
-    sb = math.sin(b)
-    if abs(sb) < 1e-12:
-        raise ValueError("sin(beta) = 0: Euler chart degenerate (gimbal lock)")
-    cot_b, csc_b = math.cos(b) / sb, 1.0 / sb
-    ca, sa = math.cos(a), math.sin(a)
-    return np.array([
-        -cot_b * ca * pa - sa * pb + csc_b * ca * pg,
-        -cot_b * sa * pa + ca * pb + csc_b * sa * pg,
-        pa,
-    ])
 
 
 # --- rotations (quaternions scalar-first) -----------------------------------

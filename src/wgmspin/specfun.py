@@ -1,12 +1,13 @@
 """Spherical Bessel/Hankel functions of complex argument and angular-momentum matrices.
 
-Everything downstream (characteristic equations, mode profiles, coupling
-matrices) sits on these. The Bessel routines accept complex arguments because
-resonance poles live just below the real wavenumber axis; scipy's spherical
-Bessels are real-only. A real argument runs the same ladders in real
-arithmetic: j_l, y_l, psi and psi' come back float64 (as
+The characteristic equations and mode profiles sit on the Bessel routines;
+the matrices are a reference for the spin-l algebra that the coupling's
+ladder sums evaluate without them. The Bessel routines accept complex
+arguments because resonance poles live just below the real wavenumber axis;
+scipy's spherical Bessels are real-only. A real argument runs the same ladders
+in real arithmetic: j_l, psi and psi' come back float64 (as
 scipy.special.spherical_jn does), h, xi and xi' complex128. Any other input is
-computed in complex128.
+computed in complex128. y_l is reached as Im h_l for real z.
 
 Stability: j_l is computed by downward (Miller) recurrence to order l - 1,
 normalized through the cross Wronskian of the pair it ends on,
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "AccuracyWarning",
     "AngularMomentumMatrices",
     "spherical_bessel_j",
-    "spherical_bessel_y",
     "spherical_hankel1",
     "riccati_bessel",
     "angular_momentum_matrices",
@@ -48,12 +47,16 @@ class AccuracyWarning(UserWarning):
     """Outside the validated (l, |z|) envelope; result computed best-effort."""
 
 
-def _check_domain(l, z, uses_y):
-    # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1
+def _check_order(l):
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"order l must be a non-negative integer, got {l!r}")
     if l > MAX_ORDER:
         raise ValueError(f"order l={l} exceeds validated maximum {MAX_ORDER}")
+
+
+def _check_domain(l, z, uses_y):
+    # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1
+    _check_order(l)
     arr = np.asarray(z)
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
     if uses_y and np.any(arr == 0):
@@ -63,7 +66,7 @@ def _check_domain(l, z, uses_y):
         warnings.warn(
             f"(l={l}, max|z|={amax:.3g}) outside tight-tolerance range "
             f"(l <= {TIGHT_ORDER}, |z| <= {TIGHT_ARG}"
-            + (", |Im z| <= 1 for y/h" if uses_y else "")
+            + (", |Im z| <= 1 for h/xi" if uses_y else "")
             + "); accuracy relaxed",
             AccuracyWarning,
             stacklevel=3,
@@ -78,7 +81,7 @@ def _as_array(z):
 def _y_ladder(l, z):
     """y_{l-1}, y_l by upward recurrence from y_{-1} = sin(z)/z (= j_0 by
     convention) and y_0 = -cos(z)/z, plus a mask of overflowed entries:
-    callers decide (j underflows to zero there, an explicit y/h query raises).
+    callers decide (j underflows to zero there, an h or xi query raises).
     """
     prev, cur = np.sin(z) / z, -np.cos(z) / z
     zinv = 1.0 / z
@@ -194,23 +197,6 @@ def spherical_bessel_j(l, z):
     return out[0] if scalar else out.reshape(np.shape(z))
 
 
-def spherical_bessel_y(l, z):
-    """Spherical Bessel y_l(z) (Neumann); raises OverflowError past double range.
-
-    float64 for real z, complex128 otherwise.
-
-    Tight accuracy on the strip |Im z| <= 1 (upward recurrence dips with the
-    e^{2 Im z} solution split off it); warned as relaxed outside.
-    """
-    _check_domain(l, z, uses_y=True)
-    arr, scalar = _as_array(z)
-    (_, yl), over = _y_ladder(l, arr)
-    if np.any(over):
-        raise OverflowError(f"y_{l} overflowed double precision (|z| too small for l)")
-    _signal_nonfinite("y_l", yl)
-    return yl[0] if scalar else yl.reshape(np.shape(z))
-
-
 def spherical_hankel1(l, z):
     """Outgoing spherical Hankel h_l^(1)(z) = j_l(z) + i y_l(z), complex128
     for any z.
@@ -266,21 +252,16 @@ class AngularMomentumMatrices:
     Lz: np.ndarray
 
 
-@lru_cache(maxsize=64)
 def angular_momentum_matrices(l: int) -> AngularMomentumMatrices:
     """Build Lx, Ly, Lz for orbital quantum number l from the ladder rules.
 
     <l, m+1 | L+ | l, m> = sqrt(l(l+1) - m(m+1)), <l, m | Lz | l, m> = m.
     Entries are extended-precision complex (clongdouble): double-rounded
     ladder amplitudes alone would push the commutator/Casimir residuals past
-    1e-12 absolute for l ~ 120. Matrices are cached and returned read-only
-    (population is idempotent, so the cache is safe under concurrent first
-    use).
+    1e-12 absolute for l ~ 120. Each call builds fresh matrices; the order
+    takes the Bessel functions' rule (an integer, 0 <= l <= MAX_ORDER).
     """
-    if l < 0 or int(l) != l:
-        raise ValueError(f"l must be a non-negative integer, got {l!r}")
-    if l > 1000:
-        raise ValueError(f"l={l} exceeds supported maximum 1000")
+    _check_order(l)
     l = int(l)
     m = np.arange(-l, l + 1).astype(np.longdouble)
     dim = 2 * l + 1
@@ -292,6 +273,4 @@ def angular_momentum_matrices(l: int) -> AngularMomentumMatrices:
     lx = 0.5 * (lp + lm)
     ly = -0.5j * (lp - lm)
     lz = np.diag(m).astype(np.clongdouble)
-    for a in (lx, ly, lz):
-        a.flags.writeable = False
     return AngularMomentumMatrices(l=l, Lx=lx, Ly=ly, Lz=lz)

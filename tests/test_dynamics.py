@@ -12,9 +12,7 @@ from wgmspin.constants import HBAR
 from wgmspin.coupling import CouplingConstants
 from wgmspin.dynamics import (
     SpinState,
-    canonical_J,
     conserved_K,
-    euler_rates_to_omega,
     precession_frequency,
     rotating_frame_energy,
     simulate,
@@ -63,86 +61,6 @@ def test_spin_state_does_not_alias_inputs():
         arr[:] = 7.0
     for st, w in zip(stepped, want_stepped):
         assert_unchanged(st, w)
-
-
-# --- Euler kinematics -----------------------------------------------------------
-
-def test_pure_z_rotation():
-    w = 2.7
-    np.testing.assert_allclose(
-        euler_rates_to_omega((0.3, 0.0, 1.1), (w, 0.0, 0.0)), [0.0, 0.0, w])
-
-
-def test_beta_rate_maps_to_y():
-    b = 0.9
-    np.testing.assert_allclose(
-        euler_rates_to_omega((0.0, math.pi / 2, 0.0), (0.0, b, 0.0)),
-        [0.0, b, 0.0], atol=1e-15)
-
-
-def _rotation_matrix(a, b, g):
-    def rz(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def ry(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-    return rz(a) @ ry(b) @ rz(g)
-
-
-def test_omega_matches_finite_difference_of_rotation():
-    # Omega_hat = dR/dt R^T for the z-y-z convention
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        angles = rng.uniform(0.2, 2.9, 3)
-        rates = rng.uniform(-2.0, 2.0, 3)
-        h = 1e-7
-        rp = _rotation_matrix(*(angles + rates * h))
-        rm = _rotation_matrix(*(angles - rates * h))
-        omega_hat = (rp - rm) / (2 * h) @ _rotation_matrix(*angles).T
-        fd = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
-        got = euler_rates_to_omega(angles, rates)
-        np.testing.assert_allclose(got, fd, atol=1e-6)
-
-
-def test_canonical_J_z_component():
-    j = 4.2
-    out = canonical_J((0.7, 1.1, 0.4), (j, 0.0, 0.0))
-    assert out[2] == j
-
-
-def test_canonical_J_gamma_momentum_at_equator():
-    g = 2.5
-    np.testing.assert_allclose(
-        canonical_J((0.0, math.pi / 2, 0.3), (0.0, 0.0, g)), [g, 0.0, 0.0],
-        atol=1e-15)
-
-
-def test_canonical_J_gimbal_error():
-    with pytest.raises(ValueError, match="gimbal"):
-        canonical_J((0.1, 0.0, 0.2), (1.0, 2.0, 3.0))
-
-
-def test_canonical_J_equals_I_omega_for_free_rotor():
-    # Legendre oracle: p_zeta = I E^T omega for L = I omega^2 / 2,
-    # where E maps Euler rates to omega; then J(angles, p) = I omega
-    rng = np.random.default_rng(4)
-    inertia = 2.31e-22
-    for _ in range(10):
-        a, b, g = rng.uniform(0.3, 2.8, 3)
-        rates = rng.uniform(-3.0, 3.0, 3)
-        omega = euler_rates_to_omega((a, b, g), rates)
-        e_mat = np.column_stack([
-            euler_rates_to_omega((a, b, g), (1.0, 0.0, 0.0)),
-            euler_rates_to_omega((a, b, g), (0.0, 1.0, 0.0)),
-            euler_rates_to_omega((a, b, g), (0.0, 0.0, 1.0)),
-        ])
-        momenta = inertia * e_mat.T @ omega
-        got = canonical_J((a, b, g), momenta)
-        np.testing.assert_allclose(got, inertia * omega,
-                                   atol=1e-12 * inertia * np.abs(omega).max())
 
 
 # --- step_wgm ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgmspin.specfun import (
+    MAX_ORDER,
     AccuracyWarning,
     angular_momentum_matrices,
     riccati_bessel,
     spherical_bessel_j,
-    spherical_bessel_y,
     spherical_hankel1,
 )
 
@@ -64,7 +65,8 @@ def test_j_evanescent_frozen():
 
 
 def test_y_frozen():
-    assert spherical_bessel_y(120, 84.5) == pytest.approx(
+    # y_l is Im h_l for real z
+    assert spherical_hankel1(120, 84.5).imag == pytest.approx(
         -31634977.813819837, rel=1e-10)
 
 
@@ -109,7 +111,8 @@ def test_real_arguments_against_scipy():
         x = float(rng.uniform(0.3, 300.0))
         yref = scipy_special.spherical_yn(l, x)
         if abs(yref) <= 1e250:
-            assert abs(spherical_bessel_y(l, x) - yref) <= 1e-10 * abs(yref), (l, x)
+            yl = spherical_hankel1(l, x).imag
+            assert abs(yl - yref) <= 1e-10 * abs(yref), (l, x)
         ref = scipy_special.spherical_jn(l, x)
         if abs(ref) < 1e-250:
             continue
@@ -118,18 +121,17 @@ def test_real_arguments_against_scipy():
 
 
 def test_real_input_dtypes():
-    # real z: j, y, psi, psi' are float64 (as scipy's spherical_jn); h, xi,
+    # real z: j, psi, psi' are float64 (as scipy's spherical_jn); h, xi,
     # xi' are complex128; complex z gives complex128 throughout
     for z in (84.5, np.linspace(80.0, 90.0, 5)):
         psi, psip, xi, xip = riccati_bessel(120, z)
-        real = (spherical_bessel_j(120, z), spherical_bessel_y(120, z), psi, psip)
+        real = (spherical_bessel_j(120, z), psi, psip)
         assert all(f.dtype == np.float64 for f in real)
         assert all(f.dtype == np.complex128
                    for f in (spherical_hankel1(120, z), xi, xip))
         zc = np.asarray(z, dtype=complex)
         assert all(f.dtype == np.complex128
-                   for f in (spherical_bessel_j(120, zc), spherical_bessel_y(120, zc),
-                             *riccati_bessel(120, zc)))
+                   for f in (spherical_bessel_j(120, zc), *riccati_bessel(120, zc)))
 
 
 # --- Riccati-Bessel -----------------------------------------------------------
@@ -193,19 +195,24 @@ def test_order_domain_error():
     with pytest.raises(ValueError):
         spherical_bessel_j(501, 10.0)
     # an integral float is not an integer order: the ladders need range(l)
-    for func in (spherical_bessel_j, spherical_bessel_y, spherical_hankel1,
-                 riccati_bessel):
+    for func in (spherical_bessel_j, spherical_hankel1, riccati_bessel):
         for l in (2.0, 2.5):
             with pytest.raises(ValueError, match="non-negative integer"):
                 func(l, 1.5)
         func(np.int64(2), 1.5)
+    # the spin-l matrices take the same order rule
+    with pytest.raises(ValueError, match="exceeds validated maximum"):
+        angular_momentum_matrices(MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        angular_momentum_matrices(2.0)
+    assert angular_momentum_matrices(np.int64(2)).l == 2
 
 
 def test_hankel_zero_argument_error():
     with pytest.raises(ValueError):
         spherical_hankel1(0, 0.0)
     with pytest.raises(ValueError):
-        spherical_bessel_y(3, 0.0)
+        spherical_hankel1(3, 0.0)
 
 
 def test_relaxed_accuracy_warning():
@@ -227,8 +234,6 @@ def test_underflow_to_zero_below_double_range():
 
 
 def test_y_overflow_signalled():
-    with pytest.raises(OverflowError):
-        spherical_bessel_y(120, 1e-3)
     with pytest.raises(OverflowError):
         spherical_hankel1(120, 1e-3)
     with pytest.raises(OverflowError):
@@ -281,9 +286,16 @@ def test_selection_rules(l):
     assert np.all(mats.Lz[dm != 0] == 0)
 
 
-def test_matrices_read_only_and_cached():
-    a = angular_momentum_matrices(2)
-    b = angular_momentum_matrices(2)
-    assert a is b
-    with pytest.raises(ValueError):
-        a.Lx[0, 0] = 5.0
+def test_matrices_not_retained_between_calls():
+    # each call's matrices are freed with their last reference: ten orders
+    # of l ~ 60 (3 x 121^2 clongdouble entries each, ~1.4 MB) leave nothing
+    tracemalloc.start()
+    try:
+        angular_momentum_matrices(60)
+        before = tracemalloc.get_traced_memory()[0]
+        for l in range(60, 70):
+            angular_momentum_matrices(l)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000
