@@ -95,10 +95,14 @@ def _y_ladder(l, z):
 
 
 def _miller_start(l, z):
-    # start above the j/y turning point so the minimal solution dominates
+    # start above the j/y turning point so the minimal solution dominates.
+    # Past it j/y decays like exp(-c (nu - |z|)^{3/2} / |z|^{1/2}), so the
+    # margin that buys double precision grows like turn^{1/3}. Acceptance
+    # criterion 7 and the l = 300-500 mpmath test set the constants: a margin
+    # of 2 turn^{1/3} + 2 loses j to ~1e-9
     amax = float(np.max(np.abs(z)))
     turn = max(float(l), amax + 4.05 * amax ** (1.0 / 3.0) + 8.0)
-    return int(turn + 8.0 * np.sqrt(turn) + 10.0)
+    return int(turn + 6.0 * turn ** (1.0 / 3.0) + 5.0)
 
 
 def _downward(lo, hi, orders, zinv, stride, *carried):

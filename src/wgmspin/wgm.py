@@ -196,11 +196,13 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
                    scan_points=2000) -> list[ModeRecord]:
     """All poles with Re k in the window and kappa_c/k0 < MAX_RELATIVE_WIDTH.
 
-    Seeds are local minima of |D| on a real-axis scan, refined by complex
-    Newton until the edge-normalized residual drops below POLE_TOL. Returns
-    records sorted by k0; empty list when the window holds no pole.
-    Non-convergent seeds are logged and skipped. scan_points must be an
-    integer >= 3, so that the scan has an interior point to seed from.
+    Seeds are the local minima of |D| on a real-axis scan, each stepped by
+    -D/D' with the slope the scan computes alongside D (the grid point itself
+    where that slope is 0 or not finite), then refined by complex Newton
+    until the edge-normalized residual drops below POLE_TOL. Returns records
+    sorted by k0; empty list when the window holds no pole. Non-convergent
+    seeds are logged and skipped. scan_points must be an integer >= 3, so
+    that the scan has an interior point to seed from.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -212,20 +214,23 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     Dfun = _CHARACTERISTIC[polarization]
 
     ks = np.linspace(k_lo, k_hi, scan_points)
-    absd = np.abs(Dfun(l, ks, params)[0])
+    d, slope = Dfun(l, ks, params)
+    absd = np.abs(d)
     d_scale = max(absd[0], absd[-1])
     if d_scale == 0:
         d_scale = float(np.max(absd)) or 1.0
 
-    interior = (absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])
-    seeds = ks[1:-1][interior]
+    minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stepped = ks[minima] - d[minima] / slope[minima]
+    seeds = np.where(np.isfinite(stepped), stepped, ks[minima])
 
     refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
                                        k_lo, k_hi, d_scale)
-    for seed, ok in zip(seeds, converged):
+    for k_min, ok in zip(ks[minima], converged):
         if not ok:
-            log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",
-                      polarization, l, seed)
+            log.debug("%s l=%d: Newton did not converge from the |D| minimum at "
+                      "k=%.6e; skipped", polarization, l, k_min)
 
     poles: list[complex] = []
     for pole in refined[converged]:

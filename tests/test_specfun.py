@@ -247,6 +247,46 @@ def test_vectorized_matches_scalar():
         assert v == spherical_bessel_j(120, z)
 
 
+@pytest.mark.parametrize("zs", [
+    np.array([5.0 + 0j, 20.0 + 0.1j, 60.0 - 0.5j, 84.5 - 1e-3j, 90.0 + 1e-6j]),
+    np.array([5.0, 20.0, 60.0, 84.5, 90.0]),
+], ids=["complex", "real"])
+def test_riccati_and_hankel_vectorized_match_scalar(zs):
+    # every |z| here is below the l = 120 turning point, so a vector and each
+    # of its elements share one Miller start and must agree bit for bit
+    vec = riccati_bessel(120, zs)
+    hvec = spherical_hankel1(120, zs)
+    for i, z in enumerate(zs):
+        for v, s in zip(vec, riccati_bessel(120, z)):
+            assert v[i] == s, (z, v[i], s)
+        assert hvec[i] == spherical_hankel1(120, z)
+
+
+@pytest.mark.parametrize("l", [300, 400, 500])
+def test_riccati_large_order_matches_mpmath(l):
+    # the Miller start past criterion 7's l <= 200, on whispering-gallery
+    # arguments x in [0.6 l, 1.6 l] just below the real axis; mpmath's
+    # cylinder functions at 60 digits are the reference
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(60):
+        for x in np.linspace(0.6 * l, 1.6 * l, 9):
+            for im in (0.0, -1e-3):
+                z = complex(x, im)
+                zm = mp.mpc(z)
+                half = mp.sqrt(mp.pi / (2 * zm))
+                jl, jm = (half * mp.besselj(nu, zm) for nu in (l + 0.5, l - 0.5))
+                hl, hm = (half * (mp.besselj(nu, zm) + 1j * mp.bessely(nu, zm))
+                          for nu in (l + 0.5, l - 0.5))
+                want = (zm * jl, zm * jm - l * jl, zm * hl, zm * hm - l * hl)
+                with pytest.warns(AccuracyWarning):
+                    got = riccati_bessel(l, z)
+                for g, w in zip(got, want):
+                    w = complex(w)
+                    worst = max(worst, abs(g - w) / abs(w))
+    assert worst <= 1e-10
+
+
 # --- angular momentum matrices -------------------------------------------------
 
 def test_lz_l1():

@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from wgmspin import wgm
+from wgmspin.config import MAX_SCAN_POINTS
 from wgmspin.coupling import compute_lambda
 from wgmspin.specfun import AccuracyWarning, riccati_bessel
 from wgmspin.wgm import (
@@ -84,6 +87,22 @@ def test_uniform_medium_has_no_resonance():
         absd = np.abs(fn(40, ks, p))
         np.testing.assert_allclose(absd, 1.0, atol=1e-10)
     assert find_resonance("TE", 40, (0.8 * K_REF, 1.2 * K_REF), p) == []
+
+
+def test_uniform_medium_zero_slope_seeds_from_grid():
+    # n = 1: dD/dk is exactly 0, yet rounding leaves local minima in |D|; the
+    # seeds fall back to those grid points instead of dividing by the slope
+    p = SphereParams(R=10e-6, n=1.0)
+    window = (0.8 * K_REF, 1.2 * K_REF)
+    ks = np.linspace(*window, 2000)
+    for pol in ("TE", "TM"):
+        d, slope = _CHARACTERISTIC[pol](40, ks, p)
+        absd = np.abs(d)
+        assert np.all(slope == 0)
+        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_resonance(pol, 40, window, p, scan_points=2000) == []
 
 
 def test_te_tm_differ_for_contrast(ref_params):
@@ -196,6 +215,38 @@ def test_pole_stable_under_seed_scan_refinement(ref_params):
     fine = find_resonance("TE", 120, window, ref_params, scan_points=2000)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].k0 - fine[0].k0) / fine[0].k0 < 1e-12
+
+
+def test_reference_solve_ladder_runs(ref_params, monkeypatch):
+    # one scan, then Newton from slope-stepped seeds: two iterations and the
+    # residual check, each one riccati_bessel call on the stacked arguments
+    real = wgm.riccati_bessel
+    calls = []
+
+    def counted(l, z):
+        calls.append(np.shape(z))
+        return real(l, z)
+
+    monkeypatch.setattr(wgm, "riccati_bessel", counted)
+    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
+    assert len(find_resonance("TE", 120, window, ref_params, scan_points=2000)) == 1
+    assert len(calls) <= 4, calls
+
+
+def test_scan_memory_bounded_at_point_cap(ref_params):
+    # the scan holds a few arrays over the points, never a table over the
+    # ladder's orders (~200 orders x 2e5 stacked points would be ~600 MiB);
+    # the traced peak is ~27 MiB
+    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
+    tracemalloc.start()
+    try:
+        modes = find_resonance("TE", 120, window, ref_params,
+                               scan_points=MAX_SCAN_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modes) == 1
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_kappa_and_lambda_window_independent(ref_params):
