@@ -162,21 +162,24 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _newton_poles(Dvec, seeds, k_lo, k_hi, d_scale):
+def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
     """Complex Newton refinement of many seeds at once.
 
     Dvec maps a complex ndarray of k to (D(k), dD/dk), one evaluation per
-    iteration. All seeds iterate together (the special-function ladders
-    amortize across the seed vector); runaway iterates are parked on a safe
-    placeholder and reported as dead. Returns (poles ndarray, converged mask).
+    iteration after the first, which steps from first = (D, dD/dk) already
+    known at the seeds. All seeds iterate together (the special-function
+    ladders amortize across the seed vector); a zero or non-finite slope
+    leaves its seed in place, and runaway iterates are parked on a safe
+    placeholder before D is evaluated there and reported as dead. Returns
+    (poles ndarray, converged mask).
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
         return k, np.zeros(0, dtype=bool)
     alive = np.ones(k.size, dtype=bool)
     span = k_hi - k_lo
-    for _ in range(_NEWTON_MAX_ITER):
-        d0, dp = Dvec(k)
+    for i in range(_NEWTON_MAX_ITER):
+        d0, dp = Dvec(k) if i else first
         ok = alive & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
@@ -196,13 +199,12 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
                    scan_points=2000) -> list[ModeRecord]:
     """All poles with Re k in the window and kappa_c/k0 < MAX_RELATIVE_WIDTH.
 
-    Seeds are the local minima of |D| on a real-axis scan, each stepped by
-    -D/D' with the slope the scan computes alongside D (the grid point itself
-    where that slope is 0 or not finite), then refined by complex Newton
-    until the edge-normalized residual drops below POLE_TOL. Returns records
-    sorted by k0; empty list when the window holds no pole. Non-convergent
-    seeds are logged and skipped. scan_points must be an integer >= 3, so
-    that the scan has an interior point to seed from.
+    Seeds are the local minima of |D| on a real-axis scan. Complex Newton
+    refines them until the edge-normalized residual drops below POLE_TOL; its
+    first step is -D/D' with the slope the scan computes alongside D. Returns
+    records sorted by k0; empty list when the window holds no pole.
+    Non-convergent seeds are logged and skipped. scan_points must be an
+    integer >= 3, so that the scan has an interior point to seed from.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -221,16 +223,15 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
         d_scale = float(np.max(absd)) or 1.0
 
     minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stepped = ks[minima] - d[minima] / slope[minima]
-    seeds = np.where(np.isfinite(stepped), stepped, ks[minima])
+    seeds = ks[minima]
 
     refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
+                                       (d[minima], slope[minima]),
                                        k_lo, k_hi, d_scale)
-    for k_min, ok in zip(ks[minima], converged):
+    for seed, ok in zip(seeds, converged):
         if not ok:
-            log.debug("%s l=%d: Newton did not converge from the |D| minimum at "
-                      "k=%.6e; skipped", polarization, l, k_min)
+            log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",
+                      polarization, l, seed)
 
     poles: list[complex] = []
     for pole in refined[converged]:

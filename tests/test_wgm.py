@@ -90,8 +90,9 @@ def test_uniform_medium_has_no_resonance():
 
 
 def test_uniform_medium_zero_slope_seeds_from_grid():
-    # n = 1: dD/dk is exactly 0, yet rounding leaves local minima in |D|; the
-    # seeds fall back to those grid points instead of dividing by the slope
+    # n = 1: dD/dk is exactly 0, yet rounding leaves local minima in |D|;
+    # Newton's first step leaves those seeds in place instead of dividing by
+    # the slope
     p = SphereParams(R=10e-6, n=1.0)
     window = (0.8 * K_REF, 1.2 * K_REF)
     ks = np.linspace(*window, 2000)
@@ -103,6 +104,34 @@ def test_uniform_medium_zero_slope_seeds_from_grid():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_resonance(pol, 40, window, p, scan_points=2000) == []
+
+
+def test_near_uniform_medium_first_step_stays_in_newton_box(monkeypatch):
+    # n = 1 + 1e-9: D ~ -i and dD/dk ~ 1e-9, so -D/D' from a scan minimum
+    # lands far outside the window. Newton parks such a step before D is
+    # evaluated there: no argument leaves the runaway box, no far-field
+    # AccuracyWarning, no ladder of ~1e9 orders, and no pole
+    p = SphereParams(R=10e-6, n=1.0 + 1e-9)
+    k_lo, k_hi = 0.8 * K_REF, 1.2 * K_REF
+    span = k_hi - k_lo
+    z_box = p.n * p.R * math.hypot(k_hi + 2 * span, 0.5 * (k_hi + span))
+    ks = np.linspace(k_lo, k_hi, 2000)
+    real = wgm.riccati_bessel
+    seen = []
+
+    def recorded(l, z):
+        seen.append(float(np.max(np.abs(z))))
+        return real(l, z)
+
+    monkeypatch.setattr(wgm, "riccati_bessel", recorded)
+    for pol in ("TE", "TM"):
+        absd = np.abs(_CHARACTERISTIC[pol](40, ks, p)[0])
+        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_resonance(pol, 40, (k_lo, k_hi), p, scan_points=2000) == []
+        assert len(seen) > 1 and max(seen) <= z_box, (pol, seen, z_box)
 
 
 def test_te_tm_differ_for_contrast(ref_params):
