@@ -50,7 +50,7 @@ def _find_modes(cfg: RunConfig):
 def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
     """Coherent amplitudes per m = -l..l, normalized to N photons."""
     alpha = np.zeros(2 * cfg.l + 1, dtype=complex)
-    for m, c in cfg.amplitudes or ((cfg.l if cfg.m is None else cfg.m, 1.0),):
+    for m, c in cfg.amplitudes or ((cfg.l, 1.0),):
         alpha[m + cfg.l] = c
     total = np.sum(np.abs(alpha) ** 2)
     return alpha * math.sqrt(cfg.N / total) if total > 0 else alpha
@@ -125,6 +125,8 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False):
         "drift_abs_omega": drift["abs_omega"],
         "drift_K": drift["K"],
         "drift_Hr": drift["H_r"],
+        "lambda": cc.lambda_,
+        "I": cc.I,
         "units": unit,
     }
     _write_json(outdir / "summary.json", summary)

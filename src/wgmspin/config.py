@@ -57,7 +57,7 @@ _SECTIONS = {
     "sphere": {"R": float, "n": float, "rho": float, "I": float},
     "mode_search": {"polarization": str.strip, "l": int, "lambda_min": float,
                     "lambda_max": float, "scan_points": int},
-    "coupling": {"N": float, "m": int, "amplitudes": _amplitudes},
+    "coupling": {"N": float, "amplitudes": _amplitudes},
     "simulation": {"dt": float, "n_steps": int, "sample_every": int,
                    "omega0": _omega0},
     "estimate": {"Q": float, "m_list": _int_list},
@@ -87,8 +87,7 @@ class RunConfig:
     scan_points: int = 2000
     # [coupling]
     N: float = 1e5
-    m: int | None = None                      # default: m = l (highest weight)
-    amplitudes: tuple = ()                    # ((m, complex), ...) alternative
+    amplitudes: tuple = ()                    # ((m, complex), ...); default: m = l
     # [simulation]
     dt: float = 1.0
     n_steps: int = 1000
@@ -166,13 +165,9 @@ class RunConfig:
                         f"must be in [10, {MAX_SCAN_POINTS}], got {self.scan_points}"))
         if self.N < 0:
             bad.append(("coupling.N", f"must be non-negative, got {self.N}"))
-        if self.m is not None and abs(self.m) > self.l:
-            bad.append(("coupling.m", f"|m| must be <= l = {self.l}"))
         for m, _ in self.amplitudes:
             if abs(m) > self.l:
                 bad.append(("coupling.amplitudes", f"|m| must be <= l, got m={m}"))
-        if self.amplitudes and self.m is not None:
-            bad.append(("coupling.amplitudes", "set either m or amplitudes, not both"))
         if self.amplitudes and self.N > 0 and not any(c for _, c in self.amplitudes):
             bad.append(("coupling.amplitudes", f"all zero, so no photons at N = {self.N}"))
         for name, ms in (("coupling.amplitudes", [m for m, _ in self.amplitudes]),

@@ -327,13 +327,18 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
 
 
 def trajectory_to_csv(traj: Trajectory, path):
-    """CSV export (float64): header line comment documents units."""
+    """The state per sample as CSV: a units comment, the column names
+    t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z, then one row per
+    sample, each value the float64 of traj's t, omega, S and orientation
+    (repr, so it reads back bit for bit). Identities of the state are left
+    out: K = I w - (Lambda-1) hbar S and H_r = I |w|^2 / 2 follow from a row
+    and the Lambda and I of the run."""
     with open(path, "w") as fh:
-        fh.write("# t [s]; omega [rad/s]; S [hbar units]; K [kg m^2/s]; H_r [J]\n")
-        fh.write("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,"
-                 "abs_omega,abs_S,K_x,K_y,K_z,H_r\n")
+        fh.write("# t [s]; omega [rad/s]; S [hbar units]; "
+                 "q = orientation, unit quaternion, scalar first\n")
+        fh.write("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z\n")
         rows = np.column_stack((traj.t, traj.omega.astype(float), traj.S.astype(float),
-                                traj.abs_omega, traj.abs_S, traj.K, traj.H_r))
+                                traj.orientation.astype(float)))
         for row in rows:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 

@@ -30,7 +30,6 @@ from .specfun import riccati_bessel, spherical_bessel_j, spherical_hankel1
 __all__ = [
     "SphereParams",
     "ModeRecord",
-    "RadialProfile",
     "te_characteristic",
     "tm_characteristic",
     "find_resonance",
@@ -79,18 +78,6 @@ class SphereParams:
 
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """Tabulated continuum-normalized radial mode u(r)."""
-
-    r: np.ndarray
-    u: np.ndarray
-    k0: float
-    l: int
-    delta: float              # scattering phase from exterior matching
-    interior_amplitude: float # coefficient of j_l(n k0 r) inside
-
-
-@dataclass(frozen=True)
 class ModeRecord:
     """One whispering-gallery resonance.
 
@@ -103,7 +90,7 @@ class ModeRecord:
     k0: float
     kappa_c: float
     Q: float
-    radial_profile: RadialProfile | None = field(default=None, compare=False)
+    radial_profile: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def pole(self) -> complex:
@@ -294,15 +281,15 @@ def default_profile_grid(mode: ModeRecord, params: SphereParams):
     return np.linspace(0.0, params.R, int(math.ceil(64 * max(n_wave, 1.0))) + 1)
 
 
-def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> RadialProfile:
-    """Continuum TE mode u(k0, r) at the pole's real part, tabulated on grid.
+def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> np.ndarray:
+    """Continuum TE mode u(k0, r) at the pole's real part, at each radius of
+    grid.
 
     With D = D(k0) on the real axis: interior (r <= R) A j_l(n k0 r),
     A = sqrt(2/pi) k0 n / |D|; exterior sqrt(2/pi) k0 Im[conj(D) h_l(k0 r)]
-    / |D|, the same matching, so u is continuous at R; scattering phase
-    delta = atan2(-Re D, -Im D). The grid must start at <= 0+ and reach past
-    R; exterior points past k0 r = 300 leave the tight Bessel envelope and
-    raise an AccuracyWarning.
+    / |D|, the same matching, so u is continuous at R. The grid must start
+    at <= 0+ and reach past R; exterior points past k0 r = 300 leave the
+    tight Bessel envelope and raise an AccuracyWarning.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -319,12 +306,11 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> RadialProfil
     outside = ~inside
     if np.any(outside):
         u[outside] = scale * (d.conjugate() * spherical_hankel1(l, k0 * grid[outside])).imag
-    return RadialProfile(r=grid, u=u, k0=k0, l=l, delta=math.atan2(-d.real, -d.imag),
-                         interior_amplitude=n * scale)
+    return u
 
 
 def attach_profile(mode: ModeRecord, params: SphereParams) -> ModeRecord:
-    """Return the mode with its radial profile tabulated on the default grid."""
+    """Return the mode with u of its radial profile on the default grid."""
     grid = default_profile_grid(mode, params)
     return replace(mode, radial_profile=radial_profile(mode, params, grid))
 
@@ -340,7 +326,7 @@ def _mode_row(m: ModeRecord):
 def modes_to_csv(modes, path):
     """Mode table as CSV with columns pol,l,k0,lambda_vac,kappa_c,Q (SI)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_TABLE_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=_TABLE_FIELDS, lineterminator="\n")
         writer.writeheader()
         for m in modes:
             writer.writerow({k: (v if isinstance(v, (str, int)) else repr(v))

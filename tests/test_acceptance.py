@@ -247,7 +247,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "[sphere]\nR = 10e-6\nn = 1.52\n\n"
         "[mode_search]\npolarization = TE\nl = 9\n"
         "lambda_min = 6.8e-6\nlambda_max = 8.6e-6\nscan_points = 1500\n\n"
-        "[coupling]\nN = 1e4\nm = 9\n\n"
+        "[coupling]\nN = 1e4\n\n"
         "[simulation]\ndt = 1.0\nn_steps = 200\nsample_every = 10\n"
         "omega0 = 1e-6, 0, 2e-7\n")
     outputs = {}

@@ -8,7 +8,7 @@ import pytest
 
 from wgmspin import cli
 from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
-from wgmspin.constants import C_LIGHT
+from wgmspin.constants import C_LIGHT, HBAR
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CFG_PATH = ROOT / "configs" / "reference.cfg"
@@ -29,7 +29,6 @@ scan_points = 1500
 
 [coupling]
 N = 1e4
-m = 9
 
 [simulation]
 dt = 1.0
@@ -98,10 +97,19 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.from_file(bad)
 
 
+def test_coupling_m_is_an_unknown_key(tmp_path, capsys):
+    # a single-mode state is amplitudes = m:1; the m key is gone
+    bad = tmp_path / "m.cfg"
+    bad.write_text(FAST_CFG.replace("N = 1e4", "N = 1e4\nm = 9"))
+    assert run_cli("simulate", bad, tmp_path / "out") == 2
+    assert "config error: coupling.m: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_amplitude_parsing(tmp_path):
     path = tmp_path / "amp.cfg"
     path.write_text(FAST_CFG.replace(
-        "m = 9", "amplitudes = -1:0.5+0.5j, 1:0.5"))
+        "N = 1e4", "N = 1e4\namplitudes = -1:0.5+0.5j, 1:0.5"))
     cfg = RunConfig.from_file(path)
     assert cfg.amplitudes == ((-1, 0.5 + 0.5j), (1, 0.5 + 0j))
 
@@ -146,14 +154,13 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         ("estimate", "Q = 1e10", "Q = inf", "estimate.Q"),
         ("simulate", "omega0 = 1e-6, 0, 2e-7", "omega0 = 1e-6, -inf, 2e-7",
          "simulation.omega0"),
-        ("simulate", "m = 9", "amplitudes = -1:0.5, 1:nan+1j", "coupling.amplitudes"),
-        # m would be dropped for the amplitudes, and all-zero amplitudes would
-        # simulate no photons at N > 0
-        ("simulate", "m = 9", "m = 3\namplitudes = 5:1.0", "coupling.amplitudes"),
-        ("simulate", "m = 9", "amplitudes = 5:0", "coupling.amplitudes"),
+        ("simulate", "N = 1e4", "N = 1e4\namplitudes = -1:0.5, 1:nan+1j",
+         "coupling.amplitudes"),
+        # all-zero amplitudes would simulate no photons at N > 0
+        ("simulate", "N = 1e4", "N = 1e4\namplitudes = 5:0", "coupling.amplitudes"),
         # a repeated m would keep only its last coefficient, or print its
         # threshold twice; a swept output directory would never be read
-        ("simulate", "m = 9", "amplitudes = 5:1, 5:2", "coupling.amplitudes"),
+        ("simulate", "N = 1e4", "N = 1e4\namplitudes = 5:1, 5:2", "coupling.amplitudes"),
         ("estimate", "m_list = 1, 5, 9", "m_list = 5, 5", "estimate.m_list"),
         ("modes", "directory = out", "directory = out\n[sweep]\nfield = output.directory\n"
          "values = a, b", "output.directory"),
@@ -239,12 +246,51 @@ def test_simulate_command_summary_and_reproducibility(tmp_path, fast_cfg_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert set(summary) == {"precession_hz_measured", "precession_hz_predicted",
                             "drift_abs_S", "drift_abs_omega", "drift_K",
-                            "drift_Hr", "units"}
+                            "drift_Hr", "lambda", "I", "units"}
     assert summary["units"] == "Hz"
+    # the run's constants, as lambda writes them
+    assert run_cli("lambda", fast_cfg_path, tmp_path / "lam") == 0
+    coupling = json.loads((tmp_path / "lam" / "coupling.json").read_text())
+    assert (summary["lambda"], summary["I"]) == (coupling["lambda"], coupling["I"])
     assert summary["drift_abs_S"] < 1e-12
     assert summary["drift_Hr"] < 1e-9
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("omega0", ["1e-8, 0, 2e-9", "1e-4, 0, 2e-5"],
+                         ids=["S-dominated", "omega-dominated"])
+def test_trajectory_csv_and_summary_give_K_and_H_r(tmp_path, monkeypatch, omega0):
+    # trajectory.csv leaves out K = I w - (Lambda-1) hbar S and H_r = I |w|^2 / 2;
+    # the rows and the summary's lambda and I give them back to a few float64
+    # roundings (1e-15 ~ 4.5 eps) of the in-process longdouble channels
+    runs = []
+    simulate = cli.dynamics.simulate
+    monkeypatch.setattr(cli.dynamics, "simulate",
+                        lambda *args: runs.append(simulate(*args)) or runs[-1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(REFERENCE_CFG.replace("omega0 = 1e-8, 0, 2e-9", f"omega0 = {omega0}"))
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == 0
+    traj, = runs
+    summary = json.loads((out / "summary.json").read_text())
+    lam, inertia = summary["lambda"], summary["I"]
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=2)
+    w, s = rows[:, 1:4], rows[:, 4:7]
+    k = inertia * w - (lam - 1.0) * HBAR * s
+    scale = (inertia * np.linalg.norm(w, axis=1)
+             + abs(lam - 1.0) * HBAR * np.linalg.norm(s, axis=1))
+    assert np.max(np.linalg.norm(k - traj.K, axis=1) / scale) < 1e-15
+    h_r = 0.5 * inertia * np.sum(w * w, axis=1)
+    assert np.max(np.abs(h_r - traj.H_r) / traj.H_r) < 1e-15
+
+
+def test_artifacts_end_lines_with_lf(tmp_path, fast_cfg_path):
+    for verb in ("modes", "lambda", "estimate", "simulate"):
+        out = tmp_path / verb
+        assert run_cli(verb, fast_cfg_path, out) == 0
+        for path in out.iterdir():
+            assert b"\r" not in path.read_bytes(), path.name
 
 
 def test_simulate_zero_field_reports_null(tmp_path):
@@ -307,7 +353,7 @@ def test_simulate_natural_units_flag(tmp_path, fast_cfg_path):
     assert "natural" in nat["units"] and si["units"] == "Hz"
     for key in ("precession_hz_measured", "precession_hz_predicted"):
         assert nat[key] * C_LIGHT == pytest.approx(si[key], rel=1e-15)
-    for key in ("drift_abs_S", "drift_abs_omega", "drift_K", "drift_Hr"):
+    for key in ("drift_abs_S", "drift_abs_omega", "drift_K", "drift_Hr", "lambda", "I"):
         assert nat[key] == si[key]
 
 

@@ -70,8 +70,8 @@ def test_lambda_matches_trapezoid_oracle(l20_setup):
     # explicit interior grid
     p, mode = l20_setup
     cc = compute_lambda(mode, p)
-    prof = radial_profile(mode, p, np.linspace(0.0, p.R, 8001))
-    r, u = prof.r, prof.u
+    r = np.linspace(0.0, p.R, 8001)
+    u = radial_profile(mode, p, r)
     from scipy.integrate import trapezoid
     lam_oracle = math.pi * mode.kappa_c * (p.n**2 - 1.0) * trapezoid(r * r * u * u, r)
     assert cc.lambda_ == pytest.approx(lam_oracle, rel=1e-7)
@@ -105,7 +105,7 @@ def test_lambda_matches_converged_simpson_oracle(case, l8_mode, ref_params, ref_
         modes = find_resonance("TE", case, SURVEY_WINDOWS[case], p, scan_points=2000)
         mode = max(modes, key=lambda m: m.Q)
     grid = np.linspace(0.0, p.R, 32001)
-    u = radial_profile(mode, p, grid).u
+    u = radial_profile(mode, p, grid)
     lam_oracle = math.pi * mode.kappa_c * (p.n**2 - 1.0) * simpson(grid * grid * u * u, x=grid)
     assert compute_lambda(mode, p).lambda_ == pytest.approx(lam_oracle, rel=1e-12)
 

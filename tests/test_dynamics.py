@@ -602,8 +602,7 @@ def test_trajectory_csv_header_and_determinism(tmp_path):
     trajectory_to_csv(simulate(state, cc, 1.2e4, 100, sample_every=10), p2)
     lines = p1.read_text().splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == ("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,"
-                       "abs_omega,abs_S,K_x,K_y,K_z,H_r")
+    assert lines[1] == "t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z"
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -613,7 +612,7 @@ def test_trajectory_csv_rows_are_the_arrays(tmp_path):
     trajectory_to_csv(traj, path)
     rows = np.array([[float(v) for v in line.split(",")]
                      for line in path.read_text().splitlines()[2:]])
-    assert rows.shape == (traj.t.size, 13)
+    assert rows.shape == (traj.t.size, 11)
 
     def assert_bits(got, want):
         want = np.asarray(want, dtype=float)
@@ -622,10 +621,7 @@ def test_trajectory_csv_rows_are_the_arrays(tmp_path):
     for cols, want in ((slice(0, 1), traj.t[:, None]),
                        (slice(1, 4), traj.omega.astype(float)),
                        (slice(4, 7), traj.S.astype(float)),
-                       (slice(7, 8), traj.abs_omega[:, None]),
-                       (slice(8, 9), traj.abs_S[:, None]),
-                       (slice(9, 12), traj.K),
-                       (slice(12, 13), traj.H_r[:, None])):
+                       (slice(7, 11), traj.orientation.astype(float))):
         assert_bits(rows[:, cols], want)
     samples = traj.samples
     assert len(samples) == traj.t.size

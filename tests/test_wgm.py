@@ -471,8 +471,8 @@ def test_exterior_asymptotic_amplitude():
     grid = np.array([0.0, 0.5 * R, R, r1, r2])
     # k0 r = 2000 lies past the tight Bessel envelope (|z| <= 300)
     with pytest.warns(AccuracyWarning):
-        prof = radial_profile(mode, p, grid)
-    amp = math.hypot(grid[3] * prof.u[3], grid[4] * prof.u[4])
+        u = radial_profile(mode, p, grid)
+    amp = math.hypot(grid[3] * u[3], grid[4] * u[4])
     assert amp == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-6)
 
 
@@ -484,19 +484,19 @@ def test_profile_free_limit_matches_plane_wave():
     k0 = 0.9 * K_REF
     mode = ModeRecord(polarization="TE", l=15, k0=k0, kappa_c=1.0, Q=k0)
     grid = np.linspace(0.0, 3.0 * p.R, 901)
-    prof = radial_profile(mode, p, grid)
+    u = radial_profile(mode, p, grid)
     want = math.sqrt(2.0 / math.pi) * k0 * np.array(
         [spherical_bessel_j(15, complex(k0 * r)).real for r in grid])
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(prof.u - want)) / scale < 1e-8
+    assert np.max(np.abs(u - want)) / scale < 1e-8
 
 
 def test_profile_continuous_at_surface(ref_params, ref_mode):
     R = ref_params.R
     eps = 1e-7 * R
     grid = np.array([0.0, R - eps, R, R + eps])
-    prof = radial_profile(ref_mode, ref_params, grid)
-    left, right = prof.u[1], prof.u[3]
+    u = radial_profile(ref_mode, ref_params, grid)
+    left, right = u[1], u[3]
     assert right == pytest.approx(left, rel=1e-4)
 
 
@@ -526,9 +526,9 @@ def test_continuum_orthogonality_decay():
         grid = np.linspace(0.0, L, int(40 * k2 * L / (2 * math.pi)) + 1)
         # k r reaches ~500 and ~2000, past the tight envelope |z| <= 300
         with pytest.warns(AccuracyWarning):
-            u1 = radial_profile(mode, p, grid).u
+            u1 = radial_profile(mode, p, grid)
         with pytest.warns(AccuracyWarning):
-            u2 = radial_profile(mode2, p, grid).u
+            u2 = radial_profile(mode2, p, grid)
         w = eps_weight(grid) * grid**2
         off = abs(trapezoid(w * u1 * u2, grid))
         diag = trapezoid(w * u1 * u1, grid)
