@@ -17,7 +17,9 @@ of j_l is unstable for l > |z|, which is exactly the whispering-gallery regime
 h_l^(1) = j_l + i y_l is summed from the Miller j values and the y pair they
 are normalized with, so the tiny Re h = j_l that carries a resonance's
 linewidth is never taken from an upward j recurrence. The sum is tight on the
-strip |Im z| <= 1 and warned off it, where it cancels ~e^{2 Im z}.
+strip |Im z| <= 1 and warned off it, where it cancels ~e^{2 Im z}. Both
+ladders are the one three-term recurrence in 1/z, stepped in lockstep as the
+two rows of one state: one numpy call per operation serves both.
 """
 
 from __future__ import annotations
@@ -78,22 +80,6 @@ def _as_array(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _y_ladder(l, z):
-    """y_{l-1}, y_l by upward recurrence from y_{-1} = sin(z)/z (= j_0 by
-    convention) and y_0 = -cos(z)/z, plus a mask of overflowed entries:
-    callers decide (j underflows to zero there, an h or xi query raises).
-    """
-    prev, cur = np.sin(z) / z, -np.cos(z) / z
-    zinv = 1.0 / z
-    # overflow to inf is expected deep in the l >> |z| regime and resolved by
-    # the mask below, so silence numpy's per-op warnings here
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in range(l):
-            prev, cur = cur, (2 * order + 1) * zinv * cur - prev
-    big = np.maximum(np.abs(prev), np.abs(cur))
-    return (prev, cur), ~(big < _Y_OVERFLOW)
-
-
 def _miller_start(l, z):
     # start above the j/y turning point so the minimal solution dominates.
     # Past it j/y decays like exp(-c (nu - |z|)^{3/2} / |z|^{1/2}), so the
@@ -105,28 +91,38 @@ def _miller_start(l, z):
     return int(turn + 6.0 * turn ** (1.0 / 3.0) + 5.0)
 
 
-def _downward(lo, hi, orders, zinv, stride, *carried):
-    """Run f_n = (2n + 3)/z f_{n+1} - f_{n+2} over the descending orders,
-    returning the last (f_n, f_{n+1}) and the carried arrays. A rescale
-    multiplies the running pair and the carried arrays alike, so ratios
-    between them stay exact."""
-    for order in orders:
-        hi, lo = lo, (2 * order + 3) * zinv * lo - hi
-        if order % stride == 0:
-            big = np.maximum(np.abs(lo), np.abs(hi)) > _HUGE
+def _recur(cur, prev, coefs, checks, zinv, *carried):
+    """Step f <- c/z f - f_prev once per coefficient column c of coefs.
+
+    Each row (first axis) of the states cur and prev is a ladder of its own
+    with its own entry of c, and all rows share 1/z, so each product serves
+    every row. After a step whose flag in checks is set, row 0, a Miller
+    ladder, is multiplied by 1e-250 where it passes _HUGE, and the carried
+    arrays alike, so ratios between them stay exact. Returns the last
+    (cur, prev) and the carried arrays."""
+    for c, check in zip(coefs, checks):
+        prev, cur = cur, c * zinv * cur - prev
+        if check:
+            big = np.maximum(np.abs(cur[0]), np.abs(prev[0])) > _HUGE
             if np.any(big):
                 factor = np.where(big, 1e-250, 1.0)
-                lo, hi, *carried = (f * factor for f in (lo, hi, *carried))
-    return lo, hi, carried
+                cur, prev = (np.concatenate((f[:1] * factor, f[1:])) for f in (cur, prev))
+                carried = [f * factor for f in carried]
+    return cur, prev, carried
 
 
 def _j_ladder(l, z):
     """(j_{l-1}, j_l) and (y_{l-1}, y_l) (j_{-1} = cos z / z, y_{-1} = j_0),
-    vectorized over a 1-D float64 or complex128 z and keeping its dtype, plus
-    the y overflow mask.
+    vectorized over a float64 or complex128 z of at least one dimension and
+    keeping its dtype, plus the y overflow mask.
 
-    Downward recurrence from an arbitrary seed to order l - 1, then
-    per-element scale fixing:
+    Two ladders of one recurrence, f_{n-1} + f_{n+1} = (2n + 1)/z f_n: Miller
+    j from an arbitrary seed down to order l - 1, and y up from
+    y_{-1} = sin z/z, y_0 = -cos z/z to y_l. They are the two rows of one
+    state, stepped together while both run, then the longer one finishes
+    alone: a step costs three numpy calls for both ladders, and on the few
+    points of a Newton iterate call overhead, not arithmetic, is the cost.
+    The Miller result then gets per-element scale fixing:
 
     * |Im z| <= 1: cross Wronskian with the y pair (j_l y_{l-1} - j_{l-1} y_l
       = 1/z^2; the combination is conditioned like e^{2 Im z}, fine in this
@@ -135,20 +131,43 @@ def _j_ladder(l, z):
       j_{-1} = cos(z)/z (|cos z| >= sinh|Im z| is bounded away from zero off
       the strip, while the Wronskian pairing cancels catastrophically there).
 
-    One reciprocal 1/z serves every order of the recurrence. Mid-recurrence
-    rescales are applied to the whole running set, so they cancel in either
-    normalization ratio. One step grows max(|lo|, |hi|) by at most g + 1,
-    g = (2 nstart + 3)/min|z|, so the rescale test runs only every `stride`
-    orders: (g + 1)^stride <= 1e50 keeps a value that passed it
-    (<= _HUGE = 1e250) below 1e300 until the next test.
+    One reciprocal 1/z serves every order of both ladders. Mid-recurrence
+    rescales are applied to the whole running Miller set, so they cancel in
+    either normalization ratio. One step grows max(|lo|, |hi|) by at most
+    g + 1, g = (2 nstart + 3)/min|z|, so the rescale test runs only every
+    `stride` orders: (g + 1)^stride <= 1e50 keeps a value that passed it
+    (<= _HUGE = 1e250) below 1e300 until the next test. The y row is not
+    rescaled: its overflow to inf is expected deep in the l >> |z| regime and
+    resolved by the mask (j underflows to zero there, an h or xi query
+    raises). So numpy's overflow warnings are silenced while the ladders run,
+    and a Miller overflow raises a RuntimeWarning of its own.
     """
     nstart = _miller_start(l, z)
     zmin = float(np.min(np.abs(z)))
     stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1))) if zmin > 0 else 1
     zinv = 1.0 / z
-    lo, hi, _ = _downward(np.full_like(z, 1e-30), np.zeros_like(z),
-                          range(nstart, l - 2, -1), zinv, stride)
-    (ylm1, yl), y_over = _y_ladder(l, z)
+    # step s takes Miller (row 0) to order nstart - s, c = 2 (nstart - s) + 3,
+    # and y (row 1) to order s + 1, c = 2 s + 1
+    m_steps = nstart - l + 2
+    s = np.arange(max(m_steps, l))
+    column = (1,) * z.ndim   # a coefficient per row, broadcast over z
+    coefs = np.stack([2 * (nstart - s) + 3, 2 * s + 1], axis=1).astype(z.dtype)
+    coefs = coefs.reshape(coefs.shape + column)
+    checks = ((s < m_steps) & ((nstart - s) % stride == 0)).tolist()
+    cur = np.stack([np.full_like(z, 1e-30), -np.cos(z) / z])
+    prev = np.stack([np.zeros_like(z), np.sin(z) / z])
+    both = min(m_steps, l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur, prev, _ = _recur(cur, prev, coefs[:both], checks[:both], zinv)
+        (lo, yl), (hi, ylm1) = cur, prev
+        if m_steps > l:
+            (lo,), (hi,), _ = _recur(cur[:1], prev[:1], coefs[both:, :1], checks[both:], zinv)
+        else:
+            (yl,), (ylm1,), _ = _recur(cur[1:], prev[1:], coefs[both:, 1:], checks[both:], zinv)
+    if not np.all(np.isfinite(lo)):
+        warnings.warn("overflow encountered in the Miller j ladder", RuntimeWarning,
+                      stacklevel=3)
+    y_over = ~(np.maximum(np.abs(ylm1), np.abs(yl)) < _Y_OVERFLOW)
     off = np.abs(z.imag) > 1.0
     with np.errstate(all="ignore"):
         # unit scale keeps the Wronskian products (and the off-strip
@@ -161,8 +180,10 @@ def _j_ladder(l, z):
         denom = np.where(bad, 1.0, denom)
         jlm1, jl = lo / denom, hi / denom
         if np.any(off):
-            fm1, _, (flm1, fl) = _downward(lo, hi, range(l - 2, -2, -1), zinv,
-                                          stride, lo, hi)
+            orders = np.arange(l - 2, -2, -1)
+            coefs = (2 * orders + 3).astype(z.dtype).reshape((-1, 1) + column)
+            (fm1,), _, (flm1, fl) = _recur(lo[None], hi[None], coefs,
+                                           (orders % stride == 0).tolist(), zinv, lo, hi)
             ratio = np.cos(z) / z / fm1
             jlm1 = np.where(off, flm1 * ratio, jlm1)
             jl = np.where(off, fl * ratio, jl)

@@ -158,7 +158,11 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
     ladders amortize across the seed vector); a zero or non-finite slope
     leaves its seed in place, and runaway iterates are parked on a safe
     placeholder before D is evaluated there and reported as dead. Returns
-    (poles ndarray, converged mask).
+    (poles ndarray, converged mask): each pole is its last iterate plus that
+    iterate's step, and a seed has converged when that step was below
+    5e-15 |k| and the |D| evaluated at the iterate, normalized by d_scale,
+    is at most POLE_TOL. So the residual costs no evaluation of its own, and
+    Newton evaluates nothing when every first step is parked.
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
@@ -176,9 +180,10 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
         if np.any(runaway & alive):
             alive &= ~runaway
             k[runaway] = k_lo  # safe placeholder, excluded from results
-        if not np.any(alive) or np.max(np.abs(step[alive]) / np.abs(k[alive])) < 5e-15:
+        settled = np.abs(step) / np.abs(k) < 5e-15
+        if np.all(settled[alive]):
             break
-    converged = alive & (np.abs(Dvec(k)[0]) / d_scale <= POLE_TOL)
+    converged = alive & settled & (np.abs(d0) / d_scale <= POLE_TOL)
     return k, converged
 
 
@@ -187,9 +192,12 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     """All poles with Re k in the window and kappa_c/k0 < MAX_RELATIVE_WIDTH.
 
     Seeds are the local minima of |D| on a real-axis scan. Complex Newton
-    refines them until the edge-normalized residual drops below POLE_TOL; its
-    first step is -D/D' with the slope the scan computes alongside D. Returns
-    records sorted by k0; empty list when the window holds no pole.
+    refines them until its step falls below 5e-15 |k|, and keeps a pole when
+    the edge-normalized |D| of its last iteration is at most POLE_TOL; its
+    first step is -D/D' with the slope the scan computes alongside D. The
+    reference solve takes three ladder runs: the scan and two Newton
+    iterations. Returns records sorted by k0; empty list when the window
+    holds no pole.
     Non-convergent seeds are logged and skipped. scan_points must be an
     integer >= 3, so that the scan has an interior point to seed from.
     """

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from wgmspin.specfun import (
     MAX_ORDER,
     AccuracyWarning,
+    _miller_start,
     angular_momentum_matrices,
     riccati_bessel,
     spherical_bessel_j,
@@ -285,6 +287,58 @@ def test_riccati_large_order_matches_mpmath(l):
                     w = complex(w)
                     worst = max(worst, abs(g - w) / abs(w))
     assert worst <= 1e-10
+
+
+def _mpmath_riccati(l, z):
+    """(psi, psi', xi, xi') and j_l at z from mpmath's cylinder functions of
+    order l + 1/2 at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        zm = mp.mpc(z)
+        half = mp.sqrt(mp.pi / (2 * zm))
+        jl, jm = (half * mp.besselj(nu, zm) for nu in (l + 0.5, l - 0.5))
+        hl, hm = (half * (mp.besselj(nu, zm) + 1j * mp.bessely(nu, zm))
+                  for nu in (l + 0.5, l - 0.5))
+        want = (zm * jl, zm * jm - l * jl, zm * hl, zm * hm - l * hl)
+        return tuple(complex(w) for w in want), complex(jl)
+
+
+# (l, arguments, branch): the Miller ladder takes m = nstart - l + 2 steps and
+# the y ladder l; they step together for min(m, l) steps, then the longer one
+# finishes alone
+@pytest.mark.parametrize("l, zs, branch", [
+    (120, [84.0, 100.0, 128.0, 100.0 - 1e-3j], "y longer"),
+    (80, [95.98], "y longer by one step"),
+    (2, [250.0, 250.0 - 0.5j], "Miller longer"),
+    (3, [250.0, 249.0 + 0.5j], "Miller longer"),
+    (30, [16.25], "Miller longer by one step"),
+    (0, [0.5, 3.0, 250.0 - 0.5j], "no lockstep step"),
+    (1, [0.5, 3.0, 250.0 - 0.5j], "one lockstep step"),
+    (20, [15.0 - 2.0j, 30.0 - 1.5j], "off strip"),
+    (120, [100.0 - 1.5j], "off strip"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_lockstep_ladders_match_mpmath(l, zs, branch):
+    # every branch of the stacked Miller/y ladder holds the 1e-10 contract
+    # for riccati_bessel and spherical_bessel_j, called per argument and on
+    # the whole vector; off the strip the Miller ladder goes on to order -1
+    for z in zs:
+        m = _miller_start(l, np.array([z])) - l + 2
+        assert {"y longer": m < l, "y longer by one step": m == l - 1,
+                "Miller longer": m > l, "Miller longer by one step": m == l + 1,
+                "no lockstep step": l == 0, "one lockstep step": l == 1,
+                "off strip": abs(z.imag) > 1.0}[branch], (z, m)
+    wants = [_mpmath_riccati(l, z) for z in zs]
+    off = any(abs(complex(z).imag) > 1.0 for z in zs)
+    with warnings.catch_warnings():
+        # off the strip the xi half of riccati_bessel warns as relaxed
+        warnings.simplefilter("ignore" if off else "error", AccuracyWarning)
+        got_vec = riccati_bessel(l, np.array(zs))
+        for i, (z, (want, jwant)) in enumerate(zip(zs, wants)):
+            for got in (riccati_bessel(l, z), tuple(f[i] for f in got_vec)):
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-10 * abs(w), (z, g, w)
+            for j in (spherical_bessel_j(l, z), spherical_bessel_j(l, np.array(zs))[i]):
+                assert abs(j - jwant) <= 1e-10 * abs(jwant), (z, j, jwant)
 
 
 # --- angular momentum matrices -------------------------------------------------
