@@ -16,7 +16,7 @@ from .specfun import MAX_ORDER
 
 __all__ = ["ConfigError", "RunConfig"]
 
-MAX_SCAN_POINTS = 100_000  # the scan's memory grows with the point count
+MAX_SCAN_POINTS = 100_000  # most seed-scan points; the scan's memory grows with them
 MAX_SAMPLES = 100_000      # so does simulate's, ~220 B per sample held
 
 
@@ -84,7 +84,7 @@ class RunConfig:
     l: int = 120
     lambda_min: float = 7.36e-7
     lambda_max: float = 7.51e-7
-    scan_points: int = 2000
+    scan_points: int = 2000                   # cap on the scan's 32 points per pi/(nR)
     # [coupling]
     N: float = 1e5
     amplitudes: tuple = ()                    # ((m, complex), ...); default: m = l

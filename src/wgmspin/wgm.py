@@ -1,8 +1,9 @@
 """Whispering-gallery resonances of a dielectric sphere.
 
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
-search (real-axis seeding + complex Newton), and continuum-normalized TE
-radial mode profiles. Conventions:
+search (a real-axis seed scan at 32 points per radial-order spacing pi/(nR),
+then complex Halley-corrected Newton on D, D' and D'' in closed form), and
+continuum-normalized TE radial mode profiles. Conventions:
 
 * poles sit at k0 - i*kappa_c/2 in the lower half plane; kappa_c is the full
   linewidth (intensity FWHM / energy decay rate in wavenumber), Q = k0/kappa_c;
@@ -47,6 +48,7 @@ POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
 MAX_RELATIVE_WIDTH = 0.5  # poles with kappa_c/k0 at or above this are dropped
 _B_SNAP_ULPS = 100.0      # Im D snap threshold at a resonance center
 _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
+_SCAN_PER_SPACING = 32    # scan points per radial-order spacing pi/(nR) in k
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,29 @@ def _riccati_pair(l, k, params: SphereParams):
 
 
 def _characteristic(l, k, params: SphereParams, te):
-    """(D, dD/dk) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR), vectorized
-    over k; weights (a, b) = (n, 1) for TE and (1, n) for TM.
+    """(D, dD/dk, d2D/dk2) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR),
+    vectorized over k; weights (a, b) = (n, 1) for TE and (1, n) for TM.
 
-    psi'' = (l(l+1)/z^2 - 1) psi, and likewise xi, make the slope exact in the
-    same four values: R [(a/n - b) l(l+1)/(kR)^2 + b - a n] psi xi
-    + R (a - b n) psi' xi', i.e. R (1 - n^2) psi xi for TE.
+    psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi, with L = l(l+1),
+    y = nkR and x = kR, make both derivatives exact in the same four values:
+    D' = R [A psi xi + C psi' xi'] with A = (a/n - b) L/x^2 + b - a n and
+    C = a - b n (R (1 - n^2) psi xi for TE), and
+    D'' = R^2 [-2 (a/n - b) L/x^3 psi xi + A (n psi' xi + psi xi')
+               + C (n (L/y^2 - 1) psi xi' + (L/x^2 - 1) psi' xi)].
     """
     n, R = params.n, params.R
     a, b = (n, 1.0) if te else (1.0, n)
     psi, psip, xi, xip, x = _riccati_pair(l, k, params)
+    lx = l * (l + 1) / (x * x)
+    w = a / n - b
+    big_a = w * lx + (b - a * n)
+    c = a - b * n
     d = a * psip * xi - b * psi * xip
-    slope = R * (((a / n - b) * (l * (l + 1)) / (x * x) + (b - a * n)) * psi * xi
-                 + (a - b * n) * psip * xip)
-    return d, slope
+    slope = R * (big_a * psi * xi + c * psip * xip)
+    curv = R * R * (-2.0 * w * lx / x * psi * xi
+                    + big_a * (n * psip * xi + psi * xip)
+                    + c * (n * (lx / (n * n) - 1.0) * psi * xip + (lx - 1.0) * psip * xi))
+    return d, slope, curv
 
 
 def te_characteristic(l, k, params: SphereParams):
@@ -150,19 +161,23 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
 
 
 def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
-    """Complex Newton refinement of many seeds at once.
+    """Complex Newton refinement of many seeds at once, with Halley's
+    third-order correction.
 
-    Dvec maps a complex ndarray of k to (D(k), dD/dk), one evaluation per
-    iteration after the first, which steps from first = (D, dD/dk) already
-    known at the seeds. All seeds iterate together (the special-function
-    ladders amortize across the seed vector); a zero or non-finite slope
-    leaves its seed in place, and runaway iterates are parked on a safe
-    placeholder before D is evaluated there and reported as dead. Returns
-    (poles ndarray, converged mask): each pole is its last iterate plus that
-    iterate's step, and a seed has converged when that step was below
-    5e-15 |k| and the |D| evaluated at the iterate, normalized by d_scale,
-    is at most POLE_TOL. So the residual costs no evaluation of its own, and
-    Newton evaluates nothing when every first step is parked.
+    Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2), one evaluation
+    per iteration after the first, which steps from first = (D, D', D'')
+    already known at the seeds. Each step is the Newton step s = -D/D',
+    divided by 1 + h with h = -D D''/(2 D'^2) = s D''/(2 D') where h is
+    finite and |h| <= 1/2 (Halley's step); elsewhere, as far from a root,
+    it stays the Newton step. All seeds iterate together (the
+    special-function ladders amortize across the seed vector); a zero or
+    non-finite slope leaves its seed in place, and runaway iterates are
+    parked on a safe placeholder before D is evaluated there and reported as
+    dead. Returns (poles ndarray, converged mask): each pole is its last
+    iterate plus that iterate's step, and a seed has converged when that step
+    was below 5e-15 |k| and the |D| evaluated at the iterate, normalized by
+    d_scale, is at most POLE_TOL. So the residual costs no evaluation of its
+    own, and Newton evaluates nothing when every first step is parked.
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
@@ -170,10 +185,14 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
     alive = np.ones(k.size, dtype=bool)
     span = k_hi - k_lo
     for i in range(_NEWTON_MAX_ITER):
-        d0, dp = Dvec(k) if i else first
+        d0, dp, dpp = Dvec(k) if i else first
         ok = alive & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
+        with np.errstate(all="ignore"):
+            h = 0.5 * step * dpp / dp
+        halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
+        step[halley] /= 1.0 + h[halley]
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
             | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
@@ -191,27 +210,33 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
                    scan_points=2000) -> list[ModeRecord]:
     """All poles with Re k in the window and kappa_c/k0 < MAX_RELATIVE_WIDTH.
 
-    Seeds are the local minima of |D| on a real-axis scan. Complex Newton
-    refines them until its step falls below 5e-15 |k|, and keeps a pole when
-    the edge-normalized |D| of its last iteration is at most POLE_TOL; its
-    first step is -D/D' with the slope the scan computes alongside D. The
-    reference solve takes three ladder runs: the scan and two Newton
-    iterations. Returns records sorted by k0; empty list when the window
-    holds no pole.
-    Non-convergent seeds are logged and skipped. scan_points must be an
-    integer >= 3, so that the scan has an interior point to seed from.
+    Seeds are the local minima of |D| on a real-axis scan. The scan takes
+    _SCAN_PER_SPACING = 32 points per radial-order spacing pi/(nR), D's
+    finest real-axis period (n >= 1), and at least 16; scan_points, an
+    integer >= 3, caps that count (3 still leaves an interior point to seed
+    from). So above the derived count the poles do not depend on
+    scan_points: the reference window (736-751 nm) takes 28 points.
+    Complex Newton with Halley's correction refines the seeds until its step
+    falls below 5e-15 |k|, and keeps a pole when the edge-normalized |D| of
+    its last iteration is at most POLE_TOL; its first step uses the D, D'
+    and D'' the scan computes. The reference solve takes three ladder runs:
+    the scan and two Newton iterations. Returns records sorted by k0; empty
+    list when the window holds no pole. Non-convergent seeds are logged and
+    skipped.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
     k_lo, k_hi = float(min(k_window)), float(max(k_window))
-    if not (k_lo > 0 and k_hi > k_lo):
-        raise ValueError(f"window must be positive and non-empty, got {k_window}")
+    if not (k_lo > 0 and k_hi > k_lo and math.isfinite(k_hi)):
+        raise ValueError(f"window must be positive, finite and non-empty, got {k_window}")
     if not (isinstance(scan_points, numbers.Integral) and scan_points >= 3):
         raise ValueError(f"scan_points must be an integer >= 3, got {scan_points!r}")
     Dfun = _CHARACTERISTIC[polarization]
 
-    ks = np.linspace(k_lo, k_hi, scan_points)
-    d, slope = Dfun(l, ks, params)
+    spacings = (k_hi - k_lo) * params.n * params.R / math.pi
+    points = min(scan_points, max(16, math.ceil(_SCAN_PER_SPACING * spacings) + 1))
+    ks = np.linspace(k_lo, k_hi, points)
+    d, slope, curv = Dfun(l, ks, params)
     absd = np.abs(d)
     d_scale = max(absd[0], absd[-1])
     if d_scale == 0:
@@ -221,7 +246,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     seeds = ks[minima]
 
     refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
-                                       (d[minima], slope[minima]),
+                                       (d[minima], slope[minima], curv[minima]),
                                        k_lo, k_hi, d_scale)
     for seed, ok in zip(seeds, converged):
         if not ok:

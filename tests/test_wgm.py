@@ -27,6 +27,37 @@ from wgmspin.wgm import (
 from oracles import contour_pole_scan
 
 K_REF = 2.0 * math.pi / 743.25e-9
+REF_WINDOW = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
+
+
+def _record_ladder_runs(monkeypatch):
+    # the argument shape of every riccati_bessel call find_resonance makes,
+    # each one ladder run on the stacked [nkR, kR] arguments; the first is
+    # the scan, (2, points)
+    real = wgm.riccati_bessel
+    shapes = []
+
+    def recorded(l, z):
+        shapes.append(np.shape(z))
+        return real(l, z)
+
+    monkeypatch.setattr(wgm, "riccati_bessel", recorded)
+    return shapes
+
+
+def _record_scan(monkeypatch, pol):
+    # the (D, D', D'') of find_resonance's first D call, its scan
+    real = wgm._CHARACTERISTIC[pol]
+    scans = []
+
+    def recorded(l, k, params):
+        out = real(l, k, params)
+        if not scans:
+            scans.append(out)
+        return out
+
+    monkeypatch.setitem(wgm._CHARACTERISTIC, pol, recorded)
+    return scans
 
 
 @pytest.fixture(scope="module")
@@ -89,21 +120,21 @@ def test_uniform_medium_has_no_resonance():
     assert find_resonance("TE", 40, (0.8 * K_REF, 1.2 * K_REF), p) == []
 
 
-def test_uniform_medium_zero_slope_seeds_from_grid():
-    # n = 1: dD/dk is exactly 0, yet rounding leaves local minima in |D|;
-    # Newton's first step leaves those seeds in place instead of dividing by
-    # the slope
+def test_uniform_medium_zero_slope_seeds_from_grid(monkeypatch):
+    # n = 1: dD/dk is exactly 0, yet rounding leaves local minima in |D| on
+    # the grid find_resonance scans; Newton's first step leaves those seeds
+    # in place instead of dividing by the slope
     p = SphereParams(R=10e-6, n=1.0)
     window = (0.8 * K_REF, 1.2 * K_REF)
-    ks = np.linspace(*window, 2000)
     for pol in ("TE", "TM"):
-        d, slope = _CHARACTERISTIC[pol](40, ks, p)
-        absd = np.abs(d)
-        assert np.all(slope == 0)
-        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
+        scans = _record_scan(monkeypatch, pol)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_resonance(pol, 40, window, p, scan_points=2000) == []
+        d, slope, _ = scans[0]
+        absd = np.abs(d)
+        assert np.all(slope == 0)
+        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
 
 
 def test_near_uniform_medium_first_step_stays_in_newton_box(monkeypatch):
@@ -111,12 +142,12 @@ def test_near_uniform_medium_first_step_stays_in_newton_box(monkeypatch):
     # lands far outside the window. Newton parks such a step before D is
     # evaluated there: no argument leaves the runaway box, no far-field
     # AccuracyWarning, no ladder of ~1e9 orders, and no pole. With every
-    # first step parked, the scan is the only ladder run
+    # first step parked, the scan is the only ladder run. The seeds are the
+    # |D| minima of the grid find_resonance scans
     p = SphereParams(R=10e-6, n=1.0 + 1e-9)
     k_lo, k_hi = 0.8 * K_REF, 1.2 * K_REF
     span = k_hi - k_lo
     z_box = p.n * p.R * math.hypot(k_hi + 2 * span, 0.5 * (k_hi + span))
-    ks = np.linspace(k_lo, k_hi, 2000)
     real = wgm.riccati_bessel
     seen = []
 
@@ -126,13 +157,14 @@ def test_near_uniform_medium_first_step_stays_in_newton_box(monkeypatch):
 
     monkeypatch.setattr(wgm, "riccati_bessel", recorded)
     for pol in ("TE", "TM"):
-        absd = np.abs(_CHARACTERISTIC[pol](40, ks, p)[0])
-        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
+        scans = _record_scan(monkeypatch, pol)
         seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_resonance(pol, 40, (k_lo, k_hi), p, scan_points=2000) == []
         assert len(seen) == 1 and max(seen) <= z_box, (pol, seen, z_box)
+        absd = np.abs(scans[0][0])
+        assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
 
 
 def test_te_tm_differ_for_contrast(ref_params):
@@ -151,20 +183,23 @@ _POLE_WINDOWS = {
 _CHARACTERISTIC_PUBLIC = {"TE": te_characteristic, "TM": tm_characteristic}
 
 
-def _cauchy_derivative(fn, k, radius, points=32):
-    # trapezoidal rule for (1/2 pi i) \oint D(z) / (z - k)^2 dz on a circle;
-    # exponentially convergent for the entire function D
+def _cauchy_derivative(fn, k, radius, order=1, points=32):
+    # trapezoidal rule for (order!/2 pi i) \oint D(z) / (z - k)^(order+1) dz
+    # on a circle; exponentially convergent for the entire function D
     theta = 2.0 * np.pi * np.arange(points) / points
-    return np.mean(fn(k + radius * np.exp(1j * theta)) * np.exp(-1j * theta)) / radius
+    return (math.factorial(order) * np.mean(fn(k + radius * np.exp(1j * theta))
+                                            * np.exp(-1j * order * theta)) / radius**order)
 
 
 @pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 @pytest.mark.parametrize("l", [1, 20, 120])
 def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
-    # dD/dk from the Riccati-Bessel ODE against a contour derivative of the
-    # public D, on a pole, just off it, and away from it on both sides of the
-    # real axis. Radius 0.01/R and 32 nodes give <= 4e-13 relative here.
+    # dD/dk and d2D/dk2 from the Riccati-Bessel ODE against contour
+    # derivatives of the public D, on a pole, just off it, and away from it on
+    # both sides of the real axis. Radius 0.01/R and 32 nodes give <= 4e-13
+    # relative for D'; for D'', 64 nodes give <= 9.9e-11 (2.1e-10 with 32),
+    # so its bound 1e-9 leaves 10x headroom.
     R = ref_params.R
     monkeypatch.setattr(wgm, "MAX_RELATIVE_WIDTH", 0.6)
     modes = find_resonance(pol, l, _POLE_WINDOWS[l], ref_params, scan_points=3000)
@@ -173,10 +208,13 @@ def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
     public = _CHARACTERISTIC_PUBLIC[pol]
     for k in (pole, pole + (1 + 1j) * 1e-3 / R, 1.003 * pole.real - 0.2j / R,
               0.97 * pole.real + 0.1j / R):
-        d, slope = _CHARACTERISTIC[pol](l, k, ref_params)
+        d, slope, curv = _CHARACTERISTIC[pol](l, k, ref_params)
         assert d == public(l, k, ref_params)
         want = _cauchy_derivative(lambda z: public(l, z, ref_params), k, 0.01 / R)
         assert abs(slope - want) <= 1e-11 * abs(want)
+        want = _cauchy_derivative(lambda z: public(l, z, ref_params), k, 0.01 / R,
+                                  order=2, points=64)
+        assert abs(curv - want) <= 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("l", [1, 20, 120])
@@ -222,6 +260,14 @@ def test_window_far_below_resonance_is_empty(ref_params):
     assert find_resonance("TE", 120, (5.0 / R, 10.0 / R), ref_params) == []
 
 
+@pytest.mark.parametrize("window", [(0.0, 1e7), (1e7, 1e7), (1e6, math.inf)])
+def test_window_must_be_positive_finite_and_non_empty(ref_params, window):
+    # the scan's point count is derived from the window's width, so an
+    # infinite window is rejected before it
+    with pytest.raises(ValueError, match="window"):
+        find_resonance("TE", 120, window, ref_params)
+
+
 @pytest.mark.parametrize("points", [1, 2, 2.5, 0, -5])
 def test_scan_points_must_be_integer_at_least_3(ref_params, points):
     # 1, 2 and 2.5 left no interior scan point and returned [] for this
@@ -239,10 +285,16 @@ def test_pole_residual_normalized(ref_params, ref_mode):
     assert res / edge <= 1e-10
 
 
-def test_pole_stable_under_seed_scan_refinement(ref_params):
-    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
-    coarse = find_resonance("TE", 120, window, ref_params, scan_points=1000)
-    fine = find_resonance("TE", 120, window, ref_params, scan_points=2000)
+def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
+    # the pole from the derived scan density (28 points here) against a
+    # scan forced to 2000 points
+    shapes = _record_ladder_runs(monkeypatch)
+    coarse = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
+    assert shapes[0] == (2, 28)
+    monkeypatch.setattr(wgm, "_SCAN_PER_SPACING", 10**9)
+    shapes.clear()
+    fine = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
+    assert shapes[0] == (2, 2000)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].k0 - fine[0].k0) / fine[0].k0 < 1e-12
 
@@ -251,17 +303,62 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then Newton from slope-stepped seeds: two iterations, the
     # last of whose |D| is the residual, each one riccati_bessel call on the
     # stacked arguments
-    real = wgm.riccati_bessel
-    calls = []
-
-    def counted(l, z):
-        calls.append(np.shape(z))
-        return real(l, z)
-
-    monkeypatch.setattr(wgm, "riccati_bessel", counted)
-    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
-    assert len(find_resonance("TE", 120, window, ref_params, scan_points=2000)) == 1
+    calls = _record_ladder_runs(monkeypatch)
+    assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) <= 3, calls
+
+
+def test_scan_density_independent_above_derived_count(ref_params, monkeypatch):
+    # the reference window spans 0.82 radial-order spacings pi/(nR): 28 scan
+    # points, whatever larger cap scan_points sets, so the poles are the same
+    # list at every such cap, from three ladder runs (scan + two Newton)
+    shapes = _record_ladder_runs(monkeypatch)
+    results = []
+    for points in (500, 2000, 100_000):
+        shapes.clear()
+        results.append(find_resonance("TE", 120, REF_WINDOW, ref_params,
+                                      scan_points=points))
+        assert shapes[0] == (2, 28) and len(shapes) == 3, (points, shapes)
+    assert len(results[0]) == 1
+    assert results[0] == results[1] == results[2]
+
+
+def test_newton_far_seed_takes_plain_newton_step(monkeypatch):
+    # D = k^2 - 2: h = -D D''/(2 D'^2) = (2 - k^2)/(4 k^2) is 1.75 at k = 0.5,
+    # outside |h| <= 1/2, so the first step is -D/D' bit for bit; at k = 1.2,
+    # h = 0.097, and Halley's step differs from it
+    def dvec(k):
+        return k * k - 2, 2 * k, np.full_like(k, 2)
+
+    monkeypatch.setattr(wgm, "_NEWTON_MAX_ITER", 1)
+    seeds = np.array([0.5, 1.2], dtype=complex)
+    d, dp, dpp = dvec(seeds)
+    k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 0.1, 3.0, 1.0)
+    newton = seeds + -d / dp
+    assert k[0] == newton[0]
+    assert k[1] != newton[1]
+    assert abs(k[1] - math.sqrt(2)) < abs(newton[1] - math.sqrt(2))
+
+
+def test_newton_curvature_saves_evaluations():
+    # D = k^3 - 2 from k = 1.5: the exact D'' (Halley) converges in fewer
+    # Dvec calls than a zero D'' (plain Newton), to the same root
+    def run(curvature):
+        calls = []
+
+        def dvec(k):
+            calls.append(k.size)
+            return k**3 - 2, 3 * k * k, curvature(k)
+
+        seeds = np.array([1.5], dtype=complex)
+        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds), 1.0, 2.0, 1.0)
+        assert converged.tolist() == [True]
+        assert abs(k[0] - 2 ** (1 / 3)) <= 1e-15
+        return len(calls)
+
+    halley = run(lambda k: 6 * k)
+    newton = run(np.zeros_like)
+    assert halley < newton, (halley, newton)
 
 
 def test_newton_small_residual_without_settled_step_is_not_converged():
@@ -274,7 +371,7 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
         near = k.real < 1.4
         d = np.where(near, k - 1.25, 1e-12 + 0j)
         dp = np.where(near, 1.0 + 0j, np.where(k.real < 1.5, -1e-9, 1e-9) + 0j)
-        return d, dp
+        return d, dp, np.zeros_like(d)
 
     seeds = np.array([1.2, 1.51])
     for k_seeds in (seeds, seeds[1:]):
@@ -285,18 +382,21 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
         assert abs(k[-1] - 1.5) <= 1.5e-3
 
 
-def test_scan_memory_bounded_at_point_cap(ref_params):
+def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
     # the scan holds a few arrays over the points, never a table over the
     # ladder's orders (~200 orders x 2e5 stacked points would be ~600 MiB);
-    # the traced peak is ~27 MiB
-    window = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
+    # a density forced past the cap makes the scan take all MAX_SCAN_POINTS
+    # points, and the traced peak is ~27 MiB
+    monkeypatch.setattr(wgm, "_SCAN_PER_SPACING", 10**9)
+    shapes = _record_ladder_runs(monkeypatch)
     tracemalloc.start()
     try:
-        modes = find_resonance("TE", 120, window, ref_params,
+        modes = find_resonance("TE", 120, REF_WINDOW, ref_params,
                                scan_points=MAX_SCAN_POINTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert shapes[0] == (2, MAX_SCAN_POINTS)
     assert len(modes) == 1
     assert peak < 48 * 2**20, peak / 2**20
 
