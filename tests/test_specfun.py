@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmspin import specfun
 from wgmspin.specfun import (
     MAX_ORDER,
     AccuracyWarning,
@@ -252,10 +253,13 @@ def test_vectorized_matches_scalar():
 @pytest.mark.parametrize("zs", [
     np.array([5.0 + 0j, 20.0 + 0.1j, 60.0 - 0.5j, 84.5 - 1e-3j, 90.0 + 1e-6j]),
     np.array([5.0, 20.0, 60.0, 84.5, 90.0]),
-], ids=["complex", "real"])
+    np.linspace(5.0, 90.0, 600),
+], ids=["complex", "real", "real, one row per step"])
 def test_riccati_and_hankel_vectorized_match_scalar(zs):
     # every |z| here is below the l = 120 turning point, so a vector and each
-    # of its elements share one Miller start and must agree bit for bit
+    # of its elements share one Miller start and must agree bit for bit. The
+    # 600-point vector's (2n + 3)/z tables exceed _TABLE_BYTES, so it takes
+    # one row per step while each scalar call builds the table
     vec = riccati_bessel(120, zs)
     hvec = spherical_hankel1(120, zs)
     for i, z in enumerate(zs):
@@ -301,6 +305,47 @@ def _mpmath_riccati(l, z):
                   for nu in (l + 0.5, l - 0.5))
         want = (zm * jl, zm * jm - l * jl, zm * hl, zm * hm - l * hl)
         return tuple(complex(w) for w in want), complex(jl)
+
+
+def _ladder_bits(l, z):
+    (jlm1, jl), (ylm1, yl), over = specfun._j_ladder(l, z)
+    return [f.tobytes() for f in (jlm1, jl, ylm1, yl, over)]
+
+
+@pytest.mark.parametrize("l", [1, 20, 120, 300])
+def test_table_and_row_per_step_give_the_same_bits(l, monkeypatch):
+    # _recur takes c/z from one table or one row per step, by the table's
+    # size alone; the products are the same, so every bit of the ladder is,
+    # NaN and inf included: a stacked complex scan, a real grid from near 0
+    # (Miller rescales, y overflows) and off-strip z (the continuation)
+    k = np.linspace(80.0, 130.0, 40) - 1e-4j
+    real = np.linspace(1e-3, 30.0, 300)
+    zs = {"scan": np.stack([1.52 * k, k]), "real grid": real,
+          "off strip": np.array([15.0 - 2.0j, 30.0 - 1.5j, 100.0 - 3.0j, 2.0 + 1.2j])}
+    assert np.any(specfun._j_ladder(120, real)[2])
+    bits = {}
+    for limit in (0, 2**40):
+        monkeypatch.setattr(specfun, "_TABLE_BYTES", limit)
+        bits[limit] = {name: _ladder_bits(l, z) for name, z in zs.items()}
+    assert bits[0] == bits[2**40]
+
+
+def test_table_bounded_by_table_bytes(monkeypatch):
+    # 800 real points at l = 120 would need tables of ~450 and ~525 KiB, about
+    # twice _TABLE_BYTES, so the call takes one row per step and its traced
+    # peak stays below the limit; with the limit lifted the table shows
+    z = np.linspace(5.0, 90.0, 800)
+    limit = specfun._TABLE_BYTES
+    peaks = []
+    for table_bytes in (limit, 2**40):
+        monkeypatch.setattr(specfun, "_TABLE_BYTES", table_bytes)
+        tracemalloc.start()
+        try:
+            riccati_bessel(120, z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < limit < peaks[1], peaks
 
 
 # (l, arguments, branch): the Miller ladder takes m = nstart - l + 2 steps and
