@@ -5,6 +5,10 @@ its config file: no wall clock, no RNG, byte-identical outputs for identical
 inputs. Exit codes: 0 success, 1 empty result, 2 invalid input (config or
 output path), 3 internal numerical failure.
 
+This is the one module that writes files: every artifact goes through one
+JSON writer (_write_json) or one CSV writer (_write_csv), and coupling.json
+through one schema (_write_coupling), with or without a resonance.
+
 A [sweep] runs its values one after another in this process, each after a
 "[<field>=<value>]" stdout line and into the subdirectory of that name; a
 failing value does not stop the rest, and the exit code is the largest.
@@ -13,6 +17,7 @@ failing value does not stop the rest, and the exit code is the largest.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import sys
@@ -23,7 +28,6 @@ import numpy as np
 from . import coupling, dynamics, wgm
 from .config import ConfigError, RunConfig
 from .constants import C_LIGHT
-from .wgm import _write_json
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -61,10 +65,44 @@ def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
 _RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
 
 
+def _write_json(path, payload):
+    """The JSON artifact format: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows, comment=None):
+    """The CSV artifact format, with LF line ends: a "# comment" line if
+    given, the header's column names, then one line per row, each str value
+    as it is and every other value by repr (a float reads back bit for bit).
+    No value holds a comma, so none is quoted."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row)
+                 for row in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_coupling(path, lambda_, inertia, l, mode=None):
+    """coupling.json: Lambda, I and l, with k0, kappa_c and Q of the mode
+    that Lambda belongs to (null without one)."""
+    k0, kappa_c, q = (None,) * 3 if mode is None else (mode.k0, mode.kappa_c, mode.Q)
+    _write_json(path, {"lambda": lambda_, "I": inertia, "l": l,
+                       "k0": k0, "kappa_c": kappa_c, "Q": q})
+
+
+_MODE_COLUMNS = ("pol", "l", "k0", "lambda_vac", "kappa_c", "Q")
+_TRAJECTORY_COLUMNS = ("t", "omega_x", "omega_y", "omega_z", "S_x", "S_y", "S_z",
+                       "q_w", "q_x", "q_y", "q_z")
+
+
 def cmd_modes(cfg: RunConfig, outdir: Path, natural=False):
     params, modes = _find_modes(cfg)
-    wgm.modes_to_csv(modes, outdir / "modes.csv")
-    wgm.modes_to_json(modes, outdir / "modes.json")
+    rows = [(m.polarization, m.l, m.k0, m.lambda_vac, m.kappa_c, m.Q) for m in modes]
+    _write_csv(outdir / "modes.csv", _MODE_COLUMNS, rows)
+    _write_json(outdir / "modes.json", [dict(zip(_MODE_COLUMNS, row)) for row in rows])
     for m in modes:
         print(f"{m.polarization} l={m.l}  lambda_vac={m.lambda_vac:.6e} m  "
               f"k0={m.k0:.10e} 1/m  kappa_c={m.kappa_c:.6e} 1/m  Q={m.Q:.6e}")
@@ -88,15 +126,13 @@ def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False):
         # no index contrast: eps - 1 = 0, so Lambda = 0 for any TE mode and
         # there is no resonance to attach it to; TM is rejected as at any n
         params = _sphere(cfg)
-        _write_json(outdir / "coupling.json",
-                    {"lambda": 0.0, "I": params.I, "l": cfg.l,
-                     "k0": None, "kappa_c": None, "Q": None})
+        _write_coupling(outdir / "coupling.json", 0.0, params.I, cfg.l)
         print("Lambda = 0.000000")
         print(f"I = {params.I:.6e} kg m^2")
         print("Q = n/a (uniform medium has no resonance)")
         return
     params, cc = _coupling_constants(cfg)
-    coupling.coupling_to_json(cc, outdir / "coupling.json")
+    _write_coupling(outdir / "coupling.json", cc.lambda_, cc.I, cc.l, cc.mode)
     print(f"Lambda = {cc.lambda_:.6f}")
     print(f"I = {cc.I:.6e} kg m^2")
     print(f"Q = {cc.mode.Q:.6e}")
@@ -107,7 +143,13 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, natural=False):
     s_vec = coupling.optical_S_from_amplitudes(_amplitude_vector(cfg))
     initial = dynamics.SpinState(omega=np.array(cfg.omega0), S=s_vec.S)
     traj = dynamics.simulate(initial, cc, cfg.dt, cfg.n_steps, cfg.sample_every)
-    dynamics.trajectory_to_csv(traj, outdir / "trajectory.csv")
+    # t, omega, S and orientation per sample, as float64; K and H_r follow
+    # from a row and summary.json's lambda and I
+    _write_csv(outdir / "trajectory.csv", _TRAJECTORY_COLUMNS,
+               np.column_stack((traj.t, traj.omega.astype(float), traj.S.astype(float),
+                                traj.orientation.astype(float))).tolist(),
+               comment="t [s]; omega [rad/s]; S [hbar units]; "
+                       "q = orientation, unit quaternion, scalar first")
 
     hz_per_unit, unit = _RATE_UNIT[natural]
     rad_per_unit = 2.0 * math.pi * hz_per_unit
@@ -193,7 +235,7 @@ def _run(verb, cfg, outdir, natural) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, OverflowError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

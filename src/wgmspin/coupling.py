@@ -12,7 +12,9 @@ characteristic function on the real axis and psi, psi' the Riccati-Bessel
 values at y = n k0 R: Lommel's integral gives the second line in closed form.
 The optical angular momentum S of the multiplet lives in the spin-l
 representation; dynamics treat S as a mean-field expectation vector built
-from coherent amplitudes (no Fock-space state is represented).
+from coherent amplitudes (no Fock-space state is represented). The module
+returns values and writes no files; the CLI (wgmspin.cli) writes
+coupling.json and estimates.json.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .wgm import ModeRecord, SphereParams, _write_json, interior_norm_integral
+from .wgm import ModeRecord, SphereParams, interior_norm_integral
 
 __all__ = [
     "CouplingConstants",
@@ -34,7 +36,6 @@ __all__ = [
     "zeeman_shift",
     "resolvability_threshold",
     "precession_rate_estimate",
-    "coupling_to_json",
 ]
 
 @dataclass(frozen=True)
@@ -126,17 +127,3 @@ def precession_rate_estimate(params: SphereParams, N: float, l: int,
     simplified = (params.n**2 - 1.0) * N * HBAR * l / (params.rho * params.R**5)
     return PrecessionEstimate(exact_hz=exact / (2.0 * math.pi),
                               simplified_hz=simplified / (2.0 * math.pi))
-
-
-def coupling_to_json(cc: CouplingConstants, path):
-    """Write cc to path as JSON (lambda, I, l, k0, kappa_c, Q); return it."""
-    payload = {
-        "lambda": cc.lambda_,
-        "I": cc.I,
-        "l": cc.l,
-        "k0": cc.mode.k0,
-        "kappa_c": cc.mode.kappa_c,
-        "Q": cc.mode.Q,
-    }
-    _write_json(path, payload)
-    return payload

@@ -26,6 +26,9 @@ the balanced regime |K| ~ 1e-4 I|w|, where float64 rounding of K alone is
 ~1.5e-12. The general torque equation I dw/dt = -w x Gamma + dGamma/dt
 rotates u = I w - Gamma about Gamma(t); step_general takes that rotation as
 one fourth-order Magnus vector per step, exact for constant Gamma.
+
+simulate returns its samples as the arrays of a Trajectory and writes no
+files; the CLI (wgmspin.cli) writes them as trajectory.csv and summary.json.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "conserved_K",
     "rotating_frame_energy",
     "simulate",
-    "trajectory_to_csv",
     "precession_frequency",
 ]
 
@@ -324,23 +326,6 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
             f"conservation monitor drift {drift:.3e} in {channel} beyond "
             f"{MONITOR_TOL:.1e}: integrator misuse (check dt and state scales)")
     return traj
-
-
-def trajectory_to_csv(traj: Trajectory, path):
-    """The state per sample as CSV: a units comment, the column names
-    t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z, then one row per
-    sample, each value the float64 of traj's t, omega, S and orientation
-    (repr, so it reads back bit for bit). Identities of the state are left
-    out: K = I w - (Lambda-1) hbar S and H_r = I |w|^2 / 2 follow from a row
-    and the Lambda and I of the run."""
-    with open(path, "w") as fh:
-        fh.write("# t [s]; omega [rad/s]; S [hbar units]; "
-                 "q = orientation, unit quaternion, scalar first\n")
-        fh.write("t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z\n")
-        rows = np.column_stack((traj.t, traj.omega.astype(float), traj.S.astype(float),
-                                traj.orientation.astype(float)))
-        for row in rows:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def precession_frequency(times, vectors, axis):

@@ -7,9 +7,14 @@
 * Argument-principle pole scanner: counts zeros of an analytic function
   inside a rectangle by winding number and localizes them by recursive
   subdivision. Used to brute-force quasinormal pole sets.
+* The characteristic function D built from mpmath's besselj/bessely of order
+  l + 1/2, its poles by findroot, and the TE coupling constant Lambda on the
+  real axis at a pole's real part, at as many digits as the pole's Q needs.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 
@@ -176,3 +181,81 @@ def contour_pole_scan(f_vec, re_range, im_range, *, n_re=600, n_im=160,
             f"argument principle counts {count} zeros but grid scan located "
             f"{len(zeros)}; refine the scan")
     return sorted(zeros, key=lambda v: v.real)
+
+
+# --- mpmath characteristic function, poles and Lambda -----------------------
+
+def lly_wavenumber(l, pol, n, R):
+    """First-order WGM position from the asymptotic series of Lam, Leung &
+    Young, JOSA B 9, 1585 (1992), through order nu^(-2/3)."""
+    nu, c, a = l + 0.5, 2.0 ** (-1 / 3), 2.338107410459767  # a: first zero of Ai(-z)
+    p = 1.0 if pol == "TE" else 1.0 / (n * n)
+    nx = (nu + c * a * nu ** (1 / 3) - p * n / math.sqrt(n * n - 1)
+          + 0.3 * c * c * a * a * nu ** (-1 / 3)
+          - c * p * n * (n * n - 2 * p * p / 3) * a * nu ** (-2 / 3) / (n * n - 1) ** 1.5)
+    return nx / (n * R)
+
+
+def _mp_riccati(l, z, hankel):
+    """The Riccati-Bessel function z f_l(z) and its derivative
+    z f_{l-1}(z) - l f_l(z) at the working precision, f = h_l^(1) if hankel
+    else j_l, from mpmath's besselj/bessely of order l + 1/2."""
+    nu = l + mp.mpf(1) / 2
+
+    def f(order):
+        bessel = mp.besselj(order, z) + (1j * mp.bessely(order, z) if hankel else 0)
+        return mp.sqrt(mp.pi / (2 * z)) * bessel
+
+    fl, flm1 = f(nu), f(nu - 1)
+    return z * fl, z * flm1 - l * fl
+
+
+def mp_characteristic(pol, l, n):
+    """D(x) = a psi'(n x) xi(x) - b psi(n x) xi'(x) of x = kR at the working
+    precision, (a, b) = (n, 1) for TE and (1, n) for TM, psi = y j_l(y) and
+    xi = x h_l(x). n is taken as the exact double."""
+    n = mp.mpf(n)
+    a, b = (n, 1) if pol == "TE" else (1, n)
+
+    def D(x):
+        psi, psip = _mp_riccati(l, n * x, hankel=False)
+        xi, xip = _mp_riccati(l, x, hankel=True)
+        return a * psip * xi - b * psi * xip
+
+    return D
+
+
+def mp_pole(pol, l, n, R, start, dps):
+    """The pole of D nearest start [1/m], by findroot in x = kR at dps digits;
+    an mpc wavenumber [1/m]."""
+    with mp.workdps(dps):
+        x = mp.findroot(mp_characteristic(pol, l, n), mp.mpc(start) * mp.mpf(R),
+                        tol=mp.mpf(10) ** -dps, verify=False)
+        return x / mp.mpf(R)
+
+
+def mp_te_lambda(l, n, R, start):
+    """Lambda of the TE pole nearest start [1/m] (complex, lower half plane).
+
+    The pole is found by mp_pole at 50 + log10 Q digits, so its width
+    kappa_c = -2 Im p keeps ~50 digits at any Q. Lambda is then the
+    real-axis closed form at x0 = Re p R, y = n x0:
+
+        Lambda = kappa_c R (n^2 - 1) [y psi'^2 + (y - l(l+1)/y) psi^2 - psi psi']
+                 / (n x0 |D(x0)|^2).
+
+    The closed form is the package's (Lommel's integral, which the Simpson
+    and trapezoid tests check against quadrature of the profile); the
+    numbers are not: no Bessel ladder, no k0 rounded to a double, and so no
+    snap of Im D at the resonance center."""
+    q = start.real / (-2.0 * start.imag)
+    dps = 50 + max(0, math.ceil(math.log10(q)))
+    p = mp_pole("TE", l, n, R, start, dps)
+    with mp.workdps(dps):
+        n_mp, x0 = mp.mpf(n), mp.re(p) * mp.mpf(R)
+        kappa_x = -2 * mp.im(p) * mp.mpf(R)
+        y = n_mp * x0
+        psi, psip = _mp_riccati(l, y, hankel=False)
+        bracket = y * psip**2 + (y - l * (l + 1) / y) * psi**2 - psi * psip
+        d = mp_characteristic("TE", l, n)(x0)
+        return float(kappa_x * (n_mp**2 - 1) * bracket / (n_mp * x0 * abs(d) ** 2))

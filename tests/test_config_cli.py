@@ -57,6 +57,18 @@ def run_cli(verb, cfg_path, out_dir, *extra):
                      *extra])
 
 
+def record_returns(monkeypatch, module, name):
+    """Wrap module.name so that each value it returns is appended to the
+    returned list: an artifact can then be checked against the in-process
+    value it was written from."""
+    returned = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: returned.append(real(*args, **kwargs))
+                        or returned[-1])
+    return returned
+
+
 # --- RunConfig ----------------------------------------------------------------
 
 def test_reference_config_parses():
@@ -264,10 +276,7 @@ def test_trajectory_csv_and_summary_give_K_and_H_r(tmp_path, monkeypatch, omega0
     # trajectory.csv leaves out K = I w - (Lambda-1) hbar S and H_r = I |w|^2 / 2;
     # the rows and the summary's lambda and I give them back to a few float64
     # roundings (1e-15 ~ 4.5 eps) of the in-process longdouble channels
-    runs = []
-    simulate = cli.dynamics.simulate
-    monkeypatch.setattr(cli.dynamics, "simulate",
-                        lambda *args: runs.append(simulate(*args)) or runs[-1])
+    runs = record_returns(monkeypatch, cli.dynamics, "simulate")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(REFERENCE_CFG.replace("omega0 = 1e-8, 0, 2e-9", f"omega0 = {omega0}"))
     out = tmp_path / "out"
@@ -291,6 +300,76 @@ def test_artifacts_end_lines_with_lf(tmp_path, fast_cfg_path):
         assert run_cli(verb, fast_cfg_path, out) == 0
         for path in out.iterdir():
             assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_mode_table_exports(tmp_path, fast_cfg_path, monkeypatch):
+    found = record_returns(monkeypatch, cli.wgm, "find_resonance")
+    out = tmp_path / "out"
+    assert run_cli("modes", fast_cfg_path, out) == 0
+    (mode,), = found
+    lines = (out / "modes.csv").read_text().splitlines()
+    assert lines[0] == "pol,l,k0,lambda_vac,kappa_c,Q"
+    rows = json.loads((out / "modes.json").read_text())
+    assert rows[0]["pol"] == "TE"
+    assert set(rows[0]) == {"pol", "l", "k0", "lambda_vac", "kappa_c", "Q"}
+    want = [mode.polarization, mode.l, mode.k0, mode.lambda_vac, mode.kappa_c, mode.Q]
+    assert [rows[0][key] for key in lines[0].split(",")] == want
+    pol, l, *floats = lines[1].split(",")
+    assert [pol, int(l), *map(float, floats)] == want  # bit for bit
+    assert len(lines) == 2
+
+
+def test_coupling_json_fields(tmp_path, fast_cfg_path, monkeypatch):
+    computed = record_returns(monkeypatch, cli.coupling, "compute_lambda")
+    out = tmp_path / "out"
+    assert run_cli("lambda", fast_cfg_path, out) == 0
+    cc, = computed
+    on_disk = json.loads((out / "coupling.json").read_text())
+    assert set(on_disk) == {"lambda", "I", "l", "k0", "kappa_c", "Q"}
+    assert on_disk == {"lambda": cc.lambda_, "I": cc.I, "l": cc.l, "k0": cc.mode.k0,
+                       "kappa_c": cc.mode.kappa_c, "Q": cc.mode.Q}
+
+
+def test_trajectory_csv_header_and_determinism(tmp_path, fast_cfg_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli("simulate", fast_cfg_path, out1) == 0
+    assert run_cli("simulate", fast_cfg_path, out2) == 0
+    lines = (out1 / "trajectory.csv").read_text().splitlines()
+    assert lines[0].startswith("#")
+    assert lines[1] == "t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z"
+    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_trajectory_csv_rows_are_the_arrays(tmp_path, monkeypatch):
+    # sample_every = 7 does not divide n_steps = 60: the last row is the
+    # extra sample at n_steps
+    runs = record_returns(monkeypatch, cli.dynamics, "simulate")
+    cfg = tmp_path / "every7.cfg"
+    cfg.write_text(FAST_CFG.replace("sample_every = 10", "sample_every = 7"))
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == 0
+    traj, = runs
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in (out / "trajectory.csv").read_text().splitlines()[2:]])
+    assert rows.shape == (traj.t.size, 11) == (10, 11)
+
+    def assert_bits(got, want):
+        want = np.asarray(want, dtype=float)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    for cols, want in ((slice(0, 1), traj.t[:, None]),
+                       (slice(1, 4), traj.omega.astype(float)),
+                       (slice(4, 7), traj.S.astype(float)),
+                       (slice(7, 11), traj.orientation.astype(float))):
+        assert_bits(rows[:, cols], want)
+    samples = traj.samples
+    assert len(samples) == traj.t.size
+    for i, s in enumerate(samples):
+        assert s.t == traj.t[i]
+        for got, want in ((s.omega, traj.omega[i]), (s.S, traj.S[i]),
+                          (s.orientation, traj.orientation[i])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_simulate_zero_field_reports_null(tmp_path):
@@ -458,6 +537,11 @@ def test_lambda_uniform_medium_prints_zero(tmp_path, capsys):
     payload = json.loads((out / "coupling.json").read_text())
     assert payload["lambda"] == 0.0
     assert payload["Q"] is None
+    # the one coupling.json schema: the keys of a resonance's coupling.json
+    resonance = tmp_path / "resonance.cfg"
+    resonance.write_text(FAST_CFG)
+    assert run_cli("lambda", resonance, tmp_path / "res") == 0
+    assert set(payload) == set(json.loads((tmp_path / "res" / "coupling.json").read_text()))
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -8,7 +7,6 @@ import pytest
 from wgmspin.constants import C_LIGHT, HBAR
 from wgmspin.coupling import (
     compute_lambda,
-    coupling_to_json,
     optical_S_from_amplitudes,
     precession_rate_estimate,
     resolvability_threshold,
@@ -23,6 +21,8 @@ from wgmspin.wgm import (
     interior_norm_integral,
     radial_profile,
 )
+
+from oracles import lly_wavenumber, mp_te_lambda
 
 K_REF = 2.0 * math.pi / 743.25e-9
 
@@ -110,6 +110,35 @@ def test_lambda_matches_converged_simpson_oracle(case, l8_mode, ref_params, ref_
     assert compute_lambda(mode, p).lambda_ == pytest.approx(lam_oracle, rel=1e-12)
 
 
+# TE poles at R = 10 um in +-10 % windows about the Lam-Leung-Young position,
+# as (n^2, l, Q to pick the pole by). Four read a wrong Lambda while the snap
+# of Im D(k0) ignored the rounding of k0: 1e-23 and 7e-70 at n^2 = 2.31,
+# l = 200 and 400, 0.4857 at n^2 = 1.44, l = 500, and 0.0013 at l = 400,
+# Q = 4e16; the other n^2 = 1.44, l = 400 poles span Q ~ 1e7-1e11, where the
+# snap starts to act
+MPMATH_LAMBDA_POLES = [(2.31, 200, 6.6e26), (2.31, 400, 1.8e50), (1.44, 500, 1.9e15),
+                       (1.44, 400, 9.4e6), (1.44, 400, 5.4e8), (1.44, 400, 7.2e10),
+                       (1.44, 400, 4.1e16)]
+
+
+@pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
+@pytest.mark.parametrize("case", ["reference", *MPMATH_LAMBDA_POLES],
+                         ids=lambda c: c if isinstance(c, str) else "n2={}-l={}-Q={:.1e}".format(*c))
+def test_lambda_matches_mpmath_oracle(case, ref_params, ref_coupling):
+    # Lambda against mpmath at 50 + log10 Q digits, from the package's pole:
+    # measured agreement is within 1.2e-13 on every case (0.3-0.8 s each)
+    if case == "reference":
+        p, mode = ref_params, ref_coupling.mode
+    else:
+        n2, l, q = case
+        p = SphereParams(R=10e-6, n=math.sqrt(n2))
+        k = lly_wavenumber(l, "TE", p.n, p.R)
+        mode, = (m for m in find_resonance("TE", l, (0.9 * k, 1.1 * k), p)
+                 if abs(math.log10(m.Q / q)) < 0.1)
+    oracle = mp_te_lambda(mode.l, p.n, p.R, mode.pole)
+    assert compute_lambda(mode, p).lambda_ == pytest.approx(oracle, rel=1e-12)
+
+
 def test_lambda_ignores_attached_profile(l20_setup):
     # Lambda is closed-form: a bare mode, the default profile and a far too
     # coarse profile all give the same bits
@@ -141,15 +170,6 @@ def test_profile_tm_rejected(call, ref_params):
                              ref_params)[0]
     with pytest.raises(ValueError, match="TE"):
         call(tm_mode, ref_params)
-
-
-def test_coupling_json_fields(tmp_path, ref_coupling):
-    path = tmp_path / "coupling.json"
-    payload = coupling_to_json(ref_coupling, path)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == payload
-    assert set(payload) == {"lambda", "I", "l", "k0", "kappa_c", "Q"}
-    assert payload["lambda"] == ref_coupling.lambda_
 
 
 # --- optical angular momentum ---------------------------------------------------

@@ -18,7 +18,6 @@ from wgmspin.dynamics import (
     simulate,
     step_general,
     step_wgm,
-    trajectory_to_csv,
 )
 from wgmspin.wgm import ModeRecord, SphereParams
 
@@ -590,47 +589,6 @@ def test_monitor_abort_on_nonsense(monkeypatch):
     monkeypatch.setattr(dynamics, "MONITOR_TOL", 1e-22)
     with pytest.raises(RuntimeError, match="monitor"):
         simulate(state, cc, 1e4, 1000)
-
-
-def test_trajectory_csv_header_and_determinism(tmp_path):
-    cc = make_constants()
-    state = reference_state()
-    traj = simulate(state, cc, 1.2e4, 100, sample_every=10)
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    trajectory_to_csv(traj, p1)
-    trajectory_to_csv(simulate(state, cc, 1.2e4, 100, sample_every=10), p2)
-    lines = p1.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "t,omega_x,omega_y,omega_z,S_x,S_y,S_z,q_w,q_x,q_y,q_z"
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_trajectory_csv_rows_are_the_arrays(tmp_path):
-    traj = simulate(reference_state(), make_constants(), 1.2e4, 100, sample_every=7)
-    path = tmp_path / "t.csv"
-    trajectory_to_csv(traj, path)
-    rows = np.array([[float(v) for v in line.split(",")]
-                     for line in path.read_text().splitlines()[2:]])
-    assert rows.shape == (traj.t.size, 11)
-
-    def assert_bits(got, want):
-        want = np.asarray(want, dtype=float)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    for cols, want in ((slice(0, 1), traj.t[:, None]),
-                       (slice(1, 4), traj.omega.astype(float)),
-                       (slice(4, 7), traj.S.astype(float)),
-                       (slice(7, 11), traj.orientation.astype(float))):
-        assert_bits(rows[:, cols], want)
-    samples = traj.samples
-    assert len(samples) == traj.t.size
-    for i, s in enumerate(samples):
-        assert s.t == traj.t[i]
-        for got, want in ((s.omega, traj.omega[i]), (s.S, traj.S[i]),
-                          (s.orientation, traj.orientation[i])):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
 
 
 def test_simulate_memory_bounded_at_sample_cap():

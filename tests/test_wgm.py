@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 import warnings
@@ -17,14 +16,12 @@ from wgmspin.wgm import (
     attach_profile,
     default_profile_grid,
     find_resonance,
-    modes_to_csv,
-    modes_to_json,
     radial_profile,
     te_characteristic,
     tm_characteristic,
 )
 
-from oracles import contour_pole_scan
+from oracles import contour_pole_scan, lly_wavenumber, mp_pole
 
 K_REF = 2.0 * math.pi / 743.25e-9
 REF_WINDOW = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
@@ -445,42 +442,11 @@ def test_tm_l180_survey_window_finds_pole(ref_params):
     _assert_poles_resolved("TM", 180, window, ref_params, modes)
 
 
-def _lly_wavenumber(l, pol, n, R):
-    """First-order WGM position from the asymptotic series of Lam, Leung &
-    Young, JOSA B 9, 1585 (1992), through order nu^(-2/3)."""
-    nu, c, a = l + 0.5, 2.0 ** (-1 / 3), 2.338107410459767  # a: first zero of Ai(-z)
-    p = 1.0 if pol == "TE" else 1.0 / (n * n)
-    nx = (nu + c * a * nu ** (1 / 3) - p * n / math.sqrt(n * n - 1)
-          + 0.3 * c * c * a * a * nu ** (-1 / 3)
-          - c * p * n * (n * n - 2 * p * p / 3) * a * nu ** (-2 / 3) / (n * n - 1) ** 1.5)
-    return nx / (n * R)
-
-
 def _mpmath_pole(pol, l, n=math.sqrt(2.31), R=10e-6, dps=60):
     """Generator of MPMATH_POLES: the pole of the same D, built from mpmath's
     besselj/bessely of order l + 1/2 at dps digits, by findroot from the
     Lam-Leung-Young position. n and R are the doubles the package sees."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        n, nu = mp.mpf(n), l + mp.mpf(1) / 2
-
-        def jy(z, order):
-            f = mp.sqrt(mp.pi / (2 * z))
-            return f * mp.besselj(order, z), f * mp.bessely(order, z)
-
-        def D(x):
-            (j_in, _), (jm1_in, _) = jy(n * x, nu), jy(n * x, nu - 1)
-            (j, y), (jm1, ym1) = jy(x, nu), jy(x, nu - 1)
-            h, hm1 = j + 1j * y, jm1 + 1j * ym1
-            psi, psip = n * x * j_in, n * x * jm1_in - l * j_in
-            xi, xip = x * h, x * hm1 - l * h
-            a, b = (n, 1) if pol == "TE" else (1, n)
-            return a * psip * xi - b * psi * xip
-
-        x0 = mp.mpf(_lly_wavenumber(l, pol, float(n), R) * R)
-        x = mp.findroot(D, mp.mpc(x0, -1e-30), tol=mp.mpf(10) ** -dps, verify=False)
-        return x / mp.mpf(R)
+    return mp_pole(pol, l, n, R, complex(lly_wavenumber(l, pol, n, R), -1e-30 / R), dps)
 
 
 # (pol, l): (k0, kappa_c) [1/m] of the highest-Q pole in a +-1 % window about
@@ -504,7 +470,7 @@ def test_pole_matches_mpmath_table(ref_params, pol, l):
     # kappa_c lives in the tiny Re xi(kR) = kR j_l(kR); taken from an upward
     # j recurrence it was off by 1.9e-7 at TE l = 147 and lost above l ~ 178
     k0, kappa_c = MPMATH_POLES[pol, l]
-    k = _lly_wavenumber(l, pol, ref_params.n, ref_params.R)
+    k = lly_wavenumber(l, pol, ref_params.n, ref_params.R)
     modes = find_resonance(pol, l, (0.99 * k, 1.01 * k), ref_params, scan_points=2000)
     assert modes
     best = max(modes, key=lambda m: m.Q)
@@ -659,17 +625,3 @@ def test_continuum_orthogonality_decay():
     assert ratios[1] < 0.5 * ratios[0]
     assert ratios[1] < 0.02
 
-
-# --- exports ----------------------------------------------------------------------
-
-def test_mode_table_exports(tmp_path, ref_mode):
-    csv_path = tmp_path / "modes.csv"
-    json_path = tmp_path / "modes.json"
-    modes_to_csv([ref_mode], csv_path)
-    modes_to_json([ref_mode], json_path)
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "pol,l,k0,lambda_vac,kappa_c,Q"
-    rows = json.loads(json_path.read_text())
-    assert rows[0]["pol"] == "TE"
-    assert set(rows[0]) == {"pol", "l", "k0", "lambda_vac", "kappa_c", "Q"}
-    assert rows[0]["k0"] == ref_mode.k0
