@@ -62,6 +62,46 @@ def test_spin_state_does_not_alias_inputs():
         assert_unchanged(st, w)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_spin_state_rejects_non_finite_t(t):
+    # every later step would carry it
+    with pytest.raises(ValueError, match="t must be finite"):
+        SpinState(omega=[1e-9, 0.0, 2e-10], S=[0.0, 0.0, 1.0], t=t)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega", [1e-9, math.nan, 0.0]),
+    ("S", [0.0, -math.inf, 1.0]),
+    # finite as a longdouble, beyond float64's range
+    ("S", [np.longdouble(2.0) ** 1100, 0.0, 0.0]),
+    ("orientation", [0.5, 0.0, 0.0, 0.0]),
+])
+def test_step_state_rejects_what_spin_state_rejects(field, value):
+    # steps build their result through dynamics._step_state, which must keep
+    # SpinState's accept/reject set
+    fields = {"omega": [1e-9, 0.0, 2e-10], "S": [1.0, 2.0, 3.0],
+              "orientation": [0.8, 0.0, 0.6, 0.0]}
+    fields[field] = np.array(value, dtype=np.longdouble)
+    with pytest.raises(ValueError):
+        SpinState(**fields)
+    with pytest.raises(ValueError):
+        dynamics._step_state(fields["omega"], fields["S"], fields["orientation"], 0.0)
+
+
+def test_unit_quat_norm_is_np_sum():
+    # the quaternion norm sums its four squares left to right; that must be
+    # np.sum's result bit for bit, which another order misses for ~1 in 4
+    rng = np.random.default_rng(11)
+    # components of like size, and components spread over 12 decades
+    q_all = rng.normal(size=(4000, 4))
+    q_all[2000:] *= 10.0 ** rng.uniform(-12, 0, (2000, 4))
+    q_all *= rng.uniform(0.95, 1.05, (4000, 1)) / np.linalg.norm(
+        q_all, axis=1, keepdims=True)
+    for q in q_all.astype(np.longdouble):
+        np.testing.assert_array_equal(dynamics._unit_quat(q),
+                                      q / np.sqrt(np.sum(q * q)))
+
+
 # --- step_wgm ---------------------------------------------------------------------
 
 def test_parallel_fixed_point():
@@ -226,6 +266,13 @@ def test_step_general_dt_must_be_positive(dt):
                      lambda t: (np.zeros(3), np.zeros(3)))
 
 
+@pytest.mark.parametrize("inertia", [0.0, -1.0, math.nan, math.inf])
+def test_step_general_inertia_must_be_positive(inertia):
+    with pytest.raises(ValueError, match="inertia must be positive"):
+        step_general(reference_state(), 0.1, inertia,
+                     lambda t: (np.array([0.0, 0.0, 1.0]), np.zeros(3)))
+
+
 @pytest.mark.parametrize("dt", [0.0, -1.2e4, math.nan, math.inf])
 def test_simulate_dt_must_be_positive(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
@@ -255,6 +302,116 @@ def test_simulate_matches_step_wgm_chain():
             assert _quat_distance(cur.orientation, ref.orientation) <= 1e-15
             checked += 1
     assert checked == len(traj.samples)
+
+
+# S = 1.2e7 (sin 0.4, 0, cos 0.4), and the w that makes |K| = 1e-4 I|w| with it
+# under make_constants(): w = (Lambda-1) hbar S / I + 1e-4 |that| (0, 1, 0.3)^
+_S_REF = [4673020.107703806, 0.0, 11052731.92803462]
+_W_BALANCED = [1.764722651982298e-07, 4.340570431718658e-11, 4.174091798732359e-07]
+_Q_REF = [0.8, 0.0, 0.6, 0.0]
+
+
+def _gamma_poly(t):
+    return np.array([0.5 - 0.3 * t * t, 0.4 * t, 0.9 * t + 0.2]), np.zeros(3)
+
+
+# The last state of 1000-step chains, recorded before the step API's call
+# overhead was cut: each longdouble as its 10 significant bytes (x86 80-bit,
+# hex) and t by float.hex. Steps keep every longdouble operation and its
+# order, so these bytes must not move.
+_PINNED = {
+    "step_wgm S-dominated": (
+        "d3ef752fc7f84c87e13f395f7561b335afb8de3f0068c87f1de218e3de3f",
+        "58e3543f41c0988e154057b9adadb7ebfe8a0b409d834bdd3469a7a81640",
+        "66ee594a091fcdccfe3f96faabbd7ee1bd81f5bff0e2cd7176869899fe3f"
+        "e861c9ac26d4efd7f63f",
+        "0x1.6e36000000000p+23"),
+    "step_wgm balanced": (
+        "dc24bb26af537cbde83f20e32d287b7ae6bedc3f96e95ae0e54718e0e93f",
+        "f614d62437f89b8e154000000000d0fc3289e8bfd19cb393edbba6a81640",
+        "7b41111706c33a80fe3f00d27c38bebf80c0fc3fe78373a66e9c59c0fd3f"
+        "5c04f80c5e56b8c1febf",
+        "0x1.203b58b86bb96p+39"),
+    "step_general time-varying Gamma": (
+        "d375372767c938a4fcbff458f083d41903aefe3f277d911ffcabf9d6ff3f",
+        "00d0ccccccccccccfd3f00d0ccccccccccccfb3f0098999999999999fdbf",
+        "9c968ddc87c764f5fc3f6302b6aa93b76c92fdbfaa488dd1c446fbcafd3f"
+        "9d4b9e5445a7bcd6fe3f",
+        "0x1.0000000000003p+1"),
+}
+
+
+def _x87_bytes(a):
+    assert np.finfo(np.longdouble).nmant == 63, "pinned bytes need x86 80-bit longdouble"
+    a = np.ascontiguousarray(a, dtype=np.longdouble)
+    return a.view(np.uint8).reshape(a.size, -1)[:, :10].tobytes().hex()
+
+
+@pytest.mark.parametrize("chain", sorted(_PINNED))
+def test_step_chains_reproduce_pinned_bytes(chain):
+    if chain == "step_general time-varying Gamma":
+        cur = SpinState(omega=[0.3, -0.2, 0.5], S=[0.4, 0.1, -0.3], orientation=_Q_REF)
+        for _ in range(1000):
+            cur = step_general(cur, 2e-3, 1.3, _gamma_poly)
+    else:
+        omega, dt = (([1e-9, 0.0, 2e-10], 1.2e4) if chain.endswith("S-dominated")
+                     else (_W_BALANCED, 618973125.6858641))
+        cur = SpinState(omega=omega, S=_S_REF, orientation=_Q_REF)
+        for _ in range(1000):
+            cur = step_wgm(cur, dt, make_constants())
+    got = (_x87_bytes(cur.omega), _x87_bytes(cur.S), _x87_bytes(cur.orientation),
+           float(cur.t).hex())
+    assert got == _PINNED[chain]
+
+
+# (Lambda, I, hbar) and the initial w, S of each regime, and the precession
+# angle covered. Balanced: the body turns ~1e4 times faster than S precesses,
+# so a short arc keeps the orientation's integration affordable.
+_REGIMES = {
+    "S-dominated": ((1.12, 3.3510321638291136e-22, HBAR),  # |K| ~ 440 I|w|
+                    [1e-9, 0.0, 2e-10], _S_REF, 4 * math.pi),
+    "omega-dominated": ((1.37, 0.8, 1.0),  # |K| ~ 26 (Lambda-1) hbar |S|
+                        [0.3, -0.2, 0.5], [0.04, 0.01, -0.03], 4 * math.pi),
+    "balanced": ((1.12, 3.3510321638291136e-22, HBAR), _W_BALANCED, _S_REF, 0.01),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_flow_matches_integrated_equations(regime):
+    # DOP853 on the paper's equations dS/dt = Lambda w x S,
+    # I dw/dt = Lambda (Lambda-1) hbar w x S and dq/dt = (0, w) q / 2, against
+    # simulate's 401 samples and every state of a 400-step step_wgm chain.
+    # Measured: S and w within 3.4e-13 of their initial norms and the
+    # quaternion within 4.5e-13 (balanced); the bound is over 200x that
+    from scipy.integrate import solve_ivp
+
+    (lam, inertia, hbar), w0, s0, angle = _REGIMES[regime]
+    cc = make_constants(lambda_=lam, inertia=inertia)
+    state = SpinState(omega=w0, S=s0, orientation=_Q_REF)
+    k = conserved_K(state, cc, hbar=hbar).astype(float)
+    n = 400
+    dt = angle / (lam * np.linalg.norm(k) / inertia) / n
+
+    def rhs(t, y):
+        w, q = y[3:6], y[6:]
+        c = np.cross(w, y[:3])
+        dq = 0.5 * np.array([-w @ q[1:], *(q[0] * w + np.cross(w, q[1:]))])
+        return np.concatenate([lam * c, lam * (lam - 1.0) * hbar / inertia * c, dq])
+
+    ref = solve_ivp(rhs, (0.0, n * dt), np.concatenate([s0, w0, _Q_REF]),
+                    method="DOP853", rtol=1e-13, atol=1e-30,
+                    t_eval=np.arange(n + 1) * dt).y.T
+    chain = [state]
+    for _ in range(n):
+        chain.append(step_wgm(chain[-1], dt, cc, hbar=hbar))
+    for states in (simulate(state, cc, dt, n, hbar=hbar).samples, chain):
+        assert len(states) == len(ref)
+        s, w, q = (np.array([getattr(x, name).astype(float) for x in states])
+                   for name in ("S", "omega", "orientation"))
+        err_s = np.max(np.linalg.norm(s - ref[:, :3], axis=1)) / np.linalg.norm(s0)
+        err_w = np.max(np.linalg.norm(w - ref[:, 3:6], axis=1)) / np.linalg.norm(w0)
+        err_q = max(_quat_distance(a, b) for a, b in zip(q, ref[:, 6:]))
+        assert max(err_s, err_w, err_q) <= 1e-10, (err_s, err_w, err_q)
 
 
 def test_drifts_on_million_step_reference():
