@@ -1,15 +1,21 @@
 """Run configuration: INI file (key/value with sections) -> validated RunConfig.
 
 All quantities are SI. The reference parameter set ships as
-configs/reference.cfg. One table, _SECTIONS, gives each config key its section
-and its text parser; values from the file and [sweep] values both go through
-that parser.
+configs/reference.cfg. One table, _SECTIONS, gives each config key its section,
+its text parser and its rule. Values from the file and [sweep] values both go
+through that parser. validate() checks every key in one loop: each number in
+its value must be finite, then the rule must hold, so a key gets at most one
+diagnostic, "<rule>, got <value>". An unset optional key (None) passes. The
+checks that involve more than one key follow the loop: the window, each m
+against l, a repeated m, all-zero amplitudes at N > 0, the sample cap and
+[sweep]. The window is checked only when both its ends are finite.
 """
 
 from __future__ import annotations
 
 import cmath
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .specfun import MAX_ORDER
@@ -51,20 +57,36 @@ def _amplitudes(raw):
     return tuple(out)
 
 
-# section -> config key -> text parser. A key names its RunConfig field, except
-# in [sweep], whose keys field/values are the fields sweep_field/sweep_values.
+# a rule is a predicate on a key's value and the condition it states
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+
+
+def _in(lo, hi):
+    return (lambda v: lo <= v <= hi), f"must be in [{lo}, {hi}]"
+
+
+# section -> config key -> (text parser, rule or None). A key names its RunConfig
+# field, except in [sweep], whose keys field/values are the fields
+# sweep_field/sweep_values.
 _SECTIONS = {
-    "sphere": {"R": float, "n": float, "rho": float, "I": float},
-    "mode_search": {"polarization": str.strip, "l": int, "lambda_min": float,
-                    "lambda_max": float, "scan_points": int},
-    "coupling": {"N": float, "amplitudes": _amplitudes},
-    "simulation": {"dt": float, "n_steps": int, "sample_every": int,
-                   "omega0": _omega0},
-    "estimate": {"Q": float, "m_list": _int_list},
-    "output": {"directory": str.strip},
-    "sweep": {"field": str.strip, "values": _str_list},
+    "sphere": {"R": (float, _POSITIVE), "n": (float, _AT_LEAST_1),
+               "rho": (float, _POSITIVE), "I": (float, _POSITIVE)},
+    "mode_search": {
+        "polarization": (str.strip, (lambda v: v in ("TE", "TM"), "must be TE or TM")),
+        "l": (int, _in(1, MAX_ORDER)), "lambda_min": (float, None),
+        "lambda_max": (float, None), "scan_points": (int, _in(10, MAX_SCAN_POINTS))},
+    "coupling": {"N": (float, (lambda v: v >= 0, "must be non-negative")),
+                 "amplitudes": (_amplitudes, None)},
+    "simulation": {"dt": (float, _POSITIVE), "n_steps": (int, _AT_LEAST_1),
+                   "sample_every": (int, _AT_LEAST_1), "omega0": (_omega0, None)},
+    "estimate": {"Q": (float, _POSITIVE), "m_list": (_int_list, None)},
+    "output": {"directory": (str.strip, None)},
+    "sweep": {"field": (str.strip, None), "values": (_str_list, None)},
 }
 _SWEEPABLE = (float, int, str.strip)  # one value per field: no list parsers
+# the numbers in a value that must be finite, by the value's parser
+_NUMBERS = {float: lambda v: (v,), _omega0: tuple, _amplitudes: lambda v: [c for _, c in v]}
 
 
 def _attr(section, key):
@@ -119,7 +141,7 @@ class RunConfig:
                 errors.append((section, "unknown section"))
                 continue
             for key, raw in parser.items(section):
-                parse = _SECTIONS[section].get(key)
+                parse, _ = _SECTIONS[section].get(key, (None, None))
                 if parse is None:
                     errors.append((f"{section}.{key}", "unknown key"))
                     continue
@@ -138,33 +160,19 @@ class RunConfig:
     def validate(self):
         """Field-level diagnostics as (dotted-field, message) pairs."""
         bad = []
-        numbers = {(section, key): (getattr(self, key),)
-                   for section, keys in _SECTIONS.items()
-                   for key, parse in keys.items() if parse is float}
-        numbers["simulation", "omega0"] = self.omega0
-        numbers["coupling", "amplitudes"] = tuple(c for _, c in self.amplitudes)
-        for (section, key), values in numbers.items():
-            if not all(v is None or cmath.isfinite(v) for v in values):
-                bad.append((f"{section}.{key}", f"must be finite, got {getattr(self, key)}"))
-        for name, v in (("R", self.R), ("rho", self.rho)):
-            if not v > 0:
-                bad.append((f"sphere.{name}", f"must be positive, got {v}"))
-        if self.n < 1:
-            bad.append(("sphere.n", f"must be >= 1, got {self.n}"))
-        if self.I is not None and not self.I > 0:
-            bad.append(("sphere.I", f"must be positive, got {self.I}"))
-        if self.polarization not in ("TE", "TM"):
-            bad.append(("mode_search.polarization", f"must be TE or TM, got {self.polarization!r}"))
-        if not 1 <= self.l <= MAX_ORDER:
-            bad.append(("mode_search.l", f"must be in [1, {MAX_ORDER}], got {self.l}"))
-        if not (0 < self.lambda_min < self.lambda_max):
+        for section, keys in _SECTIONS.items():
+            for key, (parse, rule) in keys.items():
+                value = getattr(self, _attr(section, key))
+                if value is None:
+                    continue
+                if not all(map(cmath.isfinite, _NUMBERS.get(parse, lambda v: ())(value))):
+                    bad.append((f"{section}.{key}", f"must be finite, got {value!r}"))
+                elif rule is not None and not rule[0](value):
+                    bad.append((f"{section}.{key}", f"{rule[1]}, got {value!r}"))
+        lo, hi = self.lambda_min, self.lambda_max
+        if math.isfinite(lo) and math.isfinite(hi) and not 0 < lo < hi:
             bad.append(("mode_search.lambda_min",
-                        f"window [{self.lambda_min}, {self.lambda_max}] must be positive and non-empty"))
-        if not 10 <= self.scan_points <= MAX_SCAN_POINTS:
-            bad.append(("mode_search.scan_points",
-                        f"must be in [10, {MAX_SCAN_POINTS}], got {self.scan_points}"))
-        if self.N < 0:
-            bad.append(("coupling.N", f"must be non-negative, got {self.N}"))
+                        f"window [{lo}, {hi}] must be positive and non-empty"))
         for m, _ in self.amplitudes:
             if abs(m) > self.l:
                 bad.append(("coupling.amplitudes", f"|m| must be <= l, got m={m}"))
@@ -174,18 +182,10 @@ class RunConfig:
                          ("estimate.m_list", self.m_list or ())):
             if len(set(ms)) < len(ms):
                 bad.append((name, f"an m repeats: each m is one entry, got m = {list(ms)}"))
-        if not self.dt > 0:
-            bad.append(("simulation.dt", f"must be positive, got {self.dt}"))
-        if self.n_steps < 1:
-            bad.append(("simulation.n_steps", f"must be >= 1, got {self.n_steps}"))
-        if self.sample_every < 1:
-            bad.append(("simulation.sample_every", f"must be >= 1, got {self.sample_every}"))
-        elif -(-self.n_steps // self.sample_every) + 1 > MAX_SAMPLES:
+        if self.sample_every >= 1 and -(-self.n_steps // self.sample_every) + 1 > MAX_SAMPLES:
             # samples at steps 0, sample_every, 2 sample_every, ... and n_steps
             bad.append(("simulation.n_steps", f"n_steps / sample_every must give at most "
                         f"{MAX_SAMPLES} samples, got {self.n_steps} / {self.sample_every}"))
-        if self.Q is not None and not self.Q > 0:
-            bad.append(("estimate.Q", f"must be positive, got {self.Q}"))
         for m in self.m_list or ():
             if m == 0:
                 bad.append(("estimate.m_list", "m = 0 has no Zeeman shift"))
@@ -193,7 +193,7 @@ class RunConfig:
                 bad.append(("estimate.m_list", f"|m| must be <= l = {self.l}, got m={m}"))
         if self.sweep_field is not None:
             section, _, key = self.sweep_field.partition(".")
-            parse = _SECTIONS.get(section, {}).get(key)
+            parse, _ = _SECTIONS.get(section, {}).get(key, (None, None))
             if not self.sweep_values:
                 bad.append(("sweep.values", "sweep requires at least one value"))
             if parse is None:
@@ -219,5 +219,5 @@ class RunConfig:
         """Copy with one dotted field set to value, parsed from str(value)
         by that field's parser (sweep fan-out helper)."""
         section, key = dotted_field.split(".", 1)
-        parse = _SECTIONS[section][key]
+        parse, _ = _SECTIONS[section][key]
         return replace(self, **{_attr(section, key): parse(str(value))})

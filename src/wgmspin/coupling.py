@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .wgm import ModeRecord, SphereParams, interior_norm_integral
+from .wgm import ModeRecord, SphereParams, _check_positive, interior_norm_integral
 
 __all__ = [
     "CouplingConstants",
@@ -105,11 +105,15 @@ def zeeman_shift(m: int, lambda_: float, omega_z: float) -> float:
 
 def resolvability_threshold(lambda_: float, m: int, Q: float, k0: float) -> float:
     """Smallest spin rate omega_z [rad/s] whose Zeeman shift matches the cavity
-    linewidth: |m| Lambda omega_z = c k0 / Q."""
+    linewidth: |m| Lambda omega_z = c k0 / Q. Lambda must be finite and
+    nonzero, Q and k0 positive and finite."""
     if m == 0:
         raise ValueError("m = 0 carries no shift and can never be resolved")
-    if not (Q > 0 and k0 > 0):
-        raise ValueError("Q and k0 must be positive")
+    if not (math.isfinite(lambda_) and lambda_ != 0):
+        # Lambda = 0 shifts no sublevel, so no spin rate resolves one
+        raise ValueError(f"lambda_ must be finite and nonzero, got {lambda_!r}")
+    _check_positive("Q", Q)
+    _check_positive("k0", k0)
     return C_LIGHT * k0 / (Q * abs(m) * lambda_)
 
 
@@ -119,10 +123,13 @@ def precession_rate_estimate(params: SphereParams, N: float, l: int,
 
     exact:      Lambda (Lambda - 1) <S> / I with <S> = N l hbar
     simplified: (n^2 - 1) N hbar l / (rho R^5)
-    both divided by 2 pi to report Hz.
+    both divided by 2 pi to report Hz. N must be non-negative and finite,
+    Lambda finite.
     """
-    if N < 0:
-        raise ValueError("photon number must be non-negative")
+    if not 0 <= N < math.inf:
+        raise ValueError(f"photon number N must be non-negative and finite, got {N!r}")
+    if not math.isfinite(lambda_):
+        raise ValueError(f"lambda_ must be finite, got {lambda_!r}")
     exact = lambda_ * (lambda_ - 1.0) * N * l * HBAR / params.I
     simplified = (params.n**2 - 1.0) * N * HBAR * l / (params.rho * params.R**5)
     return PrecessionEstimate(exact_hz=exact / (2.0 * math.pi),

@@ -49,6 +49,7 @@ import numpy as np
 
 from .constants import HBAR
 from .coupling import CouplingConstants
+from .wgm import _check_positive
 
 __all__ = [
     "SpinState",
@@ -72,11 +73,6 @@ def _ld_finite(v, shape=3):
     if not all(map(math.isfinite, arr.flat)):
         raise ValueError(f"vector components must be finite, got {v!r}")
     return arr
-
-
-def _check_positive(name, value):
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

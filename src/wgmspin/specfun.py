@@ -27,6 +27,7 @@ _TABLE_BYTES form one row per step instead, with the same bits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,10 +71,13 @@ def _check_order(l):
 
 
 def _check_domain(l, z, uses_y):
-    # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1
+    # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1.
+    # max|z| is nan or inf exactly when some z is, so it is the finiteness test
     _check_order(l)
     arr = np.asarray(z)
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+    if not math.isfinite(amax):
+        raise ValueError(f"argument z must be finite, got max|z| = {amax}")
     if uses_y and np.any(arr == 0):
         raise ValueError("argument z = 0 is outside the domain")
     off_strip = uses_y and arr.size and float(np.max(np.abs(arr.imag))) > 1.0
@@ -133,8 +137,8 @@ def _recur(cur, prev, coefs, checks, zinv, *carried):
 
 def _j_ladder(l, z):
     """(j_{l-1}, j_l) and (y_{l-1}, y_l) (j_{-1} = cos z / z, y_{-1} = j_0),
-    vectorized over a float64 or complex128 z of at least one dimension and
-    keeping its dtype, plus the y overflow mask.
+    vectorized over a finite, nonzero float64 or complex128 z of at least one
+    dimension and keeping its dtype, plus the y overflow mask.
 
     Two ladders of one recurrence, f_{n-1} + f_{n+1} = (2n + 1)/z f_n: Miller
     j from an arbitrary seed down to order l - 1, and y up from
@@ -166,7 +170,7 @@ def _j_ladder(l, z):
     """
     nstart = _miller_start(l, z)
     zmin = float(np.min(np.abs(z)))
-    stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1))) if zmin > 0 else 1
+    stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1)))
     zinv = 1.0 / z
     # step s takes Miller (row 0) to order nstart - s, c = 2 (nstart - s) + 3,
     # and y (row 1) to order s + 1, c = 2 s + 1

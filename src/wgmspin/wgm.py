@@ -49,13 +49,19 @@ _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 _SCAN_PER_SPACING = 32    # scan points per radial-order spacing pi/(nR) in k
 
 
+def _check_positive(name, value):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SphereParams:
     """Sphere geometry and material: radius R [m], refractive index n,
     mass density rho [kg/m^3], moment of inertia I [kg m^2].
 
     I defaults to the solid-sphere value (2/5) M R^2 = (8/15) pi rho R^5.
-    n = 1 is allowed (vacuum limit used by no-scatterer checks).
+    n = 1 is allowed (vacuum limit used by no-scatterer checks). Each value
+    must be finite; a bad one raises ValueError naming it.
     """
 
     R: float
@@ -64,17 +70,14 @@ class SphereParams:
     I: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if not self.n >= 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        _check_positive("R", self.R)
+        if not 1 <= self.n < math.inf:
+            raise ValueError(f"n must be >= 1 and finite, got {self.n!r}")
+        _check_positive("rho", self.rho)
         if self.I is None:
             inertia = (2.0 / 5.0) * ((4.0 / 3.0) * math.pi * self.R**3 * self.rho) * self.R**2
             object.__setattr__(self, "I", inertia)
-        if not self.I > 0:
-            raise ValueError(f"I must be positive, got {self.I}")
+        _check_positive("I", self.I)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,51 @@ def test_negative_index_reports_one_error():
     assert RunConfig(n=-1.0).validate() == [("sphere.n", "must be >= 1, got -1.0")]
 
 
+# every single-key rule, with its message as the config error names it
+@pytest.mark.parametrize("field, value, message", [
+    ("sphere.R", -3e-06, "must be positive, got -3e-06"),
+    ("sphere.R", 0.0, "must be positive, got 0.0"),
+    ("sphere.n", 0.5, "must be >= 1, got 0.5"),
+    ("sphere.rho", 0.0, "must be positive, got 0.0"),
+    ("sphere.I", -1.0, "must be positive, got -1.0"),
+    ("mode_search.polarization", "TX", "must be TE or TM, got 'TX'"),
+    ("mode_search.l", 0, "must be in [1, 500], got 0"),
+    ("mode_search.l", 501, "must be in [1, 500], got 501"),
+    ("mode_search.scan_points", 9, "must be in [10, 100000], got 9"),
+    ("mode_search.scan_points", 100001, "must be in [10, 100000], got 100001"),
+    ("coupling.N", -1.0, "must be non-negative, got -1.0"),
+    ("simulation.dt", 0.0, "must be positive, got 0.0"),
+    ("simulation.dt", -2.5, "must be positive, got -2.5"),
+    ("simulation.n_steps", 0, "must be >= 1, got 0"),
+    ("simulation.sample_every", 0, "must be >= 1, got 0"),
+    ("estimate.Q", 0.0, "must be positive, got 0.0"),
+])
+def test_single_key_rule_diagnostic(field, value, message):
+    key = field.split(".")[1]
+    assert RunConfig(**{key: value}).validate() == [(field, message)]
+
+
+# a non-finite number gets that one diagnostic, not also its key's rule's
+# (R = nan is not positive either) nor the window's
+@pytest.mark.parametrize("v", [math.nan, -math.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("field", ["sphere.R", "sphere.n", "sphere.rho", "sphere.I",
+                                   "mode_search.lambda_min", "mode_search.lambda_max",
+                                   "coupling.N", "simulation.dt", "estimate.Q"])
+def test_non_finite_number_reports_one_error(field, v):
+    key = field.split(".")[1]
+    assert RunConfig(**{key: v}).validate() == [(field, f"must be finite, got {v}")]
+
+
+@pytest.mark.parametrize("v", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_non_finite_component_reports_one_error(v):
+    omega0 = (0.0, v, 0.0)
+    amplitudes = ((1, complex(v, 1.0)),)
+    assert RunConfig(omega0=omega0).validate() == [
+        ("simulation.omega0", f"must be finite, got {omega0}")]
+    assert RunConfig(amplitudes=amplitudes).validate() == [
+        ("coupling.amplitudes", f"must be finite, got {amplitudes}")]
+
+
 def test_sample_count_capped_at_max_samples():
     # simulate holds every sample (steps 0, sample_every, ... and n_steps)
     assert RunConfig(n_steps=MAX_SAMPLES - 1, sample_every=1).validate() == []

@@ -293,6 +293,22 @@ def test_threshold_m0_error():
         resolvability_threshold(1.12, 0, 1e10, K_REF)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 120, 1e10, K_REF), "lambda_"),
+    ((math.nan, 120, 1e10, K_REF), "lambda_"),
+    ((math.inf, 120, 1e10, K_REF), "lambda_"),
+    ((1.12, 120, math.inf, K_REF), "Q"),
+    ((1.12, 120, math.nan, K_REF), "Q"),
+    ((1.12, 120, 1e10, math.inf), "k0"),
+    ((1.12, 120, 1e10, -K_REF), "k0"),
+])
+def test_threshold_rejects_non_finite_and_zero_lambda(args, name):
+    # unchecked, Lambda = 0 would divide by zero, Q = inf would give a zero
+    # threshold, and nan or inf elsewhere would pass through to the result
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        resolvability_threshold(*args)
+
+
 # --- precession estimates --------------------------------------------------------
 
 def test_precession_reference_order_of_magnitude(ref_params):
@@ -308,6 +324,16 @@ def test_precession_zero_photons(ref_params):
     est = precession_rate_estimate(ref_params, 0.0, 120, 1.12)
     assert est.exact_hz == 0.0
     assert est.simplified_hz == 0.0
+
+
+@pytest.mark.parametrize("N, lam, name", [
+    (math.nan, 1.12, "photon number N"), (math.inf, 1.12, "photon number N"),
+    (-1.0, 1.12, "photon number N"), (1e5, math.nan, "lambda_"), (1e5, -math.inf, "lambda_"),
+])
+def test_precession_rejects_non_finite(ref_params, N, lam, name):
+    # unchecked, nan and inf would pass through to the rates
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        precession_rate_estimate(ref_params, N, 120, lam)
 
 
 def test_precession_exact_vs_simplified_same_order(ref_params):

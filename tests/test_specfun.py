@@ -218,6 +218,19 @@ def test_hankel_zero_argument_error():
         spherical_hankel1(3, 0.0)
 
 
+@pytest.mark.parametrize("func", [spherical_bessel_j, spherical_hankel1, riccati_bessel])
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(math.nan, 0.0), [1.0, math.nan]],
+                         ids=["nan", "inf", "nan+0j", "vector"])
+def test_non_finite_argument_error(func, z):
+    # named before any ladder runs: there, nan would come out of j as 0
+    # behind an overflow warning, and inf would fail converting the Miller
+    # start to an int
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="argument z must be finite"):
+            func(3, z)
+
+
 def test_relaxed_accuracy_warning():
     with pytest.warns(AccuracyWarning):
         spherical_bessel_j(250, 10.0)

@@ -94,6 +94,15 @@ def test_params_validation(kwargs):
         SphereParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["R", "n", "rho", "I"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(name, value):
+    # R = inf would give I = inf; each value is named where it is rejected
+    kwargs = dict(R=1e-6, n=1.5, rho=1000.0, I=None) | {name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be .* finite"):
+        SphereParams(**kwargs)
+
+
 # --- characteristic equations ---------------------------------------------------
 
 def test_te_deep_minimum_at_reference_wavenumber(ref_params):
@@ -335,6 +344,26 @@ def test_newton_far_seed_takes_plain_newton_step(monkeypatch):
     assert k[0] == newton[0]
     assert k[1] != newton[1]
     assert abs(k[1] - math.sqrt(2)) < abs(newton[1] - math.sqrt(2))
+
+
+def test_newton_evaluates_finite_k_only():
+    # a first step that overflows to inf, or lands far outside the window,
+    # is parked at k_lo before D is evaluated: the Bessel ladders never see
+    # a non-finite argument from Newton, and the parked seeds are dead
+    seen = []
+
+    def dvec(k):
+        seen.append(k.copy())
+        return k - 1.5, np.ones_like(k), np.zeros_like(k)
+
+    seeds = np.array([1.2, 1.8, 1.9], dtype=complex)
+    first = (np.array([1e300, 1.0, 0.4], dtype=complex),
+             np.array([1e-300, 1e-300, 1.0], dtype=complex), np.zeros(3, dtype=complex))
+    with np.errstate(over="ignore"):
+        k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0)
+    assert seen and all(np.all(np.isfinite(z)) for z in seen)
+    assert converged.tolist() == [False, False, True]
+    assert k[2] == 1.5
 
 
 def test_newton_curvature_saves_evaluations():
