@@ -6,9 +6,10 @@ its text parser and its rule. Values from the file and [sweep] values both go
 through that parser. validate() checks every key in one loop: each number in
 its value must be finite, then the rule must hold, so a key gets at most one
 diagnostic, "<rule>, got <value>". An unset optional key (None) passes. The
-checks that involve more than one key follow the loop: the window, each m
-against l, a repeated m, all-zero amplitudes at N > 0, the sample cap and
-[sweep]. The window is checked only when both its ends are finite.
+checks that involve more than one key follow the loop: the default I from R
+and rho, the window, each m against l, a repeated m, all-zero amplitudes at
+N > 0, the sample cap and [sweep]. The window is checked only when both its
+ends are finite.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .specfun import MAX_ORDER
+from .wgm import _solid_sphere_inertia
 
 __all__ = ["ConfigError", "RunConfig"]
 
@@ -169,6 +171,10 @@ class RunConfig:
                     bad.append((f"{section}.{key}", f"must be finite, got {value!r}"))
                 elif rule is not None and not rule[0](value):
                     bad.append((f"{section}.{key}", f"{rule[1]}, got {value!r}"))
+        if (self.I is None and 0 < self.R < math.inf and 0 < self.rho < math.inf
+                and not math.isfinite(_solid_sphere_inertia(self.R, self.rho))):
+            bad.append(("sphere.R", "must keep the default I = (8/15) pi rho R^5 finite "
+                        f"(or set sphere.I), got {self.R!r}"))
         lo, hi = self.lambda_min, self.lambda_max
         if math.isfinite(lo) and math.isfinite(hi) and not 0 < lo < hi:
             bad.append(("mode_search.lambda_min",

@@ -27,6 +27,7 @@ _TABLE_BYTES form one row per step instead, with the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +48,11 @@ TIGHT_ORDER = 200        # 1e-10 relative accuracy validated up to here ...
 TIGHT_ARG = 300.0        # ... and up to this |z|
 _HUGE = 1e250            # rescale threshold inside recurrences
 _Y_OVERFLOW = 1e290      # beyond this y_l is treated as overflowed
+# below this |z|, j_l is its two-term series, whose next term is < 1e-80 of
+# it there. The Miller ladder loses j_l from |z| ~ 1e-59 (l = 0, 1) or 1e-48
+# (l = 5) down: a step's growth (2 nstart + 3)/|z| outruns the rescale
+# headroom, or y_l overflows and j_l is zeroed as if l >> |z|
+_SERIES_BELOW = 1e-20
 # largest (2n + 3)/z table _recur builds ahead of its loop. A 120-step
 # two-row loop with the table takes, against one row per step (numpy 2.4,
 # 2-core Xeon), 0.52x the time at 1 point, 0.56-0.63x at 28-64 points,
@@ -70,17 +76,21 @@ def _check_order(l):
         raise ValueError(f"order l={l} exceeds validated maximum {MAX_ORDER}")
 
 
-def _check_domain(l, z, uses_y):
+def _check_domain(l, arr, uses_y):
+    """Validate l and arr, _as_array's output, and warn off the tight
+    envelope. Returns |z|, max|z| and min|z| (0, 0 for no z), which the
+    ladder's start order and rescale stride take too."""
     # y_l, and so h_l and xi_l, is singular at z = 0 and tight on |Im z| <= 1.
     # max|z| is nan or inf exactly when some z is, so it is the finiteness test
     _check_order(l)
-    arr = np.asarray(z)
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+    absz = np.abs(arr)
+    amax, amin = (float(absz.max()), float(absz.min())) if arr.size else (0.0, 0.0)
     if not math.isfinite(amax):
         raise ValueError(f"argument z must be finite, got max|z| = {amax}")
-    if uses_y and np.any(arr == 0):
-        raise ValueError("argument z = 0 is outside the domain")
-    off_strip = uses_y and arr.size and float(np.max(np.abs(arr.imag))) > 1.0
+    if uses_y and amin == 0:
+        raise ValueError("argument z = 0 is outside the domain" if arr.size
+                         else "argument z is empty")
+    off_strip = uses_y and np.iscomplexobj(arr) and float(np.max(np.abs(arr.imag))) > 1.0
     if l > TIGHT_ORDER or amax > TIGHT_ARG or off_strip:
         warnings.warn(
             f"(l={l}, max|z|={amax:.3g}) outside tight-tolerance range "
@@ -90,6 +100,7 @@ def _check_domain(l, z, uses_y):
             AccuracyWarning,
             stacklevel=3,
         )
+    return absz, amax, amin
 
 
 def _as_array(z):
@@ -97,13 +108,12 @@ def _as_array(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _miller_start(l, z):
+def _miller_start(l, amax):
     # start above the j/y turning point so the minimal solution dominates.
     # Past it j/y decays like exp(-c (nu - |z|)^{3/2} / |z|^{1/2}), so the
     # margin that buys double precision grows like turn^{1/3}. Acceptance
     # criterion 7 and the l = 300-500 mpmath test set the constants: a margin
-    # of 2 turn^{1/3} + 2 loses j to ~1e-9
-    amax = float(np.max(np.abs(z)))
+    # of 2 turn^{1/3} + 2 loses j to ~1e-9. amax is max|z| over the call
     turn = max(float(l), amax + 4.05 * amax ** (1.0 / 3.0) + 8.0)
     return int(turn + 6.0 * turn ** (1.0 / 3.0) + 5.0)
 
@@ -135,10 +145,26 @@ def _recur(cur, prev, coefs, checks, zinv, *carried):
     return cur, prev, carried
 
 
-def _j_ladder(l, z):
+@functools.lru_cache(maxsize=64)
+def _ladder_coefs(l, nstart, stride, dtype, ndim):
+    """_j_ladder's coefficient columns, shared read-only by every call of the
+    same order, start order, rescale stride, dtype and rank of z: per step s
+    the Miller row (0) goes to order nstart - s, c = 2 (nstart - s) + 3, and
+    y (row 1) to order s + 1, c = 2 s + 1; and the steps after which the
+    Miller row is tested for rescaling."""
+    m_steps = nstart - l + 2
+    s = np.arange(max(m_steps, l))
+    coefs = np.stack([2 * (nstart - s) + 3, 2 * s + 1], axis=1).astype(dtype)
+    coefs = coefs.reshape(coefs.shape + (1,) * ndim)   # broadcast over z
+    coefs.flags.writeable = False
+    return coefs, ((s < m_steps) & ((nstart - s) % stride == 0)).tolist()
+
+
+def _j_ladder(l, z, amax, amin):
     """(j_{l-1}, j_l) and (y_{l-1}, y_l) (j_{-1} = cos z / z, y_{-1} = j_0),
     vectorized over a finite, nonzero float64 or complex128 z of at least one
-    dimension and keeping its dtype, plus the y overflow mask.
+    dimension and keeping its dtype, plus the y overflow mask. amax and amin
+    are max|z| and min|z|.
 
     Two ladders of one recurrence, f_{n-1} + f_{n+1} = (2n + 1)/z f_n: Miller
     j from an arbitrary seed down to order l - 1, and y up from
@@ -168,18 +194,11 @@ def _j_ladder(l, z):
     raises). So numpy's overflow warnings are silenced while the ladders run,
     and a Miller overflow raises a RuntimeWarning of its own.
     """
-    nstart = _miller_start(l, z)
-    zmin = float(np.min(np.abs(z)))
-    stride = max(1, int(50 / np.log10((2 * nstart + 3) / zmin + 1)))
+    nstart = _miller_start(l, amax)
+    stride = max(1, int(50 / np.log10((2 * nstart + 3) / amin + 1)))
     zinv = 1.0 / z
-    # step s takes Miller (row 0) to order nstart - s, c = 2 (nstart - s) + 3,
-    # and y (row 1) to order s + 1, c = 2 s + 1
     m_steps = nstart - l + 2
-    s = np.arange(max(m_steps, l))
-    column = (1,) * z.ndim   # a coefficient per row, broadcast over z
-    coefs = np.stack([2 * (nstart - s) + 3, 2 * s + 1], axis=1).astype(z.dtype)
-    coefs = coefs.reshape(coefs.shape + column)
-    checks = ((s < m_steps) & ((nstart - s) % stride == 0)).tolist()
+    coefs, checks = _ladder_coefs(l, nstart, stride, z.dtype, z.ndim)
     cur = np.stack([np.full_like(z, 1e-30), -np.cos(z) / z])
     prev = np.stack([np.zeros_like(z), np.sin(z) / z])
     both = min(m_steps, l)
@@ -207,7 +226,7 @@ def _j_ladder(l, z):
         jlm1, jl = lo / denom, hi / denom
         if np.any(off):
             orders = np.arange(l - 2, -2, -1)
-            coefs = (2 * orders + 3).astype(z.dtype).reshape((-1, 1) + column)
+            coefs = (2 * orders + 3).astype(z.dtype).reshape((-1, 1) + (1,) * z.ndim)
             (fm1,), _, (flm1, fl) = _recur(lo[None], hi[None], coefs,
                                            (orders % stride == 0).tolist(), zinv, lo, hi)
             ratio = np.cos(z) / z / fm1
@@ -221,9 +240,14 @@ def _j_ladder(l, z):
     return (jlm1, jl), (ylm1, yl), y_over
 
 
-def _signal_nonfinite(name, values):
-    if not np.all(np.isfinite(values)):
-        raise OverflowError(f"{name} overflowed double precision for given (l, z)")
+def _signal_nonfinite(named):
+    """Raise OverflowError naming the first non-finite array of named, a dict
+    of name -> array; one pass over all of them when every value is finite."""
+    if np.isfinite(np.concatenate([f.ravel() for f in named.values()])).all():
+        return
+    for name, values in named.items():
+        if not np.all(np.isfinite(values)):
+            raise OverflowError(f"{name} overflowed double precision for given (l, z)")
 
 
 def spherical_bessel_j(l, z):
@@ -232,18 +256,22 @@ def spherical_bessel_j(l, z):
     Vectorized over z; float64 for real z, complex128 otherwise.
     j_l(0) = delta_{l0}; values below the double-precision floor (l >> |z|)
     underflow to exactly 0. Relative accuracy ~1e-13 for l <= 200,
-    |z| <= 300; an AccuracyWarning is issued outside that envelope.
+    |z| <= 300; an AccuracyWarning is issued outside that envelope. Below
+    |z| = _SERIES_BELOW, j_l is the two-term power series
+    z^l/(2l+1)!! (1 - z^2/(2(2l+3))), exact to rounding there.
     """
-    _check_domain(l, z, uses_y=False)
     arr, scalar = _as_array(z)
+    absz, amax, _ = _check_domain(l, arr, uses_y=False)
     out = np.empty_like(arr)
-    zero = arr == 0
-    if np.any(zero):
-        out[zero] = 1.0 if l == 0 else 0.0
-    rest = ~zero
+    series = absz < _SERIES_BELOW
+    if np.any(series):
+        w = arr[series]
+        out[series] = w**l * (1 / math.prod(range(1, 2 * l + 2, 2))) \
+            * (1 - w * w / (2 * (2 * l + 3)))
+    rest = ~series
     if np.any(rest):
-        (_, jl), _, _ = _j_ladder(l, arr[rest])
-        _signal_nonfinite("j_l", jl)
+        (_, jl), _, _ = _j_ladder(l, arr[rest], amax, float(absz[rest].min()))
+        _signal_nonfinite({"j_l": jl})
         out[rest] = jl
     return out[0] if scalar else out.reshape(np.shape(z))
 
@@ -257,13 +285,13 @@ def spherical_hankel1(l, z):
     strip |Im z| <= 1, which holds the quasinormal poles (Im z < 0,
     |Im z| << |z|), and warned as relaxed off it.
     """
-    _check_domain(l, z, uses_y=True)
     arr, scalar = _as_array(z)
-    (_, jl), (_, yl), over = _j_ladder(l, arr)
+    _, amax, amin = _check_domain(l, arr, uses_y=True)
+    (_, jl), (_, yl), over = _j_ladder(l, arr, amax, amin)
     if np.any(over):
         raise OverflowError(f"h1_{l} overflowed double precision (|z| too small for l)")
     hl = jl + 1j * yl
-    _signal_nonfinite("h1_l", hl)
+    _signal_nonfinite({"h1_l": hl})
     return hl[0] if scalar else hl.reshape(np.shape(z))
 
 
@@ -276,16 +304,15 @@ def riccati_bessel(l, z):
     complex128. Satisfies the Wronskian identity psi xi' - psi' xi = i. Same
     |Im z| <= 1 tight envelope as the Hankel function.
     """
-    _check_domain(l, z, uses_y=True)
     arr, _ = _as_array(z)
-    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr)
+    _, amax, amin = _check_domain(l, arr, uses_y=True)
+    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr, amax, amin)
     if np.any(over):
         raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
     hlm1, hl = jlm1 + 1j * ylm1, jl + 1j * yl
     out = {"psi": arr * jl, "psi'": arr * jlm1 - l * jl,
            "xi": arr * hl, "xi'": arr * hlm1 - l * hl}
-    for name, f in out.items():
-        _signal_nonfinite(name, f)
+    _signal_nonfinite(out)
     return tuple(f.reshape(np.shape(z))[()] for f in out.values())
 
 

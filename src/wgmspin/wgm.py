@@ -2,8 +2,10 @@
 
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
 search (a real-axis seed scan at 32 points per radial-order spacing pi/(nR),
-then complex Halley-corrected Newton on D, D' and D'' in closed form), and
-continuum-normalized TE radial mode profiles. Conventions:
+then complex Halley-corrected Newton on D, D' and D'' in closed form, whose
+first evaluation also samples D on a ring about each iterate to certify its
+step: two ladder runs for the reference pole), and continuum-normalized TE
+radial mode profiles. Conventions:
 
 * poles sit at k0 - i*kappa_c/2 in the lower half plane; kappa_c is the full
   linewidth (intensity FWHM / energy decay rate in wavenumber), Q = k0/kappa_c;
@@ -27,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import riccati_bessel, spherical_bessel_j, spherical_hankel1
+from .specfun import TIGHT_ARG, riccati_bessel, spherical_bessel_j, spherical_hankel1
 
 __all__ = [
     "SphereParams",
@@ -47,6 +49,10 @@ POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
 MAX_RELATIVE_WIDTH = 0.5  # poles with kappa_c/k0 at or above this are dropped
 _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 _SCAN_PER_SPACING = 32    # scan points per radial-order spacing pi/(nR) in k
+_RING_POINTS = 8          # D samples on the certificate's ring about each iterate
+_RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS)
+_RING_SPACINGS = 0.3      # the ring's radius in spacings pi/(nR), before its caps
+_CERT_MARGIN = 10.0       # safety factor on each bound of the certificate
 
 
 def _check_positive(name, value):
@@ -75,9 +81,21 @@ class SphereParams:
             raise ValueError(f"n must be >= 1 and finite, got {self.n!r}")
         _check_positive("rho", self.rho)
         if self.I is None:
-            inertia = (2.0 / 5.0) * ((4.0 / 3.0) * math.pi * self.R**3 * self.rho) * self.R**2
+            inertia = _solid_sphere_inertia(self.R, self.rho)
+            if not math.isfinite(inertia):
+                raise ValueError(f"R = {self.R!r} overflows the default I = (8/15) pi rho R^5 "
+                                 f"at rho = {self.rho!r}; give I")
             object.__setattr__(self, "I", inertia)
         _check_positive("I", self.I)
+
+
+def _solid_sphere_inertia(R, rho):
+    """(2/5) M R^2 = (8/15) pi rho R^5 of a solid sphere, inf where it
+    overflows."""
+    try:
+        return (2.0 / 5.0) * ((4.0 / 3.0) * math.pi * R**3 * rho) * R**2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -161,9 +179,28 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
+def _certify(d0, dp, dpp, h, k, step, rho, m, d_scale):
+    """Mask of the seeds whose iterate k + step (Halley's) _newton_poles'
+    certificate accepts, from D, D', D'' and h at k, the ring radius rho and
+    m, twice the largest |D| sampled on the ring."""
+    with np.errstate(all="ignore"):
+        c2 = 0.5 * np.abs(dpp)
+        delta = 5e-16 * np.abs(k + step)
+        p = np.abs(d0 * h * h / (1.0 + h) ** 2)
+
+        def tail(q):
+            return np.where(q < 1, m * q**3 / (1.0 - q), np.inf)
+
+        return ((np.abs(dp) * rho <= 0.5 * m) & (c2 * rho * rho <= 0.5 * m)
+                & (np.abs(dp * (1.0 + 3.0 * h) / (1.0 + h)) * delta
+                   > _CERT_MARGIN * (p + c2 * delta * delta + tail((np.abs(step) + delta) / rho)))
+                & (_CERT_MARGIN * (p + tail(np.abs(step) / rho)) <= POLE_TOL * d_scale))
+
+
+def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
     """Complex Newton refinement of many seeds at once, with Halley's
-    third-order correction.
+    third-order correction, certified after its first evaluation where it can
+    be.
 
     Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2), one evaluation
     per iteration after the first, which steps from first = (D, D', D'')
@@ -175,25 +212,68 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
     non-finite slope leaves its seed in place, and runaway iterates are
     parked on a safe placeholder before D is evaluated there and reported as
     dead. Returns (poles ndarray, converged mask): each pole is its last
-    iterate plus that iterate's step, and a seed has converged when that step
-    was below 5e-15 |k| and the |D| evaluated at the iterate, normalized by
-    d_scale, is at most POLE_TOL. So the residual costs no evaluation of its
-    own, and Newton evaluates nothing when every first step is parked.
+    iterate plus that iterate's step. By the settled rule a seed has
+    converged when that step was below 5e-15 |k| and the |D| evaluated at
+    the iterate, normalized by d_scale, is at most POLE_TOL. So the residual
+    costs no evaluation of its own, and Newton evaluates nothing when every
+    first step is parked.
+
+    Certificate. ring_radius, if given, maps iterates to radii rho (0: no
+    ring). The first evaluation then also takes D at N = _RING_POINTS points
+    k + rho e^{2 pi i j/N} about each iterate k, in the same Dvec call, and a
+    seed whose Halley step s it certifies stops there, converged, at k + s.
+    Let M be twice the largest |D| sampled on the ring. If D is analytic on
+    the closed disk |w| <= rho about k and |D| <= M on its edge, Cauchy
+    bounds the Taylor coefficients, |D^(j)(k)/j!| <= M/rho^j, so past the
+    known c2 = D''/2 the Taylor remainder at |w| = q rho is at most
+    M q^3/(1 - q). The quadratic model p(w) = D + D' w + c2 w^2 has
+    p(s) = D h^2/(1 + h)^2 and p'(s) = D' (1 + 3h)/(1 + h) at Halley's step,
+    and D(k + w) = p'(s) (w - s) + [p(s) + c2 (w - s)^2 + remainder]. So
+    where, on the circle |w - s| = delta,
+        |p'(s)| delta > 10 (|p(s)| + |c2| delta^2 + M q^3/(1 - q)),
+    q = (|s| + delta)/rho < 1, Rouche's theorem puts exactly one root of D
+    within delta of k + s. The certificate takes delta = 5e-16 |k + s|, a
+    tenth of the settled rule's step bound, and asks too that the bound on
+    the residual there, 10 (|p(s)| + M q_s^3/(1 - q_s)) with q_s = |s|/rho,
+    be at most POLE_TOL d_scale. The margins are the 10 on every bound and
+    the 2 on M, since N = 8 samples stand for the maximum over the circle.
+    The samples are refused where they contradict Cauchy at the orders known
+    exactly, |D'| rho > M/2 or |c2| rho^2 > M/2: too few to resolve D on the
+    ring. A second root inside the ring shrinks |D'| against M/rho, so the
+    bound then needs a much shorter step. D is analytic away from k = 0;
+    keeping the ring off it, and inside the ladders' tight envelope, is the
+    caller's choice of radius. The argument bounds D as the ladders evaluate
+    it; their rounding lies outside it, as it lies outside the settled rule.
+    A seed without a ring or a certificate falls through, unchanged, to the
+    settled rule.
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
         return k, np.zeros(0, dtype=bool)
     alive = np.ones(k.size, dtype=bool)
+    certified = np.zeros(k.size, dtype=bool)
     span = k_hi - k_lo
     for i in range(_NEWTON_MAX_ITER):
-        d0, dp, dpp = Dvec(k) if i else first
-        ok = alive & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
+        ring = i == 1 and ring_radius is not None
+        if ring:
+            rho = np.where(alive, ring_radius(k), 0.0)
+            has = rho > 0
+            on_ring = (k[has, None] + rho[has, None] * _RING).ravel()
+            d0, dp, dpp = Dvec(np.concatenate((k, on_ring)))
+            m = np.zeros(k.size)
+            m[has] = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
+            d0, dp, dpp = d0[:k.size], dp[:k.size], dpp[:k.size]
+        else:
+            d0, dp, dpp = Dvec(k) if i else first
+        ok = alive & ~certified & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
         with np.errstate(all="ignore"):
             h = 0.5 * step * dpp / dp
         halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
         step[halley] /= 1.0 + h[halley]
+        if ring:
+            certified = halley & has & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
             | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
@@ -201,10 +281,23 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale):
             alive &= ~runaway
             k[runaway] = k_lo  # safe placeholder, excluded from results
         settled = np.abs(step) / np.abs(k) < 5e-15
-        if np.all(settled[alive]):
+        if np.all((settled | certified)[alive]):
             break
-    converged = alive & settled & (np.abs(d0) / d_scale <= POLE_TOL)
+    converged = alive & (certified | (settled & (np.abs(d0) / d_scale <= POLE_TOL)))
     return k, converged
+
+
+def _ring_radius(params: SphereParams, k):
+    """The certificate's ring radius about each iterate k: _RING_SPACINGS
+    radial-order spacings pi/(nR), less where the ring would leave the
+    ladders' tight envelope (every ring point's z = nkR at |Im z| <= 0.99 and
+    |z| <= 0.99 TIGHT_ARG) or come within |k|/2 of k = 0, where D is
+    singular; 0, no ring and so no certificate, where no room is left."""
+    nr = params.n * params.R
+    absk = np.abs(k)
+    room = np.minimum(np.minimum(0.99 - nr * np.abs(k.imag), 0.99 * TIGHT_ARG - nr * absk),
+                      np.minimum(0.5 * nr * absk, _RING_SPACINGS * math.pi))
+    return np.maximum(room, 0.0) / nr
 
 
 def find_resonance(polarization, l, k_window, params: SphereParams, *,
@@ -217,13 +310,17 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     integer >= 3, caps that count (3 still leaves an interior point to seed
     from). So above the derived count the poles do not depend on
     scan_points: the reference window (736-751 nm) takes 28 points.
-    Complex Newton with Halley's correction refines the seeds until its step
-    falls below 5e-15 |k|, and keeps a pole when the edge-normalized |D| of
-    its last iteration is at most POLE_TOL; its first step uses the D, D'
-    and D'' the scan computes. The reference solve takes three ladder runs:
-    the scan and two Newton iterations. Returns records sorted by k0; empty
-    list when the window holds no pole. Non-convergent seeds are logged and
-    skipped.
+    Complex Newton with Halley's correction refines the seeds; its first
+    step uses the D, D' and D'' the scan computes. Its first evaluation also
+    samples D on a ring of _RING_SPACINGS radial-order spacings about each
+    iterate (_ring_radius), and a seed stops there when a Cauchy/Rouche
+    bound certifies the iterate plus its Halley step to within 5e-16 |k| of
+    a root (see _newton_poles). Other seeds iterate until the step falls
+    below 5e-15 |k|, and keep a pole when the edge-normalized |D| of their
+    last iteration is at most POLE_TOL. The reference solve takes two ladder
+    runs: the scan and one certified Newton iteration. Returns records
+    sorted by k0; empty list when the window holds no pole. Non-convergent
+    seeds are logged and skipped.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -248,7 +345,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
 
     refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
                                        (d[minima], slope[minima], curv[minima]),
-                                       k_lo, k_hi, d_scale)
+                                       k_lo, k_hi, d_scale, partial(_ring_radius, params))
     for seed, ok in zip(seeds, converged):
         if not ok:
             log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",

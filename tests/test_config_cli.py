@@ -200,6 +200,9 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
     cases = [
         ("modes", "R = 10e-6", "R = -3e-6", "sphere.R"),
         ("modes", "R = 10e-6", "R = inf", "sphere.R"),
+        # finite R whose default I overflows: R**3 (1e120) or the product (1e70)
+        ("modes", "R = 10e-6", "R = 1e120", "sphere.R"),
+        ("simulate", "R = 10e-6", "R = 1e70", "sphere.R"),
         ("modes", "n = 1.52", "n = inf", "sphere.n"),
         ("lambda", "rho = 2000.0", "rho = inf", "sphere.rho"),
         ("lambda", "rho = 2000.0", "rho = 2000.0\nI = inf", "sphere.I"),

@@ -249,6 +249,16 @@ def test_underflow_to_zero_below_double_range():
     assert abs(spherical_bessel_j(180, 3 - 1.5j) - jref) / abs(jref) < 1e-10
 
 
+@pytest.mark.parametrize("z", [1e-20, 1e-100, 1e-300])
+@pytest.mark.parametrize("l", [0, 1, 5, 120])
+def test_j_at_tiny_argument_matches_mpmath(l, z):
+    # below 1e-20 j_l is its power series: j_0(1e-100) is 1, not 0.0 from an
+    # overflowed Miller ladder; values below the double range are exactly 0
+    want = float(sph_j_oracle(l, z))
+    got = spherical_bessel_j(l, z)
+    assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+
 def test_y_overflow_signalled():
     with pytest.raises(OverflowError):
         spherical_hankel1(120, 1e-3)
@@ -320,8 +330,13 @@ def _mpmath_riccati(l, z):
         return tuple(complex(w) for w in want), complex(jl)
 
 
+def _j_ladder(l, z):
+    # the ladder on z, with the max|z| and min|z| its callers pass
+    return specfun._j_ladder(l, z, float(np.max(np.abs(z))), float(np.min(np.abs(z))))
+
+
 def _ladder_bits(l, z):
-    (jlm1, jl), (ylm1, yl), over = specfun._j_ladder(l, z)
+    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, z)
     return [f.tobytes() for f in (jlm1, jl, ylm1, yl, over)]
 
 
@@ -335,7 +350,7 @@ def test_table_and_row_per_step_give_the_same_bits(l, monkeypatch):
     real = np.linspace(1e-3, 30.0, 300)
     zs = {"scan": np.stack([1.52 * k, k]), "real grid": real,
           "off strip": np.array([15.0 - 2.0j, 30.0 - 1.5j, 100.0 - 3.0j, 2.0 + 1.2j])}
-    assert np.any(specfun._j_ladder(120, real)[2])
+    assert np.any(_j_ladder(120, real)[2])
     bits = {}
     for limit in (0, 2**40):
         monkeypatch.setattr(specfun, "_TABLE_BYTES", limit)
@@ -380,7 +395,7 @@ def test_lockstep_ladders_match_mpmath(l, zs, branch):
     # for riccati_bessel and spherical_bessel_j, called per argument and on
     # the whole vector; off the strip the Miller ladder goes on to order -1
     for z in zs:
-        m = _miller_start(l, np.array([z])) - l + 2
+        m = _miller_start(l, abs(z)) - l + 2
         assert {"y longer": m < l, "y longer by one step": m == l - 1,
                 "Miller longer": m > l, "Miller longer by one step": m == l + 1,
                 "no lockstep step": l == 0, "one lockstep step": l == 1,

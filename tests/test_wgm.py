@@ -103,6 +103,14 @@ def test_params_reject_non_finite(name, value):
         SphereParams(**kwargs)
 
 
+@pytest.mark.parametrize("R", [1e70, 1e120])
+def test_params_default_inertia_overflow_names_r(R):
+    # a finite R whose (8/15) pi rho R^5 overflows: R**3 itself at 1e120
+    with pytest.raises(ValueError, match="^R = .* overflows the default I"):
+        SphereParams(R=R, n=1.5)
+    assert SphereParams(R=R, n=1.5, I=1.0).I == 1.0
+
+
 # --- characteristic equations ---------------------------------------------------
 
 def test_te_deep_minimum_at_reference_wavenumber(ref_params):
@@ -306,25 +314,26 @@ def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
 
 
 def test_reference_solve_ladder_runs(ref_params, monkeypatch):
-    # one scan, then Newton from slope-stepped seeds: two iterations, the
-    # last of whose |D| is the residual, each one riccati_bessel call on the
-    # stacked arguments
+    # one scan, then one Newton run from slope-stepped seeds, which the
+    # certificate accepts: the iterate and its ring of 8 points in one
+    # riccati_bessel call on the stacked arguments
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
-    assert len(calls) <= 3, calls
+    assert len(calls) == 2, calls
+    assert calls[1] == (2, 1 + wgm._RING_POINTS)
 
 
 def test_scan_density_independent_above_derived_count(ref_params, monkeypatch):
     # the reference window spans 0.82 radial-order spacings pi/(nR): 28 scan
     # points, whatever larger cap scan_points sets, so the poles are the same
-    # list at every such cap, from three ladder runs (scan + two Newton)
+    # list at every such cap, from two ladder runs (scan + certified Newton)
     shapes = _record_ladder_runs(monkeypatch)
     results = []
     for points in (500, 2000, 100_000):
         shapes.clear()
         results.append(find_resonance("TE", 120, REF_WINDOW, ref_params,
                                       scan_points=points))
-        assert shapes[0] == (2, 28) and len(shapes) == 3, (points, shapes)
+        assert shapes[0] == (2, 28) and len(shapes) == 2, (points, shapes)
     assert len(results[0]) == 1
     assert results[0] == results[1] == results[2]
 
@@ -406,6 +415,54 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
         assert np.all(np.abs(dvec(k)[0]) <= wgm.POLE_TOL)
         assert converged.tolist() == [True, False][-k_seeds.size:], (k, converged)
         assert abs(k[-1] - 1.5) <= 1.5e-3
+
+
+def test_newton_certificate_refuses_second_root_inside_ring():
+    # D = (k - 1.5)(k - b), seed 1e-4 below the root 1.5, ring radius 0.1.
+    # With b = 2.5, outside the ring, Halley lands within ~1e-12 of 1.5 and
+    # the first evaluation certifies its step: one Dvec call, on the iterate
+    # and its 8 ring points. With b = 1.501, inside the ring, the first
+    # iterate is still ~7e-7 off, the Cauchy remainder M q^3 outweighs
+    # |D'| delta, and the seed falls back to the settled rule: the same pole,
+    # mask and number of calls as with no ring at all
+    def run(b, ring_radius):
+        calls = []
+
+        def dvec(k):
+            calls.append(k.size)
+            return (k - 1.5) * (k - b), 2 * k - 1.5 - b, np.full_like(k, 2)
+
+        seeds = np.array([1.5 - 1e-4], dtype=complex)
+        first = dvec(seeds)
+        k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0, ring_radius)
+        return k, converged.tolist(), calls[1:]
+
+    def ring(k):
+        return np.full(k.shape, 0.1)
+
+    k, converged, calls = run(2.5, ring)
+    assert converged == [True] and calls == [1 + wgm._RING_POINTS]
+    assert abs(k[0] - 1.5) <= 1e-15
+    k, converged, calls = run(1.501, ring)
+    k_plain, converged_plain, calls_plain = run(1.501, None)
+    assert calls[0] == 1 + wgm._RING_POINTS and len(calls) == len(calls_plain) > 1
+    assert np.array_equal(k, k_plain) and converged == converged_plain == [True]
+    assert abs(k[0] - 1.5) <= 1e-15
+
+
+def test_low_q_window_takes_settled_rule_and_matches_mpmath(monkeypatch):
+    # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its Halley
+    # step is still ~6e-12 off the pole, far outside what the certificate
+    # accepts, so the settled rule takes three Newton runs after the scan,
+    # the first with its ring, and the pole matches mpmath
+    p = SphereParams(R=10e-6, n=1.52)
+    shapes = _record_ladder_runs(monkeypatch)
+    modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
+    assert len(modes) == 1
+    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS, 1, 1], shapes
+    want = complex(mp_pole("TE", 8, p.n, p.R, modes[0].pole, 30))
+    assert abs(modes[0].k0 - want.real) <= 1e-15 * want.real
+    assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
 
 
 def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
