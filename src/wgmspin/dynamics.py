@@ -27,13 +27,13 @@ the balanced regime |K| ~ 1e-4 I|w|, where float64 rounding of K alone is
 rotates u = I w - Gamma about Gamma(t); step_general takes that rotation as
 one fourth-order Magnus vector per step, exact for constant Gamma.
 
-A step costs numpy call overhead, not arithmetic. Each call converts I,
-Lambda, hbar and dt to longdouble once, takes step_general's cross product by
-components in np.cross's order, and builds its result in _step_state:
-SpinState's checks and normalisation, with w and S built as one array. The
-operations and their order are those of np.cross and SpinState(...), so the
-states are the same to the bit, at 23 us per step_wgm call instead of 34 and
-29 us per step_general call instead of 61 (2-core Xeon).
+A step costs numpy object handling, not arithmetic, so the step path works on
+longdouble scalar components read from the state by index. step_wgm and
+simulate evaluate the one _flow, at a scalar time and at an array of sample
+times, and _step_state builds a step's result with SpinState's checks and
+normalisation. A restructuring of this path keeps every longdouble operation
+and its order, so the states stay the same to the bit
+(test_step_chains_reproduce_pinned_bytes holds them to recorded bytes).
 
 simulate returns its samples as the arrays of a Trajectory and writes no
 files; the CLI (wgmspin.cli) writes them as trajectory.csv and summary.json.
@@ -64,12 +64,13 @@ __all__ = [
 
 MONITOR_TOL = 1e-6  # relative drift of a monitor channel at which simulate raises
 _LD = np.longdouble
+_ONE = _LD(1.0)  # _ONE * x is x in longdouble, exactly, and cheaper than _LD(x)
 _IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 
-def _ld_finite(v, shape=3):
+def _ld_finite(v):
     # finite as float64: math.isfinite reads a longdouble through float()
-    arr = np.array(v, dtype=_LD).reshape(shape)
+    arr = np.array(v, dtype=_LD).reshape(3)
     if not all(map(math.isfinite, arr.flat)):
         raise ValueError(f"vector components must be finite, got {v!r}")
     return arr
@@ -99,11 +100,11 @@ class SpinState:
 def _unit_quat(q):
     """q over its norm as a longdouble array, ValueError unless the norm is in
     (0.9, 1.1). The squares add left to right, as np.sum adds 4 elements."""
-    qw, qx, qy, qz = q
+    qw, qx, qy, qz = q[0], q[1], q[2], q[3]
     norm = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
     if not 0.9 < float(norm) < 1.1:
         raise ValueError("orientation quaternion is far from unit norm")
-    return np.asarray(q, dtype=_LD) / norm
+    return np.array((qw / norm, qx / norm, qy / norm, qz / norm), dtype=_LD)
 
 
 def _new_state(omega, S, orientation, t):
@@ -115,10 +116,21 @@ def _new_state(omega, S, orientation, t):
 
 
 def _step_state(omega, S, q, t):
-    """SpinState's checks and normalisation for a step from a checked state,
-    with w and S built as one array and t (finite plus finite dt) as it is."""
-    ws = _ld_finite((omega, S), (2, 3))
+    """SpinState's checks and normalisation for a step from a checked state:
+    w and S (three components each) checked as six scalars and built as one
+    array, and t (finite plus finite dt) as it is."""
+    parts = (omega[0], omega[1], omega[2], S[0], S[1], S[2])
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"vector components must be finite, got {parts!r}")
+    ws = np.array(parts, dtype=_LD).reshape(2, 3)
     return _new_state(ws[0], ws[1], _unit_quat(q), t)
+
+
+def _components(state: SpinState):
+    """S, w and q of a state as tuples of longdouble scalars, by index reads
+    (unpacking an array costs several times more)."""
+    s, w, q = state.S, state.omega, state.orientation
+    return (s[0], s[1], s[2]), (w[0], w[1], w[2]), (q[0], q[1], q[2], q[3])
 
 
 @dataclass(frozen=True)
@@ -208,22 +220,27 @@ def _rotate(q, v):
 
 def _ld_constants(constants: CouplingConstants, hbar):
     """I, Lambda and hbar as longdouble scalars."""
-    return _LD(constants.I), _LD(constants.lambda_), _LD(hbar)
+    return _ONE * constants.I, _ONE * constants.lambda_, _ONE * hbar
 
 
 def _k_vector(omega, S, inertia, lam, hbar):
-    """K = I w - (Lambda-1) hbar S in longdouble, over the last axis of w and
-    S (one state or an array of samples), from _ld_constants."""
-    return inertia * omega - (lam - 1.0) * hbar * S
+    """K = I w - (Lambda-1) hbar S in longdouble as three components, from
+    the components of w and S (scalars, or arrays over samples) and
+    _ld_constants."""
+    wx, wy, wz = omega
+    sx, sy, sz = S
+    c = (lam - 1.0) * hbar
+    return inertia * wx - c * sx, inertia * wy - c * sy, inertia * wz - c * sz
 
 
 def _h_r(omega, constants: CouplingConstants):
     """H_r = I |w|^2 / 2 in longdouble, over the last axis of w."""
-    return 0.5 * _LD(constants.I) * np.sum(omega * omega, axis=-1)
+    return 0.5 * (_ONE * constants.I) * np.sum(omega * omega, axis=-1)
 
 
-def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
-    """Exact flow from state over elapsed time t (scalar or array).
+def _flow(s, w, q, inertia, lam, hbar, t):
+    """Exact flow over elapsed time t (longdouble scalar or array) from the
+    S, w and q component tuples of a state, with _ld_constants.
 
     S rotates about the conserved K = I w - (Lambda-1) hbar S by Omega t,
     Omega = Lambda |K| / I, and w moves by the matching increment of S. w(t)
@@ -232,13 +249,12 @@ def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     w0 - Omega K^ = w0 - (Lambda/I) K. K = 0 makes q_K the identity. Returns
     the S, w and q component tuples (arrays over t for array t).
     """
-    inertia, lam, hbar = _ld_constants(constants, hbar)
     lam_i = lam / inertia
-    sx, sy, sz = state.S
-    wx, wy, wz = state.omega
-    k = _k_vector(state.omega, state.S, inertia, lam, hbar)
+    sx, sy, sz = s
+    wx, wy, wz = w
+    kx, ky, kz = k = _k_vector(w, s, inertia, lam, hbar)
     q_k = _rotation_quat(k, lam_i * t)
-    sx2, sy2, sz2 = _rotate(q_k, state.S)
+    sx2, sy2, sz2 = _rotate(q_k, s)
     # advance omega by the increment of S: K = I w - (lam-1) hbar S is then
     # conserved identically, and the S-dominated regime (|K| >> I|w|) never
     # reconstructs small w from a cancellation of large vectors
@@ -246,8 +262,8 @@ def _flow(state: SpinState, constants: CouplingConstants, hbar, t):
     wx2 = wx + scale * (sx2 - sx)
     wy2 = wy + scale * (sy2 - sy)
     wz2 = wz + scale * (sz2 - sz)
-    q = _quat_mul(q_k, _quat_mul(_rotation_quat(state.omega - lam_i * k, t),
-                                 state.orientation))
+    body = (wx - lam_i * kx, wy - lam_i * ky, wz - lam_i * kz)
+    q = _quat_mul(q_k, _quat_mul(_rotation_quat(body, t), q))
     return (sx2, sy2, sz2), (wx2, wy2, wz2), q
 
 
@@ -262,7 +278,7 @@ def step_wgm(state: SpinState, dt: float, constants: CouplingConstants, *,
     fixed point.
     """
     _check_positive("dt", dt)
-    s, w, q = _flow(state, constants, hbar, _LD(dt))
+    s, w, q = _flow(*_components(state), *_ld_constants(constants, hbar), _ONE * dt)
     return _step_state(w, s, q, state.t + dt)
 
 
@@ -280,25 +296,41 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
     In the frame turning with u the body rate is the constant u0/I, so the
     orientation is q(phi) q(u0/I, dt) q0, and q(phi) also turns u. Exact for
     constant Gamma (|w| then holds to rounding), fourth order in dt
-    otherwise. gamma_provider(t) returns (Gamma, dGamma/dt) [SI]; dGamma/dt
-    is not read. The project_omega_norm keyword is accepted and ignored.
+    otherwise. gamma_provider(t) returns (Gamma, dGamma/dt) [SI], Gamma as
+    three numbers (a list, or a float64 or longdouble array); dGamma/dt is
+    not read. It is called three times per step, at t0, t0 + dt/2 and
+    t0 + dt, so a chain evaluates each interior boundary twice: the API
+    keeps that on purpose, since reusing the value at t0 + dt would need
+    state carried from one call to the next. The project_omega_norm keyword
+    is accepted and ignored.
     """
     _check_positive("dt", dt)
     _check_positive("inertia", inertia)
     t0 = state.t
-    inertia = _LD(inertia)
-    a0, am, a1 = (np.asarray(gamma_provider(t)[0], dtype=_LD) / inertia
-                  for t in (t0, t0 + 0.5 * dt, t0 + dt))
-    h = _LD(dt)
-    # a1 x a0 by components, in np.cross's order of operations
-    (x0, y0, z0), (x1, y1, z1) = a0, a1
-    cross = np.array((y1 * z0 - z1 * y0, z1 * x0 - x1 * z0, x1 * y0 - y1 * x0))
-    phi = (h / 6.0) * (a0 + 4.0 * am + a1) + (h * h / 12.0) * cross
+    inertia = _ONE * inertia
+    a = []
+    for t in (t0, t0 + 0.5 * dt, t0 + dt):
+        g = gamma_provider(t)[0]
+        if len(g) != 3:
+            raise ValueError(f"Gamma must have 3 components, got {g!r}")
+        a.append((g[0] / inertia, g[1] / inertia, g[2] / inertia))
+    (x0, y0, z0), (xm, ym, zm), (x1, y1, z1) = a
+    h = _ONE * dt
+    c1, c2 = h / 6.0, h * h / 12.0
+    # (h/6)((a0 + 4 am) + a1) + (h^2/12) a1 x a0, the cross product in
+    # np.cross's order of operations
+    phi = (c1 * ((x0 + 4.0 * xm) + x1) + c2 * (y1 * z0 - z1 * y0),
+           c1 * ((y0 + 4.0 * ym) + y1) + c2 * (z1 * x0 - x1 * z0),
+           c1 * ((z0 + 4.0 * zm) + z1) + c2 * (x1 * y0 - y1 * x0))
     q_phi = _rotation_quat(phi, 1.0)
-    v0 = state.omega - a0  # u0 / I
-    v1 = np.array(_rotate(q_phi, v0))
-    q = _quat_mul(q_phi, _quat_mul(_rotation_quat(v0, h), state.orientation))
-    return _step_state(state.omega + ((v1 - v0) + (a1 - a0)), state.S, q, t0 + dt)
+    _, (wx, wy, wz), q0 = _components(state)
+    v0x, v0y, v0z = v0 = (wx - x0, wy - y0, wz - z0)  # u0 / I
+    v1x, v1y, v1z = _rotate(q_phi, v0)
+    q = _quat_mul(q_phi, _quat_mul(_rotation_quat(v0, h), q0))
+    omega = (wx + ((v1x - v0x) + (x1 - x0)),
+             wy + ((v1y - v0y) + (y1 - y0)),
+             wz + ((v1z - v0z) + (z1 - z0)))
+    return _step_state(omega, state.S, q, t0 + dt)
 
 
 # --- invariants --------------------------------------------------------------
@@ -306,7 +338,8 @@ def step_general(state: SpinState, dt: float, inertia: float, gamma_provider, *,
 def conserved_K(state: SpinState, constants: CouplingConstants, *,
                 hbar: float = HBAR):
     """K = I w - (Lambda-1) hbar S, the exact precession axis [SI]."""
-    return _k_vector(state.omega, state.S, *_ld_constants(constants, hbar))
+    s, w, _ = _components(state)
+    return np.array(_k_vector(w, s, *_ld_constants(constants, hbar)))
 
 
 def rotating_frame_energy(state: SpinState, constants: CouplingConstants) -> float:
@@ -344,14 +377,15 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
         if count < 1:
             raise ValueError(f"{name} must be >= 1")
     steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    ld = _ld_constants(constants, hbar)
     s, w, q = (np.stack([np.broadcast_to(c, steps.shape) for c in cols], axis=1)
-               for cols in _flow(initial, constants, hbar, steps * _LD(dt)))
+               for cols in _flow(*_components(initial), *ld, steps * (_ONE * dt)))
     traj = Trajectory(
         t=initial.t + steps * dt, omega=w, S=s,
         orientation=q / np.sqrt(np.sum(q * q, axis=1, keepdims=True)),
         abs_S=np.sqrt(np.sum(s * s, axis=1)).astype(float),
         abs_omega=np.sqrt(np.sum(w * w, axis=1)).astype(float),
-        K=_k_vector(w, s, *_ld_constants(constants, hbar)).astype(float),
+        K=np.stack(_k_vector(w.T, s.T, *ld), axis=1).astype(float),
         H_r=_h_r(w, constants).astype(float))
     channel, drift = max(traj.drift.items(), key=lambda item: item[1])
     if drift > MONITOR_TOL:

@@ -315,10 +315,11 @@ def _gamma_poly(t):
     return np.array([0.5 - 0.3 * t * t, 0.4 * t, 0.9 * t + 0.2]), np.zeros(3)
 
 
-# The last state of 1000-step chains, recorded before the step API's call
-# overhead was cut: each longdouble as its 10 significant bytes (x86 80-bit,
-# hex) and t by float.hex. Steps keep every longdouble operation and its
-# order, so these bytes must not move.
+# The last state of each chain, recorded before the step API's call overhead
+# was cut (the first three) and before the step path moved to longdouble
+# components (the last two): each longdouble as its 10 significant bytes (x86
+# 80-bit, hex) and t by float.hex. Steps keep every longdouble operation and
+# its order, so these bytes must not move.
 _PINNED = {
     "step_wgm S-dominated": (
         "d3ef752fc7f84c87e13f395f7561b335afb8de3f0068c87f1de218e3de3f",
@@ -338,6 +339,18 @@ _PINNED = {
         "9c968ddc87c764f5fc3f6302b6aa93b76c92fdbfaa488dd1c446fbcafd3f"
         "9d4b9e5445a7bcd6fe3f",
         "0x1.0000000000003p+1"),
+    "simulate reference, last of 4000": (
+        "96c39fa6a67ed1d1e03f2ddd4a4bb3caa9a6e03fffc10915c4dbada4df3f",
+        "fb05cf8844016b8e1540f91a8473339cddfa0c40dba0635c0508b1a81640",
+        "4b9af60880cbf9fffe3f20f4f6980ef52d9df73f806ea7bed7905180f3bf"
+        "0068fd27946b46d3f83f",
+        "0x1.6e36000000000p+25"),
+    "step_wgm Lambda < 1 from t0 != 0": (
+        "c16f49f34edcb78ce23f8e524197ae5efaaadfbfeb1e06578ca7ab86e13f",
+        "4345b8644800958e1540facd0f1f6e2acadc0ac0187c8f3a7034a8a81640",
+        "0ea57aeea0fccbccfe3fb54865e12ae25696f6bf4834f222dffd9499fe3f"
+        "3a99130553a1fda2f83f",
+        "0x1.7980a00000000p+23"),
 }
 
 
@@ -353,15 +366,77 @@ def test_step_chains_reproduce_pinned_bytes(chain):
         cur = SpinState(omega=[0.3, -0.2, 0.5], S=[0.4, 0.1, -0.3], orientation=_Q_REF)
         for _ in range(1000):
             cur = step_general(cur, 2e-3, 1.3, _gamma_poly)
+    elif chain.startswith("simulate"):
+        cur = simulate(reference_state(), make_constants(), 1.2e4, 4000,
+                       sample_every=1000).samples[-1]
     else:
-        omega, dt = (([1e-9, 0.0, 2e-10], 1.2e4) if chain.endswith("S-dominated")
-                     else (_W_BALANCED, 618973125.6858641))
-        cur = SpinState(omega=omega, S=_S_REF, orientation=_Q_REF)
+        omega, dt, lam, t0 = {
+            "step_wgm S-dominated": ([1e-9, 0.0, 2e-10], 1.2e4, 1.12, 0.0),
+            "step_wgm balanced": (_W_BALANCED, 618973125.6858641, 1.12, 0.0),
+            "step_wgm Lambda < 1 from t0 != 0": ([2e-9, -5e-10, 1e-9], 1.2e4,
+                                                 0.83, 3.7e5),
+        }[chain]
+        cur = SpinState(omega=omega, S=_S_REF, orientation=_Q_REF, t=t0)
+        cc = make_constants(lambda_=lam)
         for _ in range(1000):
-            cur = step_wgm(cur, dt, make_constants())
+            cur = step_wgm(cur, dt, cc)
     got = (_x87_bytes(cur.omega), _x87_bytes(cur.S), _x87_bytes(cur.orientation),
            float(cur.t).hex())
     assert got == _PINNED[chain]
+
+
+def _assert_same_state(got, want):
+    for name in ("omega", "S", "orientation"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.t == want.t
+
+
+def _random_wgm_state(rng):
+    """A seeded (state, constants, dt): Lambda in [0.5, 2], I over 25 decades,
+    |K| set by S or by w, a random orientation and start time, and a step of
+    1e-3 to 1 rad of precession."""
+    lam = rng.uniform(0.5, 2.0)
+    cc = make_constants(lambda_=lam, inertia=10.0 ** rng.uniform(-25, 0))
+    s = 10.0 ** rng.uniform(3, 7) * rng.normal(size=3)
+    w_scale = 10.0 ** rng.uniform(-2, 2) * abs(lam - 1.0) * HBAR * np.linalg.norm(s) / cc.I
+    omega = w_scale * rng.normal(size=3)
+    q = rng.normal(size=4)
+    state = SpinState(omega=omega, S=s, orientation=q / np.linalg.norm(q),
+                      t=rng.uniform(-1e3, 1e3))
+    rate = lam * np.linalg.norm(conserved_K(state, cc).astype(float)) / cc.I
+    return state, cc, 10.0 ** rng.uniform(-3, 0) / rate
+
+
+def test_one_step_equals_one_simulate_sample():
+    # step_wgm and simulate evaluate the one _flow, at a scalar and at an
+    # array of times: one step is simulate's last sample to the bit
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        state, cc, dt = _random_wgm_state(rng)
+        _assert_same_state(step_wgm(state, dt, cc),
+                           simulate(state, cc, dt, 1).samples[-1])
+
+
+def test_step_general_accepts_any_provider_sequence():
+    # a list, a float64 array and a longdouble array of the same values give
+    # the same states to the bit
+    def chain(as_type):
+        cur = SpinState(omega=[0.3, -0.2, 0.5], S=[0.4, 0.1, -0.3], orientation=_Q_REF)
+        for _ in range(50):
+            cur = step_general(cur, 2e-3, 1.3,
+                               lambda t: (as_type(_gamma_poly(t)[0]), np.zeros(3)))
+        return cur
+
+    want = chain(lambda g: g)
+    for as_type in (list, lambda g: g.astype(np.longdouble)):
+        _assert_same_state(chain(as_type), want)
+
+
+@pytest.mark.parametrize("gamma", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_step_general_rejects_gamma_not_3_components(gamma):
+    state = SpinState(omega=[0.3, -0.2, 0.5], S=[0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="3 components"):
+        step_general(state, 1e-2, 1.3, lambda t: (np.array(gamma), np.zeros(3)))
 
 
 # (Lambda, I, hbar) and the initial w, S of each regime, and the precession
