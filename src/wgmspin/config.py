@@ -9,7 +9,8 @@ diagnostic, "<rule>, got <value>". An unset optional key (None) passes. The
 checks that involve more than one key follow the loop: the default I from R
 and rho, the window, each m against l, a repeated m, all-zero amplitudes at
 N > 0, the sample cap and [sweep]. The window is checked only when both its
-ends are finite.
+ends are finite. With a [sweep], each swept copy is then validated too,
+once the base config has no problem, its diagnostics naming the value.
 """
 
 from __future__ import annotations
@@ -219,6 +220,12 @@ class RunConfig:
                 if len(set(parsed)) < len(parsed):
                     bad.append(("sweep.values", "a value repeats: each value runs once, "
                                 f"got {', '.join(self.sweep_values)}"))
+        if self.sweep_field is not None and not bad:
+            # the copy each value runs, checked once the base is clean so that
+            # no error of the base repeats for every value
+            for text in self.sweep_values:
+                sub = replace(self, sweep_field=None).with_value(self.sweep_field, text)
+                bad += [(f, f"{m} ({self.sweep_field}={text})") for f, m in sub.validate()]
         return bad
 
     def with_value(self, dotted_field, value) -> "RunConfig":

@@ -30,10 +30,12 @@ one fourth-order Magnus vector per step, exact for constant Gamma.
 A step costs numpy object handling, not arithmetic, so the step path works on
 longdouble scalar components read from the state by index. step_wgm and
 simulate evaluate the one _flow, at a scalar time and at an array of sample
-times, and _step_state builds a step's result with SpinState's checks and
-normalisation. A restructuring of this path keeps every longdouble operation
-and its order, so the states stay the same to the bit
-(test_step_chains_reproduce_pinned_bytes holds them to recorded bytes).
+times. One builder, _step_state, holds a state's checks and makes every
+state, from SpinState's inputs as longdouble arrays or a step's components;
+_unit_quat normalises q there and simulate's samples alike. A restructuring
+of this path keeps every longdouble operation and its order, so the states
+stay the same to the bit (test_step_chains_reproduce_pinned_bytes holds them
+to recorded bytes).
 
 simulate returns its samples as the arrays of a Trajectory and writes no
 files; the CLI (wgmspin.cli) writes them as trajectory.csv and summary.json.
@@ -68,14 +70,6 @@ _ONE = _LD(1.0)  # _ONE * x is x in longdouble, exactly, and cheaper than _LD(x)
 _IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 
-def _ld_finite(v):
-    # finite as float64: math.isfinite reads a longdouble through float()
-    arr = np.array(v, dtype=_LD).reshape(3)
-    if not all(map(math.isfinite, arr.flat)):
-        raise ValueError(f"vector components must be finite, got {v!r}")
-    return arr
-
-
 @dataclass(frozen=True)
 class SpinState:
     """Mechanical angular velocity w [rad/s], optical angular momentum S
@@ -90,21 +84,22 @@ class SpinState:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {self.t!r}")
-        object.__setattr__(self, "omega", _ld_finite(self.omega))
-        object.__setattr__(self, "S", _ld_finite(self.S))
-        q = self.orientation
-        q = np.array(_IDENTITY_Q if q is None else q, dtype=_LD).reshape(4)
-        object.__setattr__(self, "orientation", _unit_quat(q))
+        q = _IDENTITY_Q if self.orientation is None else self.orientation
+        omega, S, q = (np.array(v, dtype=_LD).reshape(size)
+                       for v, size in ((self.omega, 3), (self.S, 3), (q, 4)))
+        self.__dict__.update(_step_state(omega, S, q, self.t).__dict__)
 
 
-def _unit_quat(q):
-    """q over its norm as a longdouble array, ValueError unless the norm is in
-    (0.9, 1.1). The squares add left to right, as np.sum adds 4 elements."""
-    qw, qx, qy, qz = q[0], q[1], q[2], q[3]
-    norm = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
-    if not 0.9 < float(norm) < 1.1:
-        raise ValueError("orientation quaternion is far from unit norm")
-    return np.array((qw / norm, qx / norm, qy / norm, qz / norm), dtype=_LD)
+def _quat_norm(q):
+    """|q| of four longdouble components, scalars or arrays over samples. The
+    squares add left to right, as np.sum adds 4 elements."""
+    qw, qx, qy, qz = q
+    return np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
+
+
+def _unit_quat(q, norm):
+    """The four components of q over norm, its _quat_norm."""
+    return q[0] / norm, q[1] / norm, q[2] / norm, q[3] / norm
 
 
 def _new_state(omega, S, orientation, t):
@@ -116,14 +111,18 @@ def _new_state(omega, S, orientation, t):
 
 
 def _step_state(omega, S, q, t):
-    """SpinState's checks and normalisation for a step from a checked state:
-    w and S (three components each) checked as six scalars and built as one
-    array, and t (finite plus finite dt) as it is."""
+    """The one SpinState builder, from three longdouble components each of w
+    and S, four of q, and t as it is: ValueError unless w and S are finite as
+    float64 (math.isfinite reads a longdouble through float()) and |q| is in
+    (0.9, 1.1). w and S are built as one array, q as the unit quaternion."""
     parts = (omega[0], omega[1], omega[2], S[0], S[1], S[2])
     if not all(map(math.isfinite, parts)):
         raise ValueError(f"vector components must be finite, got {parts!r}")
+    norm = _quat_norm(q)
+    if not 0.9 < float(norm) < 1.1:
+        raise ValueError("orientation quaternion is far from unit norm")
     ws = np.array(parts, dtype=_LD).reshape(2, 3)
-    return _new_state(ws[0], ws[1], _unit_quat(q), t)
+    return _new_state(ws[0], ws[1], np.array(_unit_quat(q, norm), dtype=_LD), t)
 
 
 def _components(state: SpinState):
@@ -378,11 +377,11 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
             raise ValueError(f"{name} must be >= 1")
     steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
     ld = _ld_constants(constants, hbar)
+    s, w, q = _flow(*_components(initial), *ld, steps * (_ONE * dt))
     s, w, q = (np.stack([np.broadcast_to(c, steps.shape) for c in cols], axis=1)
-               for cols in _flow(*_components(initial), *ld, steps * (_ONE * dt)))
+               for cols in (s, w, _unit_quat(q, _quat_norm(q))))
     traj = Trajectory(
-        t=initial.t + steps * dt, omega=w, S=s,
-        orientation=q / np.sqrt(np.sum(q * q, axis=1, keepdims=True)),
+        t=initial.t + steps * dt, omega=w, S=s, orientation=q,
         abs_S=np.sqrt(np.sum(s * s, axis=1)).astype(float),
         abs_omega=np.sqrt(np.sum(w * w, axis=1)).astype(float),
         K=np.stack(_k_vector(w.T, s.T, *ld), axis=1).astype(float),

@@ -53,15 +53,9 @@ _Y_OVERFLOW = 1e290      # beyond this y_l is treated as overflowed
 # (l = 5) down: a step's growth (2 nstart + 3)/|z| outruns the rescale
 # headroom, or y_l overflows and j_l is zeroed as if l >> |z|
 _SERIES_BELOW = 1e-20
-# largest (2n + 3)/z table _recur builds ahead of its loop. A 120-step
-# two-row loop with the table takes, against one row per step (numpy 2.4,
-# 2-core Xeon), 0.52x the time at 1 point, 0.56-0.63x at 28-64 points,
-# 0.77-0.88x at 480-960 KiB of table, 1.0-1.3x at 0.9-1.9 MiB and 1.3-1.5x
-# at 2.4-4.9 MiB: the table saves a numpy call per step where call overhead
-# is the cost, and adds a pass over memory where arithmetic is. So the
-# 1310-point profile grid keeps one row per step, while the scan (~90 KiB on
-# the reference window), Newton and the matching build the table. The limit
-# also bounds its memory (~300 MB at the scan's point cap)
+# largest (2n + 3)/z table _recur builds before its loop: it saves a numpy call
+# per step on few points, costs a pass over memory on long grids (timings in
+# CHANGES.md), and the limit bounds its memory
 _TABLE_BYTES = 256 << 10
 
 
@@ -98,14 +92,13 @@ def _check_domain(l, arr, uses_y):
             + (", |Im z| <= 1 for h/xi" if uses_y else "")
             + "); accuracy relaxed",
             AccuracyWarning,
-            stacklevel=3,
+            stacklevel=4 if uses_y else 3,  # the public function's caller
         )
     return absz, amax, amin
 
 
 def _as_array(z):
-    arr = np.asarray(z, dtype=float if np.isrealobj(z) else complex)
-    return np.atleast_1d(arr), arr.ndim == 0
+    return np.atleast_1d(np.asarray(z, dtype=float if np.isrealobj(z) else complex))
 
 
 def _miller_start(l, amax):
@@ -199,10 +192,10 @@ def _j_ladder(l, z, amax, amin):
     zinv = 1.0 / z
     m_steps = nstart - l + 2
     coefs, checks = _ladder_coefs(l, nstart, stride, z.dtype, z.ndim)
-    cur = np.stack([np.full_like(z, 1e-30), -np.cos(z) / z])
-    prev = np.stack([np.zeros_like(z), np.sin(z) / z])
     both = min(m_steps, l)
     with np.errstate(over="ignore", invalid="ignore"):
+        cur = np.stack([np.full_like(z, 1e-30), -np.cos(z) / z])
+        prev = np.stack([np.zeros_like(z), np.sin(z) / z])
         cur, prev, _ = _recur(cur, prev, coefs[:both], checks[:both], zinv)
         (lo, yl), (hi, ylm1) = cur, prev
         if m_steps > l:
@@ -260,7 +253,7 @@ def spherical_bessel_j(l, z):
     |z| = _SERIES_BELOW, j_l is the two-term power series
     z^l/(2l+1)!! (1 - z^2/(2(2l+3))), exact to rounding there.
     """
-    arr, scalar = _as_array(z)
+    arr = _as_array(z)
     absz, amax, _ = _check_domain(l, arr, uses_y=False)
     out = np.empty_like(arr)
     series = absz < _SERIES_BELOW
@@ -273,7 +266,21 @@ def spherical_bessel_j(l, z):
         (_, jl), _, _ = _j_ladder(l, arr[rest], amax, float(absz[rest].min()))
         _signal_nonfinite({"j_l": jl})
         out[rest] = jl
-    return out[0] if scalar else out.reshape(np.shape(z))
+    return out.reshape(np.shape(z))[()]
+
+
+def _hankel_pairs(l, z, name):
+    """The front end of h and xi: z as an array of at least one dimension,
+    and (j_{l-1}, j_l) and (h_{l-1}, h_l), h = j + i y, from one Miller j
+    ladder. OverflowError naming name_l where y_l overflows."""
+    arr = _as_array(z)
+    _, amax, amin = _check_domain(l, arr, uses_y=True)
+    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr, amax, amin)
+    if np.any(over):
+        # y_l ~ (2l - 1)!!/|z|^(l+1) for l >> |z|, and |y_l| ~ e^|Im z|/|z|
+        raise OverflowError(f"{name}_{l} overflowed double precision (|z| too "
+                            "small for l, or |Im z| too large)")
+    return arr, (jlm1, jl), (jlm1 + 1j * ylm1, jl + 1j * yl)
 
 
 def spherical_hankel1(l, z):
@@ -285,14 +292,9 @@ def spherical_hankel1(l, z):
     strip |Im z| <= 1, which holds the quasinormal poles (Im z < 0,
     |Im z| << |z|), and warned as relaxed off it.
     """
-    arr, scalar = _as_array(z)
-    _, amax, amin = _check_domain(l, arr, uses_y=True)
-    (_, jl), (_, yl), over = _j_ladder(l, arr, amax, amin)
-    if np.any(over):
-        raise OverflowError(f"h1_{l} overflowed double precision (|z| too small for l)")
-    hl = jl + 1j * yl
+    _, _, (_, hl) = _hankel_pairs(l, z, "h1")
     _signal_nonfinite({"h1_l": hl})
-    return hl[0] if scalar else hl.reshape(np.shape(z))
+    return hl.reshape(np.shape(z))[()]
 
 
 def riccati_bessel(l, z):
@@ -304,12 +306,7 @@ def riccati_bessel(l, z):
     complex128. Satisfies the Wronskian identity psi xi' - psi' xi = i. Same
     |Im z| <= 1 tight envelope as the Hankel function.
     """
-    arr, _ = _as_array(z)
-    _, amax, amin = _check_domain(l, arr, uses_y=True)
-    (jlm1, jl), (ylm1, yl), over = _j_ladder(l, arr, amax, amin)
-    if np.any(over):
-        raise OverflowError(f"xi_{l} overflowed double precision (|z| too small for l)")
-    hlm1, hl = jlm1 + 1j * ylm1, jl + 1j * yl
+    arr, (jlm1, jl), (hlm1, hl) = _hankel_pairs(l, z, "xi")
     out = {"psi": arr * jl, "psi'": arr * jlm1 - l * jl,
            "xi": arr * hl, "xi'": arr * hlm1 - l * hl}
     _signal_nonfinite(out)

@@ -218,10 +218,12 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
     costs no evaluation of its own, and Newton evaluates nothing when every
     first step is parked.
 
-    Certificate. ring_radius, if given, maps iterates to radii rho (0: no
-    ring). The first evaluation then also takes D at N = _RING_POINTS points
+    Certificate. ring_radius, if given, maps iterates to radii rho. The
+    first evaluation then also takes D at N = _RING_POINTS points
     k + rho e^{2 pi i j/N} about each iterate k, in the same Dvec call, and a
     seed whose Halley step s it certifies stops there, converged, at k + s.
+    A dead seed or rho = 0 puts the ring at k, which the certificate refuses
+    (q = |s|/0); copies of k change no ladder's max|z| or min|z|.
     Let M be twice the largest |D| sampled on the ring. If D is analytic on
     the closed disk |w| <= rho about k and |D| <= M on its edge, Cauchy
     bounds the Taylor coefficients, |D^(j)(k)/j!| <= M/rho^j, so past the
@@ -244,8 +246,8 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
     keeping the ring off it, and inside the ladders' tight envelope, is the
     caller's choice of radius. The argument bounds D as the ladders evaluate
     it; their rounding lies outside it, as it lies outside the settled rule.
-    A seed without a ring or a certificate falls through, unchanged, to the
-    settled rule.
+    A seed without a certificate falls through, unchanged, to the settled
+    rule.
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
@@ -257,11 +259,8 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
         ring = i == 1 and ring_radius is not None
         if ring:
             rho = np.where(alive, ring_radius(k), 0.0)
-            has = rho > 0
-            on_ring = (k[has, None] + rho[has, None] * _RING).ravel()
-            d0, dp, dpp = Dvec(np.concatenate((k, on_ring)))
-            m = np.zeros(k.size)
-            m[has] = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
+            d0, dp, dpp = Dvec(np.concatenate((k, (k[:, None] + rho[:, None] * _RING).ravel())))
+            m = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
             d0, dp, dpp = d0[:k.size], dp[:k.size], dpp[:k.size]
         else:
             d0, dp, dpp = Dvec(k) if i else first
@@ -273,7 +272,7 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
         halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
         step[halley] /= 1.0 + h[halley]
         if ring:
-            certified = halley & has & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
+            certified = halley & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
             | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
@@ -292,7 +291,7 @@ def _ring_radius(params: SphereParams, k):
     radial-order spacings pi/(nR), less where the ring would leave the
     ladders' tight envelope (every ring point's z = nkR at |Im z| <= 0.99 and
     |z| <= 0.99 TIGHT_ARG) or come within |k|/2 of k = 0, where D is
-    singular; 0, no ring and so no certificate, where no room is left."""
+    singular; 0, and so no certificate, where no room is left."""
     nr = params.n * params.R
     absk = np.abs(k)
     room = np.minimum(np.minimum(0.99 - nr * np.abs(k.imag), 0.99 * TIGHT_ARG - nr * absk),
@@ -381,10 +380,9 @@ def _te_matching(mode: ModeRecord, params: SphereParams):
     |Im D'(k0)| ulp(k0), with the TE slope D' = R (1 - n^2) psi xi from the
     same ladder call; and the terms t1 = n psi' xi and t2 = psi xi' carry
     eps (|Im t1| + |Im t2|). Im D is snapped when it is at most 8 of the
-    first plus 4 of the second. On 173
-    TE poles at R = 10 um (n^2 = 1.44, 2.31, 4; l = 10-500) the rounding
-    leaves up to 1.8 |Im D'| ulp(k0) at Q > 1e13, while at Q <= 2e6 Im D
-    is at least 1.9e4 of them. Profiles and Lambda are defined for TE only.
+    first plus 4 of the second: above the rounding seen at high Q, far below
+    Im D at low Q (the survey behind both is in CHANGES.md).
+    Profiles and Lambda are defined for TE only.
     """
     if mode.polarization != "TE":
         raise ValueError("continuum matching is defined for TE modes only, "

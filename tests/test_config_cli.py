@@ -233,14 +233,57 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         # as does simulate's, ~1.3 KB per sample: 1e9 samples would exhaust it
         ("simulate", "n_steps = 60\nsample_every = 10",
          "n_steps = 1000000000\nsample_every = 1", "simulation.n_steps"),
+        # the file itself: an unknown section, no file (old None), a line
+        # that is no key = value
+        ("modes", "directory = out", "directory = out\n[plot]\nstyle = dots",
+         "plot: unknown section"),
+        ("modes", None, None, "config: cannot read"),
+        ("modes", "R = 10e-6", "R = 10e-6\nno key here", "config: malformed file"),
+        ("simulate", "omega0 = 1e-6, 0, 2e-7", "omega0 = 1e-6, 0", "simulation.omega0"),
+        ("modes", "lambda_min = 6.8e-6", "lambda_min = 8.6e-6", "mode_search.lambda_min"),
+        ("simulate", "N = 1e4", "N = 1e4\namplitudes = 10:1", "coupling.amplitudes"),
+        ("estimate", "m_list = 1, 5, 9", "m_list = 0, 5", "estimate.m_list"),
+        ("modes", "directory = out", "directory = out\n[sweep]\nfield = mode_search.l",
+         "sweep.values"),
+        ("modes", "directory = out", "directory = out\n[sweep]\nfield = mode_search.m\n"
+         "values = 1, 2", "sweep.field"),
     ]
     for verb, old, new, field in cases:
         bad = tmp_path / "bad.cfg"
-        bad.write_text(FAST_CFG.replace(old, new))
+        bad.unlink(missing_ok=True)
+        if old is not None:
+            bad.write_text(FAST_CFG.replace(old, new))
         code = run_cli(verb, bad, tmp_path / "out")
         assert code == 2, (new, code)
         assert field in capsys.readouterr().err, new
         assert not (tmp_path / "out").exists(), new
+
+
+def test_validate_checks_each_swept_copy():
+    # l = 110 puts m = 120 of m_list above l: the copy that value runs is
+    # invalid, so the config is, as the CLI has always refused it
+    cfg = RunConfig(sweep_field="mode_search.l", sweep_values=("120", "110"),
+                    m_list=(1, 10, 120))
+    assert cfg.validate() == [
+        ("estimate.m_list", "|m| must be <= l = 110, got m=120 (mode_search.l=110)")]
+    assert RunConfig(sweep_field="mode_search.l", sweep_values=("120", "121"),
+                     m_list=(1, 10, 120)).validate() == []
+    # a problem of the base is named once, not once more per swept value
+    assert RunConfig(n=-1.0, sweep_field="mode_search.l", sweep_values=("120", "110"),
+                     m_list=(1, 10, 120)).validate() == [("sphere.n", "must be >= 1, got -1.0")]
+
+
+def test_invalid_swept_copy_exit_2_before_any_run(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(REFERENCE_CFG + "\n[sweep]\nfield = mode_search.l\nvalues = 120, 110\n")
+    with pytest.raises(ConfigError, match="estimate.m_list"):
+        RunConfig.from_file(cfg)
+    out = tmp_path / "out"
+    assert run_cli("lambda", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: estimate.m_list: |m| must be <= l = 110, "
+                                "got m=120 (mode_search.l=110)"]
+    assert not out.exists()
 
 
 def test_unusable_out_exit_2(tmp_path, capsys):
@@ -264,6 +307,10 @@ def test_empty_window_exit_1(tmp_path, capsys):
     assert "no resonance in window" in capsys.readouterr().out
     table = (out / "modes.csv").read_text().splitlines()
     assert table == ["pol,l,k0,lambda_vac,kappa_c,Q"]
+    # lambda needs a resonance to attach Lambda to: it writes no coupling.json
+    assert run_cli("lambda", cfg, tmp_path / "lambda") == 1
+    assert "no resonance in window" in capsys.readouterr().out
+    assert not (tmp_path / "lambda" / "coupling.json").exists()
 
 
 def test_modes_command_outputs(tmp_path, fast_cfg_path, capsys):

@@ -77,8 +77,8 @@ def test_spin_state_rejects_non_finite_t(t):
     ("orientation", [0.5, 0.0, 0.0, 0.0]),
 ])
 def test_step_state_rejects_what_spin_state_rejects(field, value):
-    # steps build their result through dynamics._step_state, which must keep
-    # SpinState's accept/reject set
+    # SpinState and every step build their state through dynamics._step_state;
+    # called as a step calls it, it rejects what SpinState rejects
     fields = {"omega": [1e-9, 0.0, 2e-10], "S": [1.0, 2.0, 3.0],
               "orientation": [0.8, 0.0, 0.6, 0.0]}
     fields[field] = np.array(value, dtype=np.longdouble)
@@ -86,20 +86,6 @@ def test_step_state_rejects_what_spin_state_rejects(field, value):
         SpinState(**fields)
     with pytest.raises(ValueError):
         dynamics._step_state(fields["omega"], fields["S"], fields["orientation"], 0.0)
-
-
-def test_unit_quat_norm_is_np_sum():
-    # the quaternion norm sums its four squares left to right; that must be
-    # np.sum's result bit for bit, which another order misses for ~1 in 4
-    rng = np.random.default_rng(11)
-    # components of like size, and components spread over 12 decades
-    q_all = rng.normal(size=(4000, 4))
-    q_all[2000:] *= 10.0 ** rng.uniform(-12, 0, (2000, 4))
-    q_all *= rng.uniform(0.95, 1.05, (4000, 1)) / np.linalg.norm(
-        q_all, axis=1, keepdims=True)
-    for q in q_all.astype(np.longdouble):
-        np.testing.assert_array_equal(dynamics._unit_quat(q),
-                                      q / np.sqrt(np.sum(q * q)))
 
 
 # --- step_wgm ---------------------------------------------------------------------
@@ -802,6 +788,14 @@ def test_large_s_precession_matches_estimate():
     predicted_hz = est.exact_hz
     assert measured is not None
     assert abs(measured / (2 * math.pi) - predicted_hz) / predicted_hz < 0.01
+
+
+def test_precession_frequency_needs_three_samples():
+    # a line through fewer than 3 phases measures nothing
+    times, omegas = [0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert precession_frequency(times, omegas, [0.0, 0.0, 1.0]) is None
+    assert precession_frequency(times + [2.0], omegas + [[-1.0, 0.0, 0.0]],
+                                [0.0, 0.0, 1.0]) == pytest.approx(math.pi / 2)
 
 
 def test_zero_field_reports_no_precession():

@@ -266,6 +266,28 @@ def test_y_overflow_signalled():
         riccati_bessel(120, 1e-3)
 
 
+@pytest.mark.parametrize("func, name", [(spherical_hankel1, "h1_3"), (riccati_bessel, "xi_3")])
+def test_y_overflow_message_names_both_causes(func, name):
+    # off the strip y_l overflows at any order: |h_3(-800i)| ~ e^800/800
+    # at |z| = 800, so the message names a large |Im z| next to a small |z|
+    with pytest.warns(AccuracyWarning):
+        with pytest.raises(OverflowError, match=rf"{name} overflowed .*\|z\| too small for l, "
+                                                r"or \|Im z\| too large"):
+            func(3, -800j)
+
+
+def test_j_overflow_names_j():
+    # |j_0(800i)| = sinh(800)/800 overflows, and no ladder warning escapes
+    with pytest.warns(AccuracyWarning):
+        with pytest.raises(OverflowError, match="j_l overflowed"):
+            spherical_bessel_j(0, 800j)
+
+
+def test_empty_argument_error():
+    with pytest.raises(ValueError, match="argument z is empty"):
+        riccati_bessel(3, [])
+
+
 def test_vectorized_matches_scalar():
     zs = np.array([5.0 + 0j, 20.0 + 0.1j, 84.5 + 0j])
     vec = spherical_bessel_j(120, zs)

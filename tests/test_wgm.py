@@ -282,6 +282,11 @@ def test_window_must_be_positive_finite_and_non_empty(ref_params, window):
         find_resonance("TE", 120, window, ref_params)
 
 
+def test_unknown_polarization_rejected(ref_params):
+    with pytest.raises(ValueError, match="polarization must be 'TE' or 'TM'"):
+        find_resonance("TX", 120, (8.3e6, 8.6e6), ref_params)
+
+
 @pytest.mark.parametrize("points", [1, 2, 2.5, 0, -5])
 def test_scan_points_must_be_integer_at_least_3(ref_params, points):
     # 1, 2 and 2.5 left no interior scan point and returned [] for this
@@ -681,6 +686,8 @@ def test_profile_grid_must_cover_sphere(ref_params, ref_mode):
     with pytest.raises(ValueError):
         radial_profile(ref_mode, ref_params,
                        np.linspace(0.3 * ref_params.R, 2.0 * ref_params.R, 100))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        radial_profile(ref_mode, ref_params, np.linspace(2.0 * ref_params.R, 0.0, 100))
 
 
 def test_continuum_orthogonality_decay():
