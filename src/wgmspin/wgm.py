@@ -13,7 +13,7 @@ radial mode profiles. Conventions:
   asymptotic form sqrt(2/pi) sin(k r - l pi/2 + delta_l)/r. They are matched
   through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
   coefficients b, c), so they and the interior norm integral are TE-only;
-  exterior grids past k0 r = 300 raise an AccuracyWarning.
+  exterior grids past k0 r = 800 raise an AccuracyWarning.
 
 The module returns records and writes no files; the CLI (wgmspin.cli) writes
 modes.csv and modes.json.
@@ -290,8 +290,10 @@ def _ring_radius(params: SphereParams, k):
     """The certificate's ring radius about each iterate k: _RING_SPACINGS
     radial-order spacings pi/(nR), less where the ring would leave the
     ladders' tight envelope (every ring point's z = nkR at |Im z| <= 0.99 and
-    |z| <= 0.99 TIGHT_ARG) or come within |k|/2 of k = 0, where D is
-    singular; 0, and so no certificate, where no room is left."""
+    |z| <= 0.99 TIGHT_ARG; first-order whispering-gallery poles, at
+    nkR ~ l + 2.34 (l/2)^(1/3) <= 515 up to l = 500, keep a full ring) or
+    come within |k|/2 of k = 0, where D is singular; 0, and so no
+    certificate, where no room is left."""
     nr = params.n * params.R
     absk = np.abs(k)
     room = np.minimum(np.minimum(0.99 - nr * np.abs(k.imag), 0.99 * TIGHT_ARG - nr * absk),
@@ -426,8 +428,8 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> np.ndarray:
     With D = D(k0) on the real axis: interior (r <= R) A j_l(n k0 r),
     A = sqrt(2/pi) k0 n / |D|; exterior sqrt(2/pi) k0 Im[conj(D) h_l(k0 r)]
     / |D|, the same matching, so u is continuous at R. The grid must start
-    at <= 0+ and reach past R; exterior points past k0 r = 300 leave the
-    tight Bessel envelope and raise an AccuracyWarning.
+    at <= 0+ and reach past R; exterior points past k0 r = TIGHT_ARG = 800
+    leave the tight Bessel envelope and raise an AccuracyWarning.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):

@@ -10,6 +10,8 @@ from wgmspin import cli
 from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
 from wgmspin.constants import C_LIGHT, HBAR
 
+from oracles import lly_wavenumber
+
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CFG_PATH = ROOT / "configs" / "reference.cfg"
 REFERENCE_CFG = REFERENCE_CFG_PATH.read_text()
@@ -311,6 +313,20 @@ def test_empty_window_exit_1(tmp_path, capsys):
     assert run_cli("lambda", cfg, tmp_path / "lambda") == 1
     assert "no resonance in window" in capsys.readouterr().out
     assert not (tmp_path / "lambda" / "coupling.json").exists()
+
+
+def test_lambda_at_l400_runs_clean(tmp_path, capsys):
+    # a +-1 % window about the l = 400 TE pole lies inside the tight Bessel
+    # envelope: exit 0 and nothing on stderr, and pyproject's filter makes
+    # any AccuracyWarning an error here
+    k = lly_wavenumber(400, "TE", math.sqrt(2.31), 10e-6)
+    cfg = tmp_path / "l400.cfg"
+    cfg.write_text(re.sub(r"(?m)^l = 120$", "l = 400", REFERENCE_CFG)
+                   .replace("lambda_min = 736e-9", f"lambda_min = {2 * math.pi / (1.01 * k)!r}")
+                   .replace("lambda_max = 751e-9", f"lambda_max = {2 * math.pi / (0.99 * k)!r}"))
+    assert run_cli("lambda", cfg, tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out" / "coupling.json").read_text())["l"] == 400
 
 
 def test_modes_command_outputs(tmp_path, fast_cfg_path, capsys):

@@ -121,7 +121,6 @@ MPMATH_LAMBDA_POLES = [(2.31, 200, 6.6e26), (2.31, 400, 1.8e50), (1.44, 500, 1.9
                        (1.44, 400, 4.1e16)]
 
 
-@pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
 @pytest.mark.parametrize("case", ["reference", *MPMATH_LAMBDA_POLES],
                          ids=lambda c: c if isinstance(c, str) else "n2={}-l={}-Q={:.1e}".format(*c))
 def test_lambda_matches_mpmath_oracle(case, ref_params, ref_coupling):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from wgmspin import wgm
 from wgmspin.config import MAX_SCAN_POINTS
 from wgmspin.coupling import compute_lambda
-from wgmspin.specfun import AccuracyWarning, riccati_bessel
+from wgmspin.specfun import TIGHT_ARG, AccuracyWarning, riccati_bessel
 from wgmspin.wgm import (
     _CHARACTERISTIC,
     ModeRecord,
@@ -548,11 +549,17 @@ MPMATH_POLES = {
     ("TE", 147): (10271873.04962075977449298, 2.98625129787515517668449e-19),
     ("TE", 179): (12420588.63995124818427007, 4.137247852220790681550152e-25),
     ("TE", 200): (13827953.21341563830951712, 5.531107547528257326217742e-29),
+    ("TE", 300): (20509888.96598302356149401, 1.21647166245520376507563e-47),
+    ("TE", 400): (27171047.77410109258822171, 1.616372632181071932436469e-66),
+    ("TE", 500): (33819570.45947915500031299, 1.585442535914847253293365e-85),
     ("TM", 20): (1646225.754685607061303892, 2285.644152704988755431259),
     ("TM", 120): (8502358.634616595501174126, 3.278402545715440003046657e-14),
     ("TM", 147): (10320667.24765875839720529, 4.22097733541681337388935e-19),
     ("TM", 179): (12469505.19008324005449045, 5.811552685016449250633523e-25),
     ("TM", 200): (13876928.59375277255586029, 7.745079716773282576350308e-29),
+    ("TM", 300): (20559032.14371895939574101, 1.687070456409610168394701e-47),
+    ("TM", 400): (27220276.40567232051202996, 2.229694146256873068793743e-66),
+    ("TM", 500): (33868851.56964018020319205, 2.179428110538242459700961e-85),
 }
 
 
@@ -649,7 +656,7 @@ def test_exterior_asymptotic_amplitude():
     r1 = 2000.0 / k0
     r2 = r1 + 0.5 * math.pi / k0
     grid = np.array([0.0, 0.5 * R, R, r1, r2])
-    # k0 r = 2000 lies past the tight Bessel envelope (|z| <= 300)
+    # k0 r = 2000 lies past the tight Bessel envelope (|z| <= 800)
     with pytest.warns(AccuracyWarning):
         u = radial_profile(mode, p, grid)
     amp = math.hypot(grid[3] * u[3], grid[4] * u[4])
@@ -706,10 +713,11 @@ def test_continuum_orthogonality_decay():
     ratios = []
     for L in (60.0 * R, 240.0 * R):
         grid = np.linspace(0.0, L, int(40 * k2 * L / (2 * math.pi)) + 1)
-        # k r reaches ~500 and ~2000, past the tight envelope |z| <= 300
-        with pytest.warns(AccuracyWarning):
+        # k r reaches ~500, inside the tight envelope |z| <= 800, and ~2000,
+        # past it
+        with pytest.warns(AccuracyWarning) if k2 * L > TIGHT_ARG else nullcontext():
             u1 = radial_profile(mode, p, grid)
-        with pytest.warns(AccuracyWarning):
+        with pytest.warns(AccuracyWarning) if k2 * L > TIGHT_ARG else nullcontext():
             u2 = radial_profile(mode2, p, grid)
         w = eps_weight(grid) * grid**2
         off = abs(trapezoid(w * u1 * u2, grid))
