@@ -375,7 +375,9 @@ def simulate(initial: SpinState, constants: CouplingConstants, dt: float,
             raise ValueError(f"{name} must be an integer, got {count!r}") from None
         if count < 1:
             raise ValueError(f"{name} must be >= 1")
-    steps = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    steps = np.arange(0, n_steps + 1, sample_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
     ld = _ld_constants(constants, hbar)
     s, w, q = _flow(*_components(initial), *ld, steps * (_ONE * dt))
     s, w, q = (np.stack([np.broadcast_to(c, steps.shape) for c in cols], axis=1)

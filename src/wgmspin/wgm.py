@@ -13,7 +13,12 @@ radial mode profiles. Conventions:
   asymptotic form sqrt(2/pi) sin(k r - l pi/2 + delta_l)/r. They are matched
   through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
   coefficients b, c), so they and the interior norm integral are TE-only;
-  exterior grids past k0 r = 800 raise an AccuracyWarning.
+  exterior grids past k0 r = 800 raise an AccuracyWarning;
+* a TE pole carries that matching: each TE Newton call also takes the
+  Riccati values at the real part of every iterate, in the same ladder run,
+  and the last call's values are moved to k0 by the Riccati ODE's Taylor
+  series. So Lambda, the norm integral and the profile run no matching
+  ladder for a pole from find_resonance.
 
 The module returns records and writes no files; the CLI (wgmspin.cli) writes
 modes.csv and modes.json.
@@ -26,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +59,8 @@ _RING_POINTS = 8          # D samples on the certificate's ring about each itera
 _RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS)
 _RING_SPACINGS = 0.3      # the ring's radius in spacings pi/(nR), before its caps
 _CERT_MARGIN = 10.0       # safety factor on each bound of the certificate
+_SHIFT_TERMS = 6          # Taylor terms of the real-axis shift of a TE pole's matching
+_SHIFT_MAX = 1e-3         # largest |shift| in y = nkR that the six terms take
 
 
 def _check_positive(name, value):
@@ -98,12 +106,24 @@ def _solid_sphere_inertia(R, rho):
         return math.inf
 
 
+class _TEMatching(NamedTuple):
+    """A TE pole's real-axis matching as _te_matching returns it, with the
+    (l, k0, n, R) it was formed at."""
+
+    at: tuple
+    d: complex
+    psi: float
+    psip: float
+
+
 @dataclass(frozen=True)
 class ModeRecord:
     """One whispering-gallery resonance.
 
     kappa_c > 0 is the full linewidth in wavenumber; the quasinormal pole is
-    k0 - i kappa_c/2 and Q = k0/kappa_c exactly.
+    k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching is the
+    real-axis matching find_resonance carries out of Newton for a TE pole
+    (_te_matching); it takes no part in equality, repr or any artifact.
     """
 
     polarization: str
@@ -112,6 +132,7 @@ class ModeRecord:
     kappa_c: float
     Q: float
     radial_profile: np.ndarray | None = field(default=None, compare=False)
+    te_matching: _TEMatching | None = field(default=None, compare=False, repr=False)
 
     @property
     def pole(self) -> complex:
@@ -130,12 +151,13 @@ def _riccati_pair(l, k, params: SphereParams):
     return psi[0], psip[0], xi[1], xip[1], z[1]
 
 
-def _characteristic(l, k, params: SphereParams, te):
-    """(D, dD/dk, d2D/dk2) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR),
-    vectorized over k; weights (a, b) = (n, 1) for TE and (1, n) for TM.
+def _d_from_riccati(l, psi, psip, xi, xip, x, params: SphereParams, te):
+    """(D, dD/dk, d2D/dk2) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR)
+    from the four Riccati values (psi, psi' at y = nkR; xi, xi' at x = kR)
+    and x; weights (a, b) = (n, 1) for TE and (1, n) for TM.
 
     psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi, with L = l(l+1),
-    y = nkR and x = kR, make both derivatives exact in the same four values:
+    make both derivatives exact in the same four values:
     D' = R [A psi xi + C psi' xi'] with A = (a/n - b) L/x^2 + b - a n and
     C = a - b n (R (1 - n^2) psi xi for TE), and
     D'' = R^2 [-2 (a/n - b) L/x^3 psi xi + A (n psi' xi + psi xi')
@@ -143,7 +165,6 @@ def _characteristic(l, k, params: SphereParams, te):
     """
     n, R = params.n, params.R
     a, b = (n, 1.0) if te else (1.0, n)
-    psi, psip, xi, xip, x = _riccati_pair(l, k, params)
     lx = l * (l + 1) / (x * x)
     w = a / n - b
     big_a = w * lx + (b - a * n)
@@ -154,6 +175,12 @@ def _characteristic(l, k, params: SphereParams, te):
                     + big_a * (n * psip * xi + psi * xip)
                     + c * (n * (lx / (n * n) - 1.0) * psi * xip + (lx - 1.0) * psip * xi))
     return d, slope, curv
+
+
+def _characteristic(l, k, params: SphereParams, te):
+    """(D, dD/dk, d2D/dk2) at each k (vectorized), from one ladder call
+    (_riccati_pair) and _d_from_riccati."""
+    return _d_from_riccati(l, *_riccati_pair(l, k, params), params, te)
 
 
 def te_characteristic(l, k, params: SphereParams):
@@ -322,6 +349,15 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     runs: the scan and one certified Newton iteration. Returns records
     sorted by k0; empty list when the window holds no pole. Non-convergent
     seeds are logged and skipped.
+
+    Each TE Newton call also evaluates psi, psi', xi and xi' at the real
+    part of each seed's iterate, one point per seed in the same ladder run.
+    A TE pole is its last iterate k plus a step s; _carried_matching moves
+    the values at Re k to k0 = Re(k + s) along the real axis (|Re s| has
+    stayed below 1.5e-7 |k|) and forms the real-axis matching from them, the
+    record's te_matching. compute_lambda, interior_norm_integral and
+    radial_profile read it and run no matching ladder. TM Newton calls take
+    the iterates (and the ring) alone.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -344,7 +380,20 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
     seeds = ks[minima]
 
-    refined, converged = _newton_poles(lambda k: Dfun(l, k, params), seeds,
+    real_axis = []   # TE: Re k of each iterate, and psi, psi', xi, xi' there
+
+    def newton_d(k):
+        if polarization == "TM":
+            return Dfun(l, k, params)
+        # the iterates lead every Newton call; their real projections ride in
+        # the same ladder run, so the last call leaves each pole's matching
+        # values a step away
+        kr = k[:seeds.size].real
+        values = _riccati_pair(l, np.concatenate((k, kr)), params)
+        real_axis[:] = [kr, *(f[k.size:] for f in values[:4])]
+        return _d_from_riccati(l, *(f[:k.size] for f in values), params, te=True)
+
+    refined, converged = _newton_poles(newton_d, seeds,
                                        (d[minima], slope[minima], curv[minima]),
                                        k_lo, k_hi, d_scale, partial(_ring_radius, params))
     for seed, ok in zip(seeds, converged):
@@ -352,51 +401,110 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
             log.debug("%s l=%d: Newton did not converge from seed k=%.6e; skipped",
                       polarization, l, seed)
 
-    poles: list[complex] = []
-    for pole in refined[converged]:
-        pole = complex(pole)
+    poles: list[tuple[complex, int]] = []   # (pole, its seed's index)
+    for i in np.flatnonzero(converged):
+        pole = complex(refined[i])
         if (pole.imag < 0 and k_lo <= pole.real <= k_hi
                 and -2.0 * pole.imag / pole.real < MAX_RELATIVE_WIDTH
-                and not any(abs(pole - p) < 1e-8 * abs(p) for p in poles)):
-            poles.append(pole)
+                and not any(abs(pole - p) < 1e-8 * abs(p) for p, _ in poles)):
+            poles.append((pole, i))
 
-    poles.sort(key=lambda p: p.real)
+    poles.sort(key=lambda pole: pole[0].real)
     return [
         ModeRecord(polarization=polarization, l=l, k0=p.real,
-                   kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag))
-        for p in poles
+                   kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag),
+                   te_matching=(_carried_matching(l, p.real, params, *(f[i] for f in real_axis))
+                                if real_axis else None))
+        for p, i in poles
     ]
 
 
+def _ode_shift(f, fp, z, h, l):
+    """f and f' at z + h from f and f' at z, for a solution of the
+    Riccati-Bessel ODE f'' = (L/z^2 - 1) f, L = l(l+1): _SHIFT_TERMS terms
+    of the Taylor series of each. Its coefficients a_m = f^(m)(z)/m! follow
+    from the ODE, (m + 2)(m + 1) a_{m+2} = sum_j q_j a_{m-j}, with
+    q_j = (j + 1) L/z^2 (-1/z)^j - [j = 0] the Taylor coefficients of
+    L/(z + w)^2 - 1. a_m grows like |q_0|^{m/2}/m!, so at
+    |h| <= _SHIFT_MAX and |q_0| <= 15 (n <= 4) the first dropped term is
+    below 1e-17 of f.
+    """
+    c = l * (l + 1) / (z * z)
+    q = [(j + 1) * c * (-1.0 / z) ** j for j in range(_SHIFT_TERMS - 1)]
+    q[0] -= 1.0
+    a = [f, fp]
+    for m in range(_SHIFT_TERMS - 1):
+        a.append(sum(q[j] * a[m - j] for j in range(m + 1)) / ((m + 2) * (m + 1)))
+    return (sum(a[m] * h**m for m in range(_SHIFT_TERMS)),
+            sum((m + 1) * a[m + 1] * h**m for m in range(_SHIFT_TERMS)))
+
+
+def _carried_matching(l, k0, params: SphereParams, kr, psi, psip, xi, xip):
+    """The _TEMatching at the real k0 from psi, psi' at y = n kr R and
+    xi, xi' at x = kr R, the values Newton's last ladder call took at the
+    real projection kr of a pole's iterate: each pair is moved to k0 along
+    the real axis by _ode_shift, to the same y0 = n k0 R and x0 = k0 R that
+    a ladder call at k0 takes (the shifts are exact differences of the
+    arguments), and _snapped_matching forms D(k0). None where the shift in y
+    passes _SHIFT_MAX (never seen: it is at most 1.5e-5 on 1 809 poles up to
+    l = 500)."""
+    nr = params.n * params.R
+    y, y0 = nr * float(kr), nr * k0
+    if not abs(y0 - y) <= _SHIFT_MAX:
+        return None
+    x, x0 = params.R * float(kr), params.R * k0
+    psi, psip = _ode_shift(complex(psi).real, complex(psip).real, y, y0 - y, l)
+    xi, xip = _ode_shift(complex(xi), complex(xip), x, x0 - x, l)
+    return _TEMatching((l, k0, params.n, params.R),
+                       *_snapped_matching(psi, psip, xi, xip, k0, params))
+
+
+def _snapped_matching(psi, psip, xi, xip, k0, params: SphereParams):
+    """(D(k0), psi, psi') of the TE matching at the real k0 from psi, psi'
+    at y = n k0 R and xi, xi' at x = k0 R, with Im D snapped to 0 at a
+    resonance center.
+
+    When k0 sits at a resonance center located to machine precision, the
+    true b is orders of magnitude below its own rounding noise; Im D = -n b
+    is then snapped to exactly 0 (the Lorentzian peak). That noise has two
+    sources: k0 is a double within a few ulps of the center, which leaves
+    Im D at a few |Im D'(k0)| ulp(k0), with the TE slope
+    D' = R (1 - n^2) psi xi from the same four values; and the terms
+    t1 = n psi' xi and t2 = psi xi' carry eps (|Im t1| + |Im t2|). Im D is
+    snapped when it is at most 8 of the first plus 4 of the second: above
+    the rounding seen at high Q, far below Im D at low Q (the survey behind
+    both is in CHANGES.md).
+    """
+    t1, t2 = params.n * psip * xi, psi * xip
+    d = complex(t1 - t2)
+    slope = params.R * (1.0 - params.n**2) * psi * xi
+    if abs(d.imag) <= (8.0 * abs(slope.imag) * np.spacing(k0)
+                       + 4.0 * np.finfo(float).eps * (abs(t1.imag) + abs(t2.imag))):
+        d = complex(d.real, 0.0)
+    return d, float(psi), float(psip)
+
+
 def _te_matching(mode: ModeRecord, params: SphereParams):
-    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R, from the
-    stacked ladder call of the characteristic function.
+    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R.
 
     For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
     exterior coefficients (b j_l + c y_l outside) of the continuum mode that
-    is j_l(n k r) inside: D holds the whole matching. When k0 sits at a
-    resonance center located to machine precision, the true b is orders of
-    magnitude below its own rounding noise; Im D = -n b is then snapped to
-    exactly 0 (the Lorentzian peak). That noise has two sources: k0 is a
-    double within a few ulps of the center, which leaves Im D at a few
-    |Im D'(k0)| ulp(k0), with the TE slope D' = R (1 - n^2) psi xi from the
-    same ladder call; and the terms t1 = n psi' xi and t2 = psi xi' carry
-    eps (|Im t1| + |Im t2|). Im D is snapped when it is at most 8 of the
-    first plus 4 of the second: above the rounding seen at high Q, far below
-    Im D at low Q (the survey behind both is in CHANGES.md).
+    is j_l(n k r) inside: D holds the whole matching. A pole from
+    find_resonance carries it (ModeRecord.te_matching, from Newton's last
+    ladder call), and it is returned as carried while the mode's l and k0
+    and params' n and R are the ones it was formed at; any other mode (one
+    built by hand, or a record replaced to another k0) takes one stacked
+    ladder call at k0. Either way _snapped_matching forms D and snaps Im D.
     Profiles and Lambda are defined for TE only.
     """
     if mode.polarization != "TE":
         raise ValueError("continuum matching is defined for TE modes only, "
                          f"got {mode.polarization!r}")
+    carried = mode.te_matching
+    if carried is not None and carried.at == (mode.l, mode.k0, params.n, params.R):
+        return carried.d, carried.psi, carried.psip
     psi, psip, xi, xip, _ = _riccati_pair(mode.l, mode.k0, params)
-    t1, t2 = params.n * psip * xi, psi * xip
-    d = complex(t1 - t2)
-    slope = params.R * (1.0 - params.n**2) * psi * xi
-    if abs(d.imag) <= (8.0 * abs(slope.imag) * np.spacing(mode.k0)
-                       + 4.0 * np.finfo(float).eps * (abs(t1.imag) + abs(t2.imag))):
-        d = complex(d.real, 0.0)
-    return d, float(psi), float(psip)
+    return _snapped_matching(psi, psip, xi, xip, mode.k0, params)
 
 
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:

@@ -21,7 +21,7 @@ from wgmspin.specfun import (
     spherical_hankel1,
 )
 
-from oracles import sph_h1_oracle, sph_j_oracle
+from oracles import mp_spherical, sph_h1_oracle, sph_j_oracle
 
 RNG_SEED = 20260811
 
@@ -379,23 +379,17 @@ def test_envelope_against_mpmath():
     # 1 000 seeded samples over the whole tight envelope, l <= MAX_ORDER,
     # Re z in [0.3, TIGHT_ARG], |Im z| <= 1: 500 of j, and 500 of h with the
     # Wronskian of riccati_bessel; a draw whose reference leaves the double
-    # range is drawn again. mpmath's J of order l + 1/2 at 30 digits is the
-    # reference, with y_l = (-1)^(l+1) j_{-l-1} (the ascending series takes
-    # up to ~0.5 s a value at |z| ~ 800)
-    mp = pytest.importorskip("mpmath")
+    # range is drawn again. The reference is mp_spherical, mpmath's J of
+    # order l + 1/2 at 30 digits
     rng = np.random.default_rng(RNG_SEED + 4)
     checked = {"j": 0, "h": 0}
-    with warnings.catch_warnings(), mp.workdps(30):
+    with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         while min(checked.values()) < 500:
             func = "j" if checked["j"] <= checked["h"] else "h"
             l = int(rng.integers(0, MAX_ORDER + 1))
             z = complex(rng.uniform(0.3, TIGHT_ARG), rng.uniform(-1.0, 1.0))
-            zm = mp.mpc(z)
-            ref = mp.besselj(l + 0.5, zm)
-            if func == "h":
-                ref += 1j * (-1) ** (l + 1) * mp.besselj(-l - 0.5, zm)
-            ref = complex(mp.sqrt(mp.pi / (2 * zm)) * ref)
+            ref = mp_spherical(l, z, hankel=func == "h")
             if not 1e-270 < abs(ref) < 1e270:
                 continue
             if func == "h":

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wgmspin.wgm import (
     attach_profile,
     default_profile_grid,
     find_resonance,
+    interior_norm_integral,
     radial_profile,
     te_characteristic,
     tm_characteristic,
@@ -321,12 +323,18 @@ def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
 
 def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then one Newton run from slope-stepped seeds, which the
-    # certificate accepts: the iterate and its ring of 8 points in one
-    # riccati_bessel call on the stacked arguments
+    # certificate accepts: the iterate, its ring of 8 points and, for TE, the
+    # iterate's real projection (which carries the matching) in one
+    # riccati_bessel call on the stacked arguments. TM carries no matching:
+    # its Newton calls are the iterate and its ring, then the iterate alone
+    # (the TM pole here is not certified from its first iterate)
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) == 2, calls
-    assert calls[1] == (2, 1 + wgm._RING_POINTS)
+    assert calls[1] == (2, 2 + wgm._RING_POINTS)
+    calls.clear()
+    assert len(find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
+    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1)], calls
 
 
 def test_scan_density_independent_above_derived_count(ref_params, monkeypatch):
@@ -456,6 +464,62 @@ def test_newton_certificate_refuses_second_root_inside_ring():
     assert abs(k[0] - 1.5) <= 1e-15
 
 
+def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
+    # a TE pole carries its real-axis matching out of Newton's last ladder
+    # call: find_resonance, attach_profile and compute_lambda take the scan
+    # and the certified Newton call, and Lambda, the norm integral and the
+    # profile run no riccati_bessel call of their own
+    calls = _record_ladder_runs(monkeypatch)
+    mode, = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
+    compute_lambda(attach_profile(mode, ref_params), ref_params)
+    assert len(calls) == 2, calls
+    calls.clear()
+    compute_lambda(mode, ref_params)
+    interior_norm_integral(mode, ref_params)
+    attach_profile(mode, ref_params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n2", [1.44, 2.31, 4.0])
+def test_carried_lambda_matches_direct_call(n2, monkeypatch):
+    # Lambda from the carried matching against Lambda from one ladder call at
+    # k0 (the record with its matching cleared), on every pole of a +-10 %
+    # window (26 poles per n, up to 7 a window, Q 7 to 2e188): the two
+    # differ only in the rounding of the complex and real ladders (measured
+    # <= 8.3e-14 here, <= 1.3e-13 over the +-1 % windows of l = 20-500)
+    p = SphereParams(R=10e-6, n=math.sqrt(n2))
+    windows = {}
+    for l in (10, 20, 60, 120, 200, 300, 410, 500):
+        k = lly_wavenumber(l, "TE", p.n, p.R)
+        windows[l] = (0.9 * k, 1.1 * k)
+        modes = find_resonance("TE", l, windows[l], p)
+        assert modes, l
+        for mode in modes:
+            assert mode.te_matching is not None
+            carried = compute_lambda(mode, p).lambda_
+            direct = compute_lambda(replace(mode, te_matching=None), p).lambda_
+            assert abs(carried - direct) <= 2e-13 * abs(direct), (l, mode.Q)
+    # a record without a matching for its own (l, k0, n, R) takes one ladder
+    # call: one built by hand, one replaced to another k0, a pole solved with
+    # other params, and a pole whose shift the Taylor series would not take
+    calls = _record_ladder_runs(monkeypatch)
+    mode = find_resonance("TE", 120, windows[120], p)[0]
+    k2 = 1.07 * mode.k0
+    hand = ModeRecord(polarization="TE", l=120, k0=k2, kappa_c=mode.kappa_c,
+                      Q=k2 / mode.kappa_c)
+    other = SphereParams(R=p.R, n=p.n * (1 + 1e-9))
+    monkeypatch.setattr(wgm, "_SHIFT_MAX", -1.0)   # refuses every shift, 0 too
+    unshifted = find_resonance("TE", 120, windows[120], p)[0]
+    assert unshifted.te_matching is None
+    calls.clear()
+    for record, params in ((hand, p), (replace(mode, k0=k2, Q=k2 / mode.kappa_c), p),
+                           (mode, other), (unshifted, p)):
+        got = wgm._te_matching(record, params)
+        assert len(calls) == 1 and got == wgm._te_matching(replace(record, te_matching=None),
+                                                           params)
+        calls.clear()
+
+
 def test_low_q_window_takes_settled_rule_and_matches_mpmath(monkeypatch):
     # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its Halley
     # step is still ~6e-12 off the pole, far outside what the certificate
@@ -465,7 +529,7 @@ def test_low_q_window_takes_settled_rule_and_matches_mpmath(monkeypatch):
     shapes = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
     assert len(modes) == 1
-    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS, 1, 1], shapes
+    assert [s[1] for s in shapes[1:]] == [2 + wgm._RING_POINTS, 2, 2], shapes
     want = complex(mp_pole("TE", 8, p.n, p.R, modes[0].pole, 30))
     assert abs(modes[0].k0 - want.real) <= 1e-15 * want.real
     assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
