@@ -111,9 +111,6 @@ def cmd_modes(cfg: RunConfig, outdir: Path, natural=False):
 
 
 def _coupling_constants(cfg: RunConfig):
-    if cfg.polarization != "TE":
-        raise ConfigError([("mode_search.polarization",
-                            "coupling constant is defined for TE modes only")])
     params, modes = _find_modes(cfg)
     if not modes:
         raise _NoResonance
@@ -122,9 +119,9 @@ def _coupling_constants(cfg: RunConfig):
 
 
 def cmd_lambda(cfg: RunConfig, outdir: Path, natural=False):
-    if cfg.n == 1.0 and cfg.polarization == "TE":
+    if cfg.n == 1.0:
         # no index contrast: eps - 1 = 0, so Lambda = 0 for any TE mode and
-        # there is no resonance to attach it to; TM is rejected as at any n
+        # there is no resonance to attach it to (_run has rejected TM)
         params = _sphere(cfg)
         _write_coupling(outdir / "coupling.json", 0.0, params.I, cfg.l)
         print("Lambda = 0.000000")
@@ -221,10 +218,15 @@ def _config_error(exc: ConfigError) -> int:
 
 def _run(verb, cfg, outdir, natural) -> int:
     """Run one verb on one config into outdir, first naming a sweep's value on
-    stdout; return the outcome as an exit code."""
+    stdout; return the outcome as an exit code. Every verb but modes needs
+    Lambda, which is defined for TE only, so a TM config for one is refused
+    before outdir is made."""
     if cfg.sweep_field is not None:
         print(f"[{outdir.name}]")
     try:
+        if verb != "modes" and cfg.polarization != "TE":
+            raise ConfigError([("mode_search.polarization",
+                                "coupling constant is defined for TE modes only")])
         outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[verb](cfg, outdir, natural=natural)
     except _NoResonance:

@@ -73,8 +73,9 @@ def compute_lambda(mode: ModeRecord, params: SphereParams) -> CouplingConstants:
     That is pi kappa_c (n^2 - 1) times the interior norm integral of the
     continuum-normalized mode. Closed form, no quadrature: an attached radial
     profile is ignored, so the result does not depend on one. A TE pole from
-    find_resonance carries D(k0), psi and psi' (ModeRecord.te_matching), so
-    its Lambda runs no ladder; any other mode takes one ladder call at k0.
+    find_resonance carries psi, psi', xi and xi' at k0
+    (ModeRecord.te_matching), so its Lambda runs no ladder; any other mode
+    takes one ladder call at k0.
     A TM mode raises ValueError.
     """
     lam = math.pi * mode.kappa_c * (params.n**2 - 1.0) * interior_norm_integral(mode, params)

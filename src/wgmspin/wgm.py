@@ -14,11 +14,12 @@ radial mode profiles. Conventions:
   through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
   coefficients b, c), so they and the interior norm integral are TE-only;
   exterior grids past k0 r = 800 raise an AccuracyWarning;
-* a TE pole carries that matching: each TE Newton call also takes the
-  Riccati values at the real part of every iterate, in the same ladder run,
-  and the last call's values are moved to k0 by the Riccati ODE's Taylor
-  series. So Lambda, the norm integral and the profile run no matching
-  ladder for a pole from find_resonance.
+* a TE pole carries the values of that matching: each TE Newton call also
+  takes the Riccati values at the real part of every iterate, in the same
+  ladder run, and the last call's values are moved to k0 by the Riccati
+  ODE's Taylor series. _te_matching alone forms D(k0) from them, so Lambda,
+  the norm integral and the profile run no matching ladder for a pole from
+  find_resonance.
 
 The module returns records and writes no files; the CLI (wgmspin.cli) writes
 modes.csv and modes.json.
@@ -107,13 +108,15 @@ def _solid_sphere_inertia(R, rho):
 
 
 class _TEMatching(NamedTuple):
-    """A TE pole's real-axis matching as _te_matching returns it, with the
-    (l, k0, n, R) it was formed at."""
+    """A TE pole's Riccati values at the real k0, as _carried_matching moves
+    them there: psi, psi' at y = n k0 R and xi, xi' at x = k0 R, with the
+    (l, k0, n, R) they are at."""
 
     at: tuple
-    d: complex
     psi: float
     psip: float
+    xi: complex
+    xip: complex
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,10 @@ class ModeRecord:
     """One whispering-gallery resonance.
 
     kappa_c > 0 is the full linewidth in wavenumber; the quasinormal pole is
-    k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching is the
-    real-axis matching find_resonance carries out of Newton for a TE pole
-    (_te_matching); it takes no part in equality, repr or any artifact.
+    k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching holds the
+    Riccati values at k0 that find_resonance carries out of Newton for a TE
+    pole (None for TM), from which _te_matching forms the real-axis
+    matching; it takes no part in equality, repr or any artifact.
     """
 
     polarization: str
@@ -224,7 +228,7 @@ def _certify(d0, dp, dpp, h, k, step, rho, m, d_scale):
                 & (_CERT_MARGIN * (p + tail(np.abs(step) / rho)) <= POLE_TOL * d_scale))
 
 
-def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
+def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     """Complex Newton refinement of many seeds at once, with Halley's
     third-order correction, certified after its first evaluation where it can
     be.
@@ -245,10 +249,10 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
     costs no evaluation of its own, and Newton evaluates nothing when every
     first step is parked.
 
-    Certificate. ring_radius, if given, maps iterates to radii rho. The
-    first evaluation then also takes D at N = _RING_POINTS points
-    k + rho e^{2 pi i j/N} about each iterate k, in the same Dvec call, and a
-    seed whose Halley step s it certifies stops there, converged, at k + s.
+    Certificate. ring_radius maps iterates to radii rho. The first
+    evaluation also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N}
+    about each iterate k, in the same Dvec call, and a seed whose Halley
+    step s it certifies stops there, converged, at k + s.
     A dead seed or rho = 0 puts the ring at k, which the certificate refuses
     (q = |s|/0); copies of k change no ladder's max|z| or min|z|.
     Let M be twice the largest |D| sampled on the ring. If D is analytic on
@@ -283,8 +287,7 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
     certified = np.zeros(k.size, dtype=bool)
     span = k_hi - k_lo
     for i in range(_NEWTON_MAX_ITER):
-        ring = i == 1 and ring_radius is not None
-        if ring:
+        if i == 1:
             rho = np.where(alive, ring_radius(k), 0.0)
             d0, dp, dpp = Dvec(np.concatenate((k, (k[:, None] + rho[:, None] * _RING).ravel())))
             m = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
@@ -298,7 +301,7 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius=None):
             h = 0.5 * step * dpp / dp
         halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
         step[halley] /= 1.0 + h[halley]
-        if ring:
+        if i == 1:
             certified = halley & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
@@ -350,14 +353,14 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     sorted by k0; empty list when the window holds no pole. Non-convergent
     seeds are logged and skipped.
 
-    Each TE Newton call also evaluates psi, psi', xi and xi' at the real
-    part of each seed's iterate, one point per seed in the same ladder run.
-    A TE pole is its last iterate k plus a step s; _carried_matching moves
-    the values at Re k to k0 = Re(k + s) along the real axis (|Re s| has
-    stayed below 1.5e-7 |k|) and forms the real-axis matching from them, the
-    record's te_matching. compute_lambda, interior_norm_integral and
-    radial_profile read it and run no matching ladder. TM Newton calls take
-    the iterates (and the ring) alone.
+    Newton's evaluation is the same for both polarizations: one ladder run
+    on the iterates (and the ring) followed by the real part of each seed's
+    iterate, one point per seed for TE and none for TM. A TE pole is its
+    last iterate k plus a step s; _carried_matching moves the values at Re k
+    to k0 = Re(k + s) along the real axis, the record's te_matching, from
+    which compute_lambda, interior_norm_integral and radial_profile form
+    the matching without a ladder run. A TM record, or a TE one whose Newton
+    evaluated nothing, carries None.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -366,12 +369,12 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
         raise ValueError(f"window must be positive, finite and non-empty, got {k_window}")
     if not (isinstance(scan_points, numbers.Integral) and scan_points >= 3):
         raise ValueError(f"scan_points must be an integer >= 3, got {scan_points!r}")
-    Dfun = _CHARACTERISTIC[polarization]
+    te = polarization == "TE"
 
     spacings = (k_hi - k_lo) * params.n * params.R / math.pi
     points = min(scan_points, max(16, math.ceil(_SCAN_PER_SPACING * spacings) + 1))
     ks = np.linspace(k_lo, k_hi, points)
-    d, slope, curv = Dfun(l, ks, params)
+    d, slope, curv = _CHARACTERISTIC[polarization](l, ks, params)
     absd = np.abs(d)
     d_scale = max(absd[0], absd[-1])
     if d_scale == 0:
@@ -380,18 +383,17 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
     seeds = ks[minima]
 
-    real_axis = []   # TE: Re k of each iterate, and psi, psi', xi, xi' there
+    carried = seeds.size if te else 0
+    real_axis = []   # Re k of each carried iterate, and psi, psi', xi, xi' there
 
     def newton_d(k):
-        if polarization == "TM":
-            return Dfun(l, k, params)
-        # the iterates lead every Newton call; their real projections ride in
-        # the same ladder run, so the last call leaves each pole's matching
-        # values a step away
-        kr = k[:seeds.size].real
+        # the iterates lead every Newton call; a TE solve's real projections
+        # ride in the same ladder run, so the last call leaves each pole's
+        # matching values a step away
+        kr = k[:carried].real
         values = _riccati_pair(l, np.concatenate((k, kr)), params)
         real_axis[:] = [kr, *(f[k.size:] for f in values[:4])]
-        return _d_from_riccati(l, *(f[:k.size] for f in values), params, te=True)
+        return _d_from_riccati(l, *(f[:k.size] for f in values), params, te)
 
     refined, converged = _newton_poles(newton_d, seeds,
                                        (d[minima], slope[minima], curv[minima]),
@@ -414,7 +416,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
         ModeRecord(polarization=polarization, l=l, k0=p.real,
                    kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag),
                    te_matching=(_carried_matching(l, p.real, params, *(f[i] for f in real_axis))
-                                if real_axis else None))
+                                if te and real_axis else None))
         for p, i in poles
     ]
 
@@ -445,24 +447,29 @@ def _carried_matching(l, k0, params: SphereParams, kr, psi, psip, xi, xip):
     real projection kr of a pole's iterate: each pair is moved to k0 along
     the real axis by _ode_shift, to the same y0 = n k0 R and x0 = k0 R that
     a ladder call at k0 takes (the shifts are exact differences of the
-    arguments), and _snapped_matching forms D(k0). None where the shift in y
-    passes _SHIFT_MAX (never seen: it is at most 1.5e-5 on 1 809 poles up to
-    l = 500)."""
+    arguments). None where the shift in y passes _SHIFT_MAX."""
     nr = params.n * params.R
     y, y0 = nr * float(kr), nr * k0
     if not abs(y0 - y) <= _SHIFT_MAX:
         return None
     x, x0 = params.R * float(kr), params.R * k0
-    psi, psip = _ode_shift(complex(psi).real, complex(psip).real, y, y0 - y, l)
-    xi, xip = _ode_shift(complex(xi), complex(xip), x, x0 - x, l)
     return _TEMatching((l, k0, params.n, params.R),
-                       *_snapped_matching(psi, psip, xi, xip, k0, params))
+                       *_ode_shift(complex(psi).real, complex(psip).real, y, y0 - y, l),
+                       *_ode_shift(complex(xi), complex(xip), x, x0 - x, l))
 
 
-def _snapped_matching(psi, psip, xi, xip, k0, params: SphereParams):
-    """(D(k0), psi, psi') of the TE matching at the real k0 from psi, psi'
-    at y = n k0 R and xi, xi' at x = k0 R, with Im D snapped to 0 at a
-    resonance center.
+def _te_matching(mode: ModeRecord, params: SphereParams):
+    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R.
+
+    For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
+    exterior coefficients (b j_l + c y_l outside) of the continuum mode that
+    is j_l(n k r) inside: D holds the whole matching. It is formed here
+    alone, from psi, psi' at y and xi, xi' at x = k0 R. A pole from
+    find_resonance carries those four values (ModeRecord.te_matching, from
+    Newton's last ladder call), and they are used while the mode's l and k0
+    and params' n and R are the ones they are at; any other mode (one built
+    by hand, or a record replaced to another k0) takes one stacked ladder
+    call at k0. Profiles and Lambda are defined for TE only.
 
     When k0 sits at a resonance center located to machine precision, the
     true b is orders of magnitude below its own rounding noise; Im D = -n b
@@ -475,6 +482,14 @@ def _snapped_matching(psi, psip, xi, xip, k0, params: SphereParams):
     the rounding seen at high Q, far below Im D at low Q (the survey behind
     both is in CHANGES.md).
     """
+    if mode.polarization != "TE":
+        raise ValueError("continuum matching is defined for TE modes only, "
+                         f"got {mode.polarization!r}")
+    carried, k0 = mode.te_matching, mode.k0
+    if carried is not None and carried.at == (mode.l, k0, params.n, params.R):
+        _, psi, psip, xi, xip = carried
+    else:
+        psi, psip, xi, xip, _ = _riccati_pair(mode.l, k0, params)
     t1, t2 = params.n * psip * xi, psi * xip
     d = complex(t1 - t2)
     slope = params.R * (1.0 - params.n**2) * psi * xi
@@ -482,29 +497,6 @@ def _snapped_matching(psi, psip, xi, xip, k0, params: SphereParams):
                        + 4.0 * np.finfo(float).eps * (abs(t1.imag) + abs(t2.imag))):
         d = complex(d.real, 0.0)
     return d, float(psi), float(psip)
-
-
-def _te_matching(mode: ModeRecord, params: SphereParams):
-    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R.
-
-    For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
-    exterior coefficients (b j_l + c y_l outside) of the continuum mode that
-    is j_l(n k r) inside: D holds the whole matching. A pole from
-    find_resonance carries it (ModeRecord.te_matching, from Newton's last
-    ladder call), and it is returned as carried while the mode's l and k0
-    and params' n and R are the ones it was formed at; any other mode (one
-    built by hand, or a record replaced to another k0) takes one stacked
-    ladder call at k0. Either way _snapped_matching forms D and snaps Im D.
-    Profiles and Lambda are defined for TE only.
-    """
-    if mode.polarization != "TE":
-        raise ValueError("continuum matching is defined for TE modes only, "
-                         f"got {mode.polarization!r}")
-    carried = mode.te_matching
-    if carried is not None and carried.at == (mode.l, mode.k0, params.n, params.R):
-        return carried.d, carried.psi, carried.psip
-    psi, psip, xi, xip, _ = _riccati_pair(mode.l, mode.k0, params)
-    return _snapped_matching(psi, psip, xi, xip, mode.k0, params)
 
 
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:

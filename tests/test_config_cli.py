@@ -584,8 +584,8 @@ def test_sweep_values_parse_as_the_swept_field(tmp_path, capsys, verb, field,
 
 
 def test_sweep_value_error_does_not_stop_the_sweep(tmp_path, capsys):
-    # TM fails at run time (Lambda is defined for TE only); TE still runs and
-    # writes what a plain TE run writes
+    # TM is refused before its subdirectory is made (Lambda is defined for TE
+    # only); TE still runs and writes what a plain TE run writes
     plain, out = tmp_path / "plain", tmp_path / "out"
     assert run_cli("lambda", REFERENCE_CFG_PATH, plain) == 0
     capsys.readouterr()
@@ -595,7 +595,7 @@ def test_sweep_value_error_does_not_stop_the_sweep(tmp_path, capsys):
     assert run_cli("lambda", cfg, out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
-    assert not (out / "mode_search.polarization=TM" / "coupling.json").exists()
+    assert not (out / "mode_search.polarization=TM").exists()
     te = out / "mode_search.polarization=TE" / "coupling.json"
     assert te.read_bytes() == (plain / "coupling.json").read_bytes()
 
@@ -677,7 +677,18 @@ def test_lambda_for_tm_rejected_as_invalid_input(tmp_path, capsys, n):
     code = run_cli("lambda", cfg, tmp_path / "out")
     assert code == 2
     assert "mode_search.polarization" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "coupling.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["estimate", "simulate"])
+def test_te_only_verbs_reject_tm_before_any_output(tmp_path, capsys, verb):
+    # estimate and simulate need Lambda as lambda does: a TM config exits 2
+    # naming the key and leaves no output directory
+    cfg = tmp_path / "tm.cfg"
+    cfg.write_text(FAST_CFG.replace("polarization = TE", "polarization = TM"))
+    assert run_cli(verb, cfg, tmp_path / "out") == 2
+    assert "mode_search.polarization" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_zero_photons_zero_estimate(tmp_path):

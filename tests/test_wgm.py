@@ -45,6 +45,12 @@ def _record_ladder_runs(monkeypatch):
     return shapes
 
 
+def _no_ring(k):
+    # a zero-radius certificate ring: the certificate refuses every seed
+    # (q = |s|/0), so Newton keeps to the settled rule
+    return np.zeros(k.shape)
+
+
 def _record_scan(monkeypatch, pol):
     # the (D, D', D'') of find_resonance's first D call, its scan
     real = wgm._CHARACTERISTIC[pol]
@@ -333,8 +339,10 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     assert len(calls) == 2, calls
     assert calls[1] == (2, 2 + wgm._RING_POINTS)
     calls.clear()
-    assert len(find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
+    tm = find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)
+    assert len(tm) == 1
     assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1)], calls
+    assert [mode.te_matching for mode in tm] == [None]
 
 
 def test_scan_density_independent_above_derived_count(ref_params, monkeypatch):
@@ -362,7 +370,7 @@ def test_newton_far_seed_takes_plain_newton_step(monkeypatch):
     monkeypatch.setattr(wgm, "_NEWTON_MAX_ITER", 1)
     seeds = np.array([0.5, 1.2], dtype=complex)
     d, dp, dpp = dvec(seeds)
-    k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 0.1, 3.0, 1.0)
+    k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 0.1, 3.0, 1.0, _no_ring)
     newton = seeds + -d / dp
     assert k[0] == newton[0]
     assert k[1] != newton[1]
@@ -383,7 +391,7 @@ def test_newton_evaluates_finite_k_only():
     first = (np.array([1e300, 1.0, 0.4], dtype=complex),
              np.array([1e-300, 1e-300, 1.0], dtype=complex), np.zeros(3, dtype=complex))
     with np.errstate(over="ignore"):
-        k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0)
+        k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0, _no_ring)
     assert seen and all(np.all(np.isfinite(z)) for z in seen)
     assert converged.tolist() == [False, False, True]
     assert k[2] == 1.5
@@ -400,7 +408,7 @@ def test_newton_curvature_saves_evaluations():
             return k**3 - 2, 3 * k * k, curvature(k)
 
         seeds = np.array([1.5], dtype=complex)
-        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds), 1.0, 2.0, 1.0)
+        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds), 1.0, 2.0, 1.0, _no_ring)
         assert converged.tolist() == [True]
         assert abs(k[0] - 2 ** (1 / 3)) <= 1e-15
         return len(calls)
@@ -425,7 +433,7 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
     seeds = np.array([1.2, 1.51])
     for k_seeds in (seeds, seeds[1:]):
         k, converged = wgm._newton_poles(dvec, k_seeds, dvec(k_seeds.astype(complex)),
-                                         1.0, 2.0, 1.0)
+                                         1.0, 2.0, 1.0, _no_ring)
         assert np.all(np.abs(dvec(k)[0]) <= wgm.POLE_TOL)
         assert converged.tolist() == [True, False][-k_seeds.size:], (k, converged)
         assert abs(k[-1] - 1.5) <= 1.5e-3
@@ -438,7 +446,8 @@ def test_newton_certificate_refuses_second_root_inside_ring():
     # and its 8 ring points. With b = 1.501, inside the ring, the first
     # iterate is still ~7e-7 off, the Cauchy remainder M q^3 outweighs
     # |D'| delta, and the seed falls back to the settled rule: the same pole,
-    # mask and number of calls as with no ring at all
+    # mask and number of calls as with a zero-radius ring, which certifies
+    # nothing
     def run(b, ring_radius):
         calls = []
 
@@ -458,7 +467,7 @@ def test_newton_certificate_refuses_second_root_inside_ring():
     assert converged == [True] and calls == [1 + wgm._RING_POINTS]
     assert abs(k[0] - 1.5) <= 1e-15
     k, converged, calls = run(1.501, ring)
-    k_plain, converged_plain, calls_plain = run(1.501, None)
+    k_plain, converged_plain, calls_plain = run(1.501, _no_ring)
     assert calls[0] == 1 + wgm._RING_POINTS and len(calls) == len(calls_plain) > 1
     assert np.array_equal(k, k_plain) and converged == converged_plain == [True]
     assert abs(k[0] - 1.5) <= 1e-15
@@ -478,6 +487,25 @@ def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
     interior_norm_integral(mode, ref_params)
     attach_profile(mode, ref_params)
     assert calls == []
+
+
+def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monkeypatch):
+    # a Newton that evaluates nothing (here one that takes each seed's first
+    # step from the scan's D and D' and calls it converged) leaves no
+    # real-axis values to carry: the TE record's te_matching is None, and
+    # Lambda takes its one ladder call at k0
+    def first_step(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
+        d, dp, _ = first
+        return seeds - d / dp, np.ones(seeds.size, dtype=bool)
+
+    monkeypatch.setattr(wgm, "_newton_poles", first_step)
+    calls = _record_ladder_runs(monkeypatch)
+    modes = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
+    assert len(modes) == 1 and calls == [(2, 28)], calls
+    assert modes[0].te_matching is None
+    calls.clear()
+    compute_lambda(modes[0], ref_params)
+    assert calls == [(2,)], calls
 
 
 @pytest.mark.parametrize("n2", [1.44, 2.31, 4.0])
