@@ -72,10 +72,11 @@ def compute_lambda(mode: ModeRecord, params: SphereParams) -> CouplingConstants:
 
     That is pi kappa_c (n^2 - 1) times the interior norm integral of the
     continuum-normalized mode. Closed form, no quadrature: an attached radial
-    profile is ignored, so the result does not depend on one. A TE pole from
-    find_resonance carries psi, psi', xi and xi' at k0
-    (ModeRecord.te_matching), so its Lambda runs no ladder; any other mode
-    takes one ladder call at k0.
+    profile is ignored, so the result does not depend on one. D(k0) is
+    formed from the pole, D(p) = 0 (wgm._te_matching). A TE pole from
+    find_resonance carries psi, psi', xi and xi' of Newton's last ladder
+    call (ModeRecord.te_matching), so its Lambda runs no ladder; any other
+    mode, and a low-Q pole, takes one ladder call at k0.
     A TM mode raises ValueError.
     """
     lam = math.pi * mode.kappa_c * (params.n**2 - 1.0) * interior_norm_integral(mode, params)

@@ -14,12 +14,11 @@ radial mode profiles. Conventions:
   through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
   coefficients b, c), so they and the interior norm integral are TE-only;
   exterior grids past k0 r = 800 raise an AccuracyWarning;
-* a TE pole carries the values of that matching: each TE Newton call also
-  takes the Riccati values at the real part of every iterate, in the same
-  ladder run, and the last call's values are moved to k0 by the Riccati
-  ODE's Taylor series. _te_matching alone forms D(k0) from them, so Lambda,
-  the norm integral and the profile run no matching ladder for a pole from
-  find_resonance.
+* a TE pole carries the Riccati values of Newton's last ladder call at its
+  last iterate. _te_matching alone forms D(k0), as D(k0) - D(p) from the
+  Taylor series about that iterate, so Lambda, the norm integral and the
+  profile of a high-Q pole from find_resonance run no matching ladder and
+  do not hang on the rounding of D near k0.
 
 The module returns records and writes no files; the CLI (wgmspin.cli) writes
 modes.csv and modes.json.
@@ -60,8 +59,8 @@ _RING_POINTS = 8          # D samples on the certificate's ring about each itera
 _RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS)
 _RING_SPACINGS = 0.3      # the ring's radius in spacings pi/(nR), before its caps
 _CERT_MARGIN = 10.0       # safety factor on each bound of the certificate
-_SHIFT_TERMS = 6          # Taylor terms of the real-axis shift of a TE pole's matching
-_SHIFT_MAX = 1e-3         # largest |shift| in y = nkR that the six terms take
+_SHIFT_TERMS = 6          # Taylor terms of _ode_shift's move of psi, psi' to k0
+_SHIFT_MAX = 1e-3         # largest nR |k - k0| and nR |k - p| of a TE matching's series
 
 
 def _check_positive(name, value):
@@ -108,13 +107,14 @@ def _solid_sphere_inertia(R, rho):
 
 
 class _TEMatching(NamedTuple):
-    """A TE pole's Riccati values at the real k0, as _carried_matching moves
-    them there: psi, psi' at y = n k0 R and xi, xi' at x = k0 R, with the
-    (l, k0, n, R) they are at."""
+    """A TE pole's Riccati values from Newton's last ladder call: psi, psi'
+    at y = nkR and xi, xi' at x = kR of the pole's last iterate k, with the
+    (l, pole, n, R) they belong to."""
 
     at: tuple
-    psi: float
-    psip: float
+    k: complex
+    psi: complex
+    psip: complex
     xi: complex
     xip: complex
 
@@ -125,9 +125,10 @@ class ModeRecord:
 
     kappa_c > 0 is the full linewidth in wavenumber; the quasinormal pole is
     k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching holds the
-    Riccati values at k0 that find_resonance carries out of Newton for a TE
-    pole (None for TM), from which _te_matching forms the real-axis
-    matching; it takes no part in equality, repr or any artifact.
+    Riccati values at the last iterate of a TE pole's Newton run (None for
+    TM, or where Newton evaluated nothing), from which _te_matching forms
+    the real-axis matching; it takes no part in equality, repr or any
+    artifact.
     """
 
     polarization: str
@@ -354,13 +355,12 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     seeds are logged and skipped.
 
     Newton's evaluation is the same for both polarizations: one ladder run
-    on the iterates (and the ring) followed by the real part of each seed's
-    iterate, one point per seed for TE and none for TM. A TE pole is its
-    last iterate k plus a step s; _carried_matching moves the values at Re k
-    to k0 = Re(k + s) along the real axis, the record's te_matching, from
-    which compute_lambda, interior_norm_integral and radial_profile form
-    the matching without a ladder run. A TM record, or a TE one whose Newton
-    evaluated nothing, carries None.
+    on the iterates (and the ring), nothing appended. A TE pole is its last
+    iterate k plus a step s, and its record keeps psi, psi', xi and xi' of
+    the last call at k (te_matching), from which compute_lambda,
+    interior_norm_integral and radial_profile form the matching without a
+    ladder run. A TM record, or a TE one whose Newton evaluated nothing,
+    carries None.
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -383,17 +383,14 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
     seeds = ks[minima]
 
-    carried = seeds.size if te else 0
-    real_axis = []   # Re k of each carried iterate, and psi, psi', xi, xi' there
+    last = []   # the last Newton call's iterates, and psi, psi', xi, xi' there
 
     def newton_d(k):
-        # the iterates lead every Newton call; a TE solve's real projections
-        # ride in the same ladder run, so the last call leaves each pole's
-        # matching values a step away
-        kr = k[:carried].real
-        values = _riccati_pair(l, np.concatenate((k, kr)), params)
-        real_axis[:] = [kr, *(f[k.size:] for f in values[:4])]
-        return _d_from_riccati(l, *(f[:k.size] for f in values), params, te)
+        # the iterates lead every Newton call, so the last call leaves each
+        # pole's Riccati values one step away
+        values = _riccati_pair(l, k, params)
+        last[:] = [k[:seeds.size], *(f[:seeds.size] for f in values[:4])]
+        return _d_from_riccati(l, *values, params, te)
 
     refined, converged = _newton_poles(newton_d, seeds,
                                        (d[minima], slope[minima], curv[minima]),
@@ -415,8 +412,8 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     return [
         ModeRecord(polarization=polarization, l=l, k0=p.real,
                    kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag),
-                   te_matching=(_carried_matching(l, p.real, params, *(f[i] for f in real_axis))
-                                if te and real_axis else None))
+                   te_matching=(_TEMatching((l, p, params.n, params.R), *(f[i] for f in last))
+                                if te and last else None))
         for p, i in poles
     ]
 
@@ -427,9 +424,10 @@ def _ode_shift(f, fp, z, h, l):
     of the Taylor series of each. Its coefficients a_m = f^(m)(z)/m! follow
     from the ODE, (m + 2)(m + 1) a_{m+2} = sum_j q_j a_{m-j}, with
     q_j = (j + 1) L/z^2 (-1/z)^j - [j = 0] the Taylor coefficients of
-    L/(z + w)^2 - 1. a_m grows like |q_0|^{m/2}/m!, so at
-    |h| <= _SHIFT_MAX and |q_0| <= 15 (n <= 4) the first dropped term is
-    below 1e-17 of f.
+    L/(z + w)^2 - 1. z and the step h may be complex. a_m grows like
+    |q_0|^{m/2}/m!, so at |h| <= _SHIFT_MAX and |q_0| <= 15 the first dropped
+    term is below 1e-17 of f. _te_matching shifts only psi, at y = nkR near
+    a pole, where |q_0| = |L/y^2 - 1| is small.
     """
     c = l * (l + 1) / (z * z)
     q = [(j + 1) * c * (-1.0 / z) ** j for j in range(_SHIFT_TERMS - 1)]
@@ -441,62 +439,57 @@ def _ode_shift(f, fp, z, h, l):
             sum((m + 1) * a[m + 1] * h**m for m in range(_SHIFT_TERMS)))
 
 
-def _carried_matching(l, k0, params: SphereParams, kr, psi, psip, xi, xip):
-    """The _TEMatching at the real k0 from psi, psi' at y = n kr R and
-    xi, xi' at x = kr R, the values Newton's last ladder call took at the
-    real projection kr of a pole's iterate: each pair is moved to k0 along
-    the real axis by _ode_shift, to the same y0 = n k0 R and x0 = k0 R that
-    a ladder call at k0 takes (the shifts are exact differences of the
-    arguments). None where the shift in y passes _SHIFT_MAX."""
-    nr = params.n * params.R
-    y, y0 = nr * float(kr), nr * k0
-    if not abs(y0 - y) <= _SHIFT_MAX:
-        return None
-    x, x0 = params.R * float(kr), params.R * k0
-    return _TEMatching((l, k0, params.n, params.R),
-                       *_ode_shift(complex(psi).real, complex(psip).real, y, y0 - y, l),
-                       *_ode_shift(complex(xi), complex(xip), x, x0 - x, l))
-
-
 def _te_matching(mode: ModeRecord, params: SphereParams):
     """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R.
 
     For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
     exterior coefficients (b j_l + c y_l outside) of the continuum mode that
     is j_l(n k r) inside: D holds the whole matching. It is formed here
-    alone, from psi, psi' at y and xi, xi' at x = k0 R. A pole from
-    find_resonance carries those four values (ModeRecord.te_matching, from
-    Newton's last ladder call), and they are used while the mode's l and k0
-    and params' n and R are the ones they are at; any other mode (one built
-    by hand, or a record replaced to another k0) takes one stacked ladder
-    call at k0. Profiles and Lambda are defined for TE only.
+    alone, from psi, psi' at y = nkR and xi, xi' at x = kR of one point k:
+    Newton's last values (ModeRecord.te_matching) while their (l, pole, n, R)
+    are the mode's and params' and nR |k0 - k| <= _SHIFT_MAX, else one
+    stacked ladder call at k = k0. Profiles and Lambda are TE only.
 
-    When k0 sits at a resonance center located to machine precision, the
-    true b is orders of magnitude below its own rounding noise; Im D = -n b
-    is then snapped to exactly 0 (the Lorentzian peak). That noise has two
-    sources: k0 is a double within a few ulps of the center, which leaves
-    Im D at a few |Im D'(k0)| ulp(k0), with the TE slope
-    D' = R (1 - n^2) psi xi from the same four values; and the terms
-    t1 = n psi' xi and t2 = psi xi' carry eps (|Im t1| + |Im t2|). Im D is
-    snapped when it is at most 8 of the first plus 4 of the second: above
-    the rounding seen at high Q, far below Im D at low Q (the survey behind
-    both is in CHANGES.md).
+    At a high-Q pole p = k0 - i kappa_c/2, D(k0) lies far below the rounding
+    of D near k0, but D(p) = 0 is exact. So where nR max(|s|, |h|) <=
+    _SHIFT_MAX, with s = p - k and h = k0 - k, the Taylor series about k
+    gives, with nothing cancelling,
+        D(k0) - D(p) = (k0 - p) [D' + c2 (h + s) + c3 (h^2 + h s + s^2)];
+    D' and c2 = D''/2 from _d_from_riccati, c3 = D'''/6 from the TE
+        D''' = R^3 (1 - n^2) [(2L/x^2 - 1 - n^2) psi xi + 2n psi' xi'],
+    L = l(l+1), by psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi.
+    D(p) = D + s (D' + s (c2 + s c3)) is added only where p is no root,
+    |D(p)| > 5e-15 |p| |D'| (find_resonance's settled step bound): at poles,
+    carried or built by hand, it is rounding (<= 3.1e-16 |p| |D'| on the TE
+    l = 20-500 survey); a record off a pole (4.8e-2 at 1.07 k0) and n = 1
+    (D = -i, D' = D'' = D''' = 0, so D(k0) would be 0) keep it. psi, psi'
+    move to y0 = n k0 R by _ode_shift over the complex step nR h. Elsewhere
+    (low Q, k = k0), D(k0) is n psi' xi - psi xi' as the ladder gives it.
     """
     if mode.polarization != "TE":
         raise ValueError("continuum matching is defined for TE modes only, "
                          f"got {mode.polarization!r}")
-    carried, k0 = mode.te_matching, mode.k0
-    if carried is not None and carried.at == (mode.l, k0, params.n, params.R):
-        _, psi, psip, xi, xip = carried
+    carried, l, k0, p = mode.te_matching, mode.l, mode.k0, mode.pole
+    n, R, nr = params.n, params.R, params.n * params.R
+    if (carried is not None and carried.at == (l, p, n, R)
+            and nr * abs(k0 - carried.k) <= _SHIFT_MAX):
+        point = carried[1:]
     else:
-        psi, psip, xi, xip, _ = _riccati_pair(mode.l, k0, params)
-    t1, t2 = params.n * psip * xi, psi * xip
-    d = complex(t1 - t2)
-    slope = params.R * (1.0 - params.n**2) * psi * xi
-    if abs(d.imag) <= (8.0 * abs(slope.imag) * np.spacing(k0)
-                       + 4.0 * np.finfo(float).eps * (abs(t1.imag) + abs(t2.imag))):
-        d = complex(d.real, 0.0)
-    return d, float(psi), float(psip)
+        point = (k0, *_riccati_pair(l, k0, params)[:4])
+    k, psi, psip, xi, xip = map(complex, point)
+    x = R * k
+    d, slope, curv = _d_from_riccati(l, psi, psip, xi, xip, x, params, te=True)
+    s, h = p - k, k0 - k
+    if nr * max(abs(s), abs(h)) <= _SHIFT_MAX:
+        c2 = 0.5 * curv
+        c3 = R**3 * (1.0 - n * n) / 6.0 * (
+            (2.0 * l * (l + 1) / (x * x) - 1.0 - n * n) * psi * xi + 2.0 * n * psip * xip)
+        d_pole = d + s * (slope + s * (c2 + s * c3))
+        d = (k0 - p) * (slope + c2 * (h + s) + c3 * (h * h + h * s + s * s))
+        if abs(d_pole) > 5e-15 * abs(p) * abs(slope):   # p is no root
+            d += d_pole
+        psi, psip = _ode_shift(psi, psip, nr * k, nr * h, l)
+    return d, psi.real, psip.real
 
 
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
@@ -506,7 +499,8 @@ def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
     Inside the sphere u = A j_l(n k0 r) with A = sqrt(2/pi) k0 n / |D(k0)|.
     Lommel's integral in Riccati form, int_0^y psi^2 = [y psi'^2 +
     (y - l(l+1)/y) psi^2 - psi psi'] / 2 at y = n k0 R, turns it into that
-    bracket over pi n k0 |D|^2: no grid, only the ladder call of D.
+    bracket over pi n k0 |D|^2, with D(k0), psi and psi' from _te_matching:
+    no grid, and no ladder call for a pole that carries Newton's values.
     """
     d, psi, psip = _te_matching(mode, params)
     l, y = mode.l, params.n * params.R * mode.k0

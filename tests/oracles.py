@@ -260,8 +260,8 @@ def mp_te_lambda(l, n, R, start):
 
     The closed form is the package's (Lommel's integral, which the Simpson
     and trapezoid tests check against quadrature of the profile); the
-    numbers are not: no Bessel ladder, no k0 rounded to a double, and so no
-    snap of Im D at the resonance center."""
+    numbers are not: no Bessel ladder, and no k0 rounded to a double, so
+    |D(x0)| needs no expansion about the pole to be resolved."""
     q = start.real / (-2.0 * start.imag)
     dps = 50 + max(0, math.ceil(math.log10(q)))
     p = mp_pole("TE", l, n, R, start, dps)

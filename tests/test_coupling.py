@@ -111,21 +111,27 @@ def test_lambda_matches_converged_simpson_oracle(case, l8_mode, ref_params, ref_
 
 
 # TE poles at R = 10 um in +-10 % windows about the Lam-Leung-Young position,
-# as (n^2, l, Q to pick the pole by). Four read a wrong Lambda while the snap
-# of Im D(k0) ignored the rounding of k0: 1e-23 and 7e-70 at n^2 = 2.31,
-# l = 200 and 400, 0.4857 at n^2 = 1.44, l = 500, and 0.0013 at l = 400,
-# Q = 4e16; the other n^2 = 1.44, l = 400 poles span Q ~ 1e7-1e11, where the
-# snap starts to act
+# as (n^2, l, Q to pick the pole by). Four read a wrong Lambda while an
+# earlier rule snapped Im D(k0) to 0 without the rounding of k0: 1e-23 and
+# 7e-70 at n^2 = 2.31, l = 200 and 400, 0.4857 at n^2 = 1.44, l = 500, and
+# 0.0013 at l = 400, Q = 4e16; the other n^2 = 1.44, l = 400 poles span
+# Q ~ 1e7-1e11. Of the last four, carried and hand-built Lambda differ most
+# at n^2 = 4, l = 410; the next two moved most when D(k0) came to be taken
+# from the pole; at n^2 = 2.31, l = 30 the expansion about the pole spans
+# 0.4 _SHIFT_MAX, the lowest Q here that takes it
 MPMATH_LAMBDA_POLES = [(2.31, 200, 6.6e26), (2.31, 400, 1.8e50), (1.44, 500, 1.9e15),
                        (1.44, 400, 9.4e6), (1.44, 400, 5.4e8), (1.44, 400, 7.2e10),
-                       (1.44, 400, 4.1e16)]
+                       (1.44, 400, 4.1e16), (4.0, 410, 1.5e130), (4.0, 273, 1.4e101),
+                       (2.31, 271, 5.6e48), (2.31, 30, 4.3e4)]
 
 
 @pytest.mark.parametrize("case", ["reference", *MPMATH_LAMBDA_POLES],
                          ids=lambda c: c if isinstance(c, str) else "n2={}-l={}-Q={:.1e}".format(*c))
 def test_lambda_matches_mpmath_oracle(case, ref_params, ref_coupling):
-    # Lambda against mpmath at 50 + log10 Q digits, from the package's pole:
-    # measured agreement is within 1.2e-13 on every case (0.3-0.8 s each)
+    # Lambda against mpmath at 50 + log10 Q digits, from the package's pole
+    # and from a copy of it built without Newton's values (one ladder call
+    # at k0): measured agreement is within 2.6e-13 on every case (0.3-1.4 s
+    # each)
     if case == "reference":
         p, mode = ref_params, ref_coupling.mode
     else:
@@ -135,7 +141,8 @@ def test_lambda_matches_mpmath_oracle(case, ref_params, ref_coupling):
         mode, = (m for m in find_resonance("TE", l, (0.9 * k, 1.1 * k), p)
                  if abs(math.log10(m.Q / q)) < 0.1)
     oracle = mp_te_lambda(mode.l, p.n, p.R, mode.pole)
-    assert compute_lambda(mode, p).lambda_ == pytest.approx(oracle, rel=1e-12)
+    for record in (mode, replace(mode, te_matching=None)):
+        assert compute_lambda(record, p).lambda_ == pytest.approx(oracle, rel=1e-12)
 
 
 def test_lambda_ignores_attached_profile(l20_setup):

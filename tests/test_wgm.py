@@ -329,19 +329,21 @@ def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
 
 def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then one Newton run from slope-stepped seeds, which the
-    # certificate accepts: the iterate, its ring of 8 points and, for TE, the
-    # iterate's real projection (which carries the matching) in one
-    # riccati_bessel call on the stacked arguments. TM carries no matching:
-    # its Newton calls are the iterate and its ring, then the iterate alone
-    # (the TM pole here is not certified from its first iterate)
+    # certificate accepts: the iterate and its ring of 8 points in one
+    # riccati_bessel call on the stacked arguments, whose values the TE pole
+    # carries. TE and TM Newton calls have the same shapes; TM's are the
+    # iterate and its ring, then the iterate alone (the TM pole here is not
+    # certified from its first iterate), and it carries no matching
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) == 2, calls
-    assert calls[1] == (2, 2 + wgm._RING_POINTS)
+    te_newton = calls[1]
+    assert te_newton == (2, 1 + wgm._RING_POINTS)
     calls.clear()
     tm = find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)
     assert len(tm) == 1
     assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1)], calls
+    assert te_newton == calls[1]
     assert [mode.te_matching for mode in tm] == [None]
 
 
@@ -474,10 +476,10 @@ def test_newton_certificate_refuses_second_root_inside_ring():
 
 
 def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
-    # a TE pole carries its real-axis matching out of Newton's last ladder
-    # call: find_resonance, attach_profile and compute_lambda take the scan
-    # and the certified Newton call, and Lambda, the norm integral and the
-    # profile run no riccati_bessel call of their own
+    # a TE pole carries the Riccati values of Newton's last ladder call, at
+    # its last iterate: find_resonance, attach_profile and compute_lambda
+    # take the scan and the certified Newton call, and Lambda, the norm
+    # integral and the profile run no riccati_bessel call of their own
     calls = _record_ladder_runs(monkeypatch)
     mode, = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
     compute_lambda(attach_profile(mode, ref_params), ref_params)
@@ -492,7 +494,7 @@ def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
 def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monkeypatch):
     # a Newton that evaluates nothing (here one that takes each seed's first
     # step from the scan's D and D' and calls it converged) leaves no
-    # real-axis values to carry: the TE record's te_matching is None, and
+    # Riccati values to carry: the TE record's te_matching is None, and
     # Lambda takes its one ladder call at k0
     def first_step(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
         d, dp, _ = first
@@ -510,11 +512,11 @@ def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monke
 
 @pytest.mark.parametrize("n2", [1.44, 2.31, 4.0])
 def test_carried_lambda_matches_direct_call(n2, monkeypatch):
-    # Lambda from the carried matching against Lambda from one ladder call at
-    # k0 (the record with its matching cleared), on every pole of a +-10 %
-    # window (26 poles per n, up to 7 a window, Q 7 to 2e188): the two
-    # differ only in the rounding of the complex and real ladders (measured
-    # <= 8.3e-14 here, <= 1.3e-13 over the +-1 % windows of l = 20-500)
+    # Lambda from the values Newton's last stacked ladder call carries
+    # against Lambda from one solo riccati_bessel call at the same k, on
+    # every pole of a +-10 % window (26 poles per n, up to 7 a window, Q 7 to
+    # 2e188): what carrying alone can change is the rounding of the two
+    # ladder calls (measured <= 3.1e-14 here)
     p = SphereParams(R=10e-6, n=math.sqrt(n2))
     windows = {}
     for l in (10, 20, 60, 120, 200, 300, 410, 500):
@@ -523,22 +525,35 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
         modes = find_resonance("TE", l, windows[l], p)
         assert modes, l
         for mode in modes:
-            assert mode.te_matching is not None
-            carried = compute_lambda(mode, p).lambda_
-            direct = compute_lambda(replace(mode, te_matching=None), p).lambda_
-            assert abs(carried - direct) <= 2e-13 * abs(direct), (l, mode.Q)
-    # a record without a matching for its own (l, k0, n, R) takes one ladder
+            carried = mode.te_matching
+            assert carried is not None
+            solo = carried._replace(**dict(zip(("psi", "psip", "xi", "xip"),
+                                               wgm._riccati_pair(l, carried.k, p)[:4])))
+            stacked = compute_lambda(mode, p).lambda_
+            direct = compute_lambda(replace(mode, te_matching=solo), p).lambda_
+            assert abs(stacked - direct) <= 2e-13 * abs(direct), (l, mode.Q)
+    # a record without values for its own (l, pole, n, R) takes one ladder
     # call: one built by hand, one replaced to another k0, a pole solved with
-    # other params, and a pole whose shift the Taylor series would not take
+    # other params, and a pole whose values lie past _SHIFT_MAX. Off a pole,
+    # D(k0) is the one call's n psi' xi - psi xi' (the root test keeps D(p));
+    # at n = 1, D = -i, though D' = 0
     calls = _record_ladder_runs(monkeypatch)
     mode = find_resonance("TE", 120, windows[120], p)[0]
     k2 = 1.07 * mode.k0
     hand = ModeRecord(polarization="TE", l=120, k0=k2, kappa_c=mode.kappa_c,
                       Q=k2 / mode.kappa_c)
+    psi, psip, xi, xip, _ = wgm._riccati_pair(120, k2, p)
+    calls.clear()
+    d, _, _ = wgm._te_matching(hand, p)
+    assert len(calls) == 1
+    assert abs(d - (p.n * psip * xi - psi * xip)) <= 1e-14 * abs(d)
+    vacuum = ModeRecord(polarization="TE", l=120, k0=mode.k0, kappa_c=mode.kappa_c, Q=mode.Q)
+    d, _, _ = wgm._te_matching(vacuum, SphereParams(R=p.R, n=1.0))
+    assert abs(d + 1j) <= 1e-15
     other = SphereParams(R=p.R, n=p.n * (1 + 1e-9))
     monkeypatch.setattr(wgm, "_SHIFT_MAX", -1.0)   # refuses every shift, 0 too
     unshifted = find_resonance("TE", 120, windows[120], p)[0]
-    assert unshifted.te_matching is None
+    assert unshifted.te_matching is not None
     calls.clear()
     for record, params in ((hand, p), (replace(mode, k0=k2, Q=k2 / mode.kappa_c), p),
                            (mode, other), (unshifted, p)):
@@ -557,7 +572,7 @@ def test_low_q_window_takes_settled_rule_and_matches_mpmath(monkeypatch):
     shapes = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
     assert len(modes) == 1
-    assert [s[1] for s in shapes[1:]] == [2 + wgm._RING_POINTS, 2, 2], shapes
+    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS, 1, 1], shapes
     want = complex(mp_pole("TE", 8, p.n, p.R, modes[0].pole, 30))
     assert abs(modes[0].k0 - want.real) <= 1e-15 * want.real
     assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
