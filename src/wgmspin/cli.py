@@ -67,6 +67,7 @@ _RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
 
 def _write_json(path, payload):
     """The JSON artifact format: indent 2, sorted keys, trailing newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -77,6 +78,7 @@ def _write_csv(path, header, rows, comment=None):
     given, the header's column names, then one line per row, each str value
     as it is and every other value by repr (a float reads back bit for bit).
     No value holds a comma, so none is quoted."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(",".join(header))
     lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row)
@@ -219,15 +221,14 @@ def _config_error(exc: ConfigError) -> int:
 def _run(verb, cfg, outdir, natural) -> int:
     """Run one verb on one config into outdir, first naming a sweep's value on
     stdout; return the outcome as an exit code. Every verb but modes needs
-    Lambda, which is defined for TE only, so a TM config for one is refused
-    before outdir is made."""
+    Lambda, which is defined for TE only. outdir is made by the first write,
+    so a run that ends before one (a TM config here) leaves no directory."""
     if cfg.sweep_field is not None:
         print(f"[{outdir.name}]")
     try:
         if verb != "modes" and cfg.polarization != "TE":
             raise ConfigError([("mode_search.polarization",
                                 "coupling constant is defined for TE modes only")])
-        outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[verb](cfg, outdir, natural=natural)
     except _NoResonance:
         print("no resonance in window")

@@ -3,9 +3,9 @@
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
 search (a real-axis seed scan at 32 points per radial-order spacing pi/(nR),
 then complex Halley-corrected Newton on D, D' and D'' in closed form, whose
-first evaluation also samples D on a ring about each iterate to certify its
-step: two ladder runs for the reference pole), and continuum-normalized TE
-radial mode profiles. Conventions:
+every evaluation also samples D on a ring about each uncertified iterate to
+certify its step: two ladder runs for the reference pole), and
+continuum-normalized TE radial mode profiles. Conventions:
 
 * poles sit at k0 - i*kappa_c/2 in the lower half plane; kappa_c is the full
   linewidth (intensity FWHM / energy decay rate in wavenumber), Q = k0/kappa_c;
@@ -231,8 +231,7 @@ def _certify(d0, dp, dpp, h, k, step, rho, m, d_scale):
 
 def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     """Complex Newton refinement of many seeds at once, with Halley's
-    third-order correction, certified after its first evaluation where it can
-    be.
+    third-order correction, certified at every evaluation where it can be.
 
     Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2), one evaluation
     per iteration after the first, which steps from first = (D, D', D'')
@@ -244,26 +243,25 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     non-finite slope leaves its seed in place, and runaway iterates are
     parked on a safe placeholder before D is evaluated there and reported as
     dead. Returns (poles ndarray, converged mask): each pole is its last
-    iterate plus that iterate's step. By the settled rule a seed has
-    converged when that step was below 5e-15 |k| and the |D| evaluated at
-    the iterate, normalized by d_scale, is at most POLE_TOL. So the residual
-    costs no evaluation of its own, and Newton evaluates nothing when every
-    first step is parked.
+    iterate plus that iterate's step. A seed has converged when the
+    certificate below accepts that step or, by the settled rule, when the
+    step was below 5e-15 |k| and |D|/d_scale at the iterate is at most
+    POLE_TOL, which costs no evaluation (none at all if every first step is parked).
 
-    Certificate. ring_radius maps iterates to radii rho. The first
-    evaluation also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N}
-    about each iterate k, in the same Dvec call, and a seed whose Halley
-    step s it certifies stops there, converged, at k + s.
-    A dead seed or rho = 0 puts the ring at k, which the certificate refuses
-    (q = |s|/0); copies of k change no ladder's max|z| or min|z|.
-    Let M be twice the largest |D| sampled on the ring. If D is analytic on
-    the closed disk |w| <= rho about k and |D| <= M on its edge, Cauchy
-    bounds the Taylor coefficients, |D^(j)(k)/j!| <= M/rho^j, so past the
-    known c2 = D''/2 the Taylor remainder at |w| = q rho is at most
-    M q^3/(1 - q). The quadratic model p(w) = D + D' w + c2 w^2 has
-    p(s) = D h^2/(1 + h)^2 and p'(s) = D' (1 + 3h)/(1 + h) at Halley's step,
-    and D(k + w) = p'(s) (w - s) + [p(s) + c2 (w - s)^2 + remainder]. So
-    where, on the circle |w - s| = delta,
+    Certificate. ring_radius maps iterates to radii rho. Every evaluation
+    also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N} about each
+    iterate k that is alive, not yet certified and has rho > 0, in the same
+    Dvec call, and a seed whose Halley step s it certifies stops there,
+    converged, at k + s. Other seeds get no ring points and M = 0, which the
+    certificate refuses (q = |s|/0). Let M be twice the largest |D| sampled
+    on the ring. If D is analytic on the closed disk |w| <= rho about k and
+    |D| <= M on its edge, Cauchy bounds the Taylor coefficients,
+    |D^(j)(k)/j!| <= M/rho^j, so past the known c2 = D''/2 the Taylor
+    remainder at |w| = q rho is at most M q^3/(1 - q). The quadratic model
+    p(w) = D + D' w + c2 w^2 has p(s) = D h^2/(1 + h)^2 and
+    p'(s) = D' (1 + 3h)/(1 + h) at Halley's step, and
+    D(k + w) = p'(s) (w - s) + [p(s) + c2 (w - s)^2 + remainder]. So where,
+    on the circle |w - s| = delta,
         |p'(s)| delta > 10 (|p(s)| + |c2| delta^2 + M q^3/(1 - q)),
     q = (|s| + delta)/rho < 1, Rouche's theorem puts exactly one root of D
     within delta of k + s. The certificate takes delta = 5e-16 |k + s|, a
@@ -278,8 +276,9 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     keeping the ring off it, and inside the ladders' tight envelope, is the
     caller's choice of radius. The argument bounds D as the ladders evaluate
     it; their rounding lies outside it, as it lies outside the settled rule.
-    A seed without a certificate falls through, unchanged, to the settled
-    rule.
+    A refused seed steps and meets the certificate again at its next
+    evaluation; the settled rule closes those with rho = 0 (off the strip,
+    past 0.99 TIGHT_ARG or near k = 0) and any refused to the end.
     """
     k = np.asarray(seeds, dtype=complex).copy()
     if k.size == 0:
@@ -287,14 +286,14 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     alive = np.ones(k.size, dtype=bool)
     certified = np.zeros(k.size, dtype=bool)
     span = k_hi - k_lo
+    d0, dp, dpp = first
     for i in range(_NEWTON_MAX_ITER):
-        if i == 1:
-            rho = np.where(alive, ring_radius(k), 0.0)
-            d0, dp, dpp = Dvec(np.concatenate((k, (k[:, None] + rho[:, None] * _RING).ravel())))
-            m = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
+        if i:
+            rho = np.where(alive & ~certified, ring_radius(k), 0.0)
+            d0, dp, dpp = Dvec(np.append(k, (k[:, None] + rho[:, None] * _RING)[rho > 0]))
+            m = np.zeros(k.size)
+            m[rho > 0] = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
             d0, dp, dpp = d0[:k.size], dp[:k.size], dpp[:k.size]
-        else:
-            d0, dp, dpp = Dvec(k) if i else first
         ok = alive & ~certified & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
@@ -302,8 +301,8 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
             h = 0.5 * step * dpp / dp
         halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
         step[halley] /= 1.0 + h[halley]
-        if i == 1:
-            certified = halley & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
+        if i:
+            certified |= halley & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
             | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
@@ -343,16 +342,16 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     from). So above the derived count the poles do not depend on
     scan_points: the reference window (736-751 nm) takes 28 points.
     Complex Newton with Halley's correction refines the seeds; its first
-    step uses the D, D' and D'' the scan computes. Its first evaluation also
+    step uses the D, D' and D'' the scan computes. Each evaluation also
     samples D on a ring of _RING_SPACINGS radial-order spacings about each
-    iterate (_ring_radius), and a seed stops there when a Cauchy/Rouche
+    uncertified iterate (_ring_radius), and a seed stops when a Cauchy/Rouche
     bound certifies the iterate plus its Halley step to within 5e-16 |k| of
-    a root (see _newton_poles). Other seeds iterate until the step falls
-    below 5e-15 |k|, and keep a pole when the edge-normalized |D| of their
-    last iteration is at most POLE_TOL. The reference solve takes two ladder
-    runs: the scan and one certified Newton iteration. Returns records
-    sorted by k0; empty list when the window holds no pole. Non-convergent
-    seeds are logged and skipped.
+    a root (see _newton_poles). Seeds without ring room iterate until the
+    step falls below 5e-15 |k|, and keep a pole when the edge-normalized |D|
+    of their last iteration is at most POLE_TOL. The reference solve takes
+    two ladder runs: the scan and one certified Newton iteration. Returns
+    records sorted by k0; empty list when the window holds no pole.
+    Non-convergent seeds are logged and skipped.
 
     Newton's evaluation is the same for both polarizations: one ladder run
     on the iterates (and the ring), nothing appended. A TE pole is its last

@@ -309,10 +309,12 @@ def test_empty_window_exit_1(tmp_path, capsys):
     assert "no resonance in window" in capsys.readouterr().out
     table = (out / "modes.csv").read_text().splitlines()
     assert table == ["pol,l,k0,lambda_vac,kappa_c,Q"]
-    # lambda needs a resonance to attach Lambda to: it writes no coupling.json
-    assert run_cli("lambda", cfg, tmp_path / "lambda") == 1
-    assert "no resonance in window" in capsys.readouterr().out
-    assert not (tmp_path / "lambda" / "coupling.json").exists()
+    # lambda, estimate and simulate need a resonance to attach Lambda to:
+    # they write nothing, and leave no output directory
+    for verb in ("lambda", "estimate", "simulate"):
+        assert run_cli(verb, cfg, tmp_path / verb) == 1
+        assert "no resonance in window" in capsys.readouterr().out
+        assert not (tmp_path / verb).exists(), verb
 
 
 def test_lambda_at_l400_runs_clean(tmp_path, capsys):

@@ -45,6 +45,20 @@ def _record_ladder_runs(monkeypatch):
     return shapes
 
 
+def _record_certificates(monkeypatch):
+    # the mask of every _certify call, one per Newton evaluation past the
+    # scan's values
+    real = wgm._certify
+    masks = []
+
+    def recorded(*args):
+        masks.append(real(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(wgm, "_certify", recorded)
+    return masks
+
+
 def _no_ring(k):
     # a zero-radius certificate ring: the certificate refuses every seed
     # (q = |s|/0), so Newton keeps to the settled rule
@@ -331,9 +345,10 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then one Newton run from slope-stepped seeds, which the
     # certificate accepts: the iterate and its ring of 8 points in one
     # riccati_bessel call on the stacked arguments, whose values the TE pole
-    # carries. TE and TM Newton calls have the same shapes; TM's are the
-    # iterate and its ring, then the iterate alone (the TM pole here is not
-    # certified from its first iterate), and it carries no matching
+    # carries. TE and TM Newton calls have the same shapes; every one holds
+    # the uncertified iterate and its ring, so TM's second call (its pole is
+    # not certified from its first iterate) certifies the next, and the TM
+    # record carries no matching
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) == 2, calls
@@ -342,7 +357,7 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     calls.clear()
     tm = find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)
     assert len(tm) == 1
-    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1)], calls
+    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1 + wgm._RING_POINTS)], calls
     assert te_newton == calls[1]
     assert [mode.te_matching for mode in tm] == [None]
 
@@ -441,17 +456,20 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
         assert abs(k[-1] - 1.5) <= 1.5e-3
 
 
-def test_newton_certificate_refuses_second_root_inside_ring():
+def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     # D = (k - 1.5)(k - b), seed 1e-4 below the root 1.5, ring radius 0.1.
     # With b = 2.5, outside the ring, Halley lands within ~1e-12 of 1.5 and
     # the first evaluation certifies its step: one Dvec call, on the iterate
     # and its 8 ring points. With b = 1.501, inside the ring, the first
     # iterate is still ~7e-7 off, the Cauchy remainder M q^3 outweighs
-    # |D'| delta, and the seed falls back to the settled rule: the same pole,
-    # mask and number of calls as with a zero-radius ring, which certifies
-    # nothing
+    # |D'| delta, and the first evaluation certifies nothing; a later one,
+    # with its own ring, certifies. A zero-radius ring certifies nothing, and
+    # the seed takes the settled rule to the same root
+    certified = _record_certificates(monkeypatch)
+
     def run(b, ring_radius):
         calls = []
+        certified.clear()
 
         def dvec(k):
             calls.append(k.size)
@@ -469,10 +487,12 @@ def test_newton_certificate_refuses_second_root_inside_ring():
     assert converged == [True] and calls == [1 + wgm._RING_POINTS]
     assert abs(k[0] - 1.5) <= 1e-15
     k, converged, calls = run(1.501, ring)
-    k_plain, converged_plain, calls_plain = run(1.501, _no_ring)
-    assert calls[0] == 1 + wgm._RING_POINTS and len(calls) == len(calls_plain) > 1
-    assert np.array_equal(k, k_plain) and converged == converged_plain == [True]
-    assert abs(k[0] - 1.5) <= 1e-15
+    assert calls[0] == 1 + wgm._RING_POINTS and len(calls) > 1, calls
+    assert not certified[0][0] and any(mask[0] for mask in certified[1:]), certified
+    assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
+    k, converged, calls = run(1.501, _no_ring)
+    assert calls == [1] * len(calls) and not np.any(certified), (calls, certified)
+    assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
 
 
 def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
@@ -563,19 +583,48 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
         calls.clear()
 
 
-def test_low_q_window_takes_settled_rule_and_matches_mpmath(monkeypatch):
+def test_low_q_window_takes_certificate_and_matches_mpmath(monkeypatch):
     # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its Halley
     # step is still ~6e-12 off the pole, far outside what the certificate
-    # accepts, so the settled rule takes three Newton runs after the scan,
-    # the first with its ring, and the pole matches mpmath
+    # accepts; the second evaluation, with its own ring, certifies the next
+    # step. So Newton takes two runs after the scan, each with the ring, and
+    # the pole matches mpmath
     p = SphereParams(R=10e-6, n=1.52)
     shapes = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
     assert len(modes) == 1
-    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS, 1, 1], shapes
+    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS] * 2, shapes
     want = complex(mp_pole("TE", 8, p.n, p.R, modes[0].pole, 30))
     assert abs(modes[0].k0 - want.real) <= 1e-15 * want.real
     assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
+
+
+def test_every_pole_with_ring_room_is_certified(monkeypatch):
+    # the certificate runs at every Newton evaluation: each converged seed
+    # whose last iterate has ring room converges by it, none by the settled
+    # rule, on +-1 % windows about first-order poles (Q 1e2 to 2e188) and on
+    # the low-Q TE l = 8 window (Q ~ 25)
+    masks = _record_certificates(monkeypatch)
+    real_newton = wgm._newton_poles
+
+    def newton(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
+        masks.clear()
+        k, converged = real_newton(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius)
+        uncertified = converged & ~np.any(masks, axis=0)
+        assert not np.any(uncertified & (ring_radius(k) > 0)), (k, converged)
+        return k, converged
+
+    monkeypatch.setattr(wgm, "_newton_poles", newton)
+    low_q = SphereParams(R=10e-6, n=1.52)
+    windows = [("TE", 8, (6.5 / low_q.R, 9.5 / low_q.R), low_q)]
+    for pol in ("TE", "TM"):
+        for l in (40, 120, 300, 500):
+            for n2 in (1.44, 2.31, 4.0):
+                p = SphereParams(R=10e-6, n=math.sqrt(n2))
+                k = lly_wavenumber(l, pol, p.n, p.R)
+                windows.append((pol, l, (0.99 * k, 1.01 * k), p))
+    for pol, l, window, p in windows:
+        assert find_resonance(pol, l, window, p), (pol, l, p.n)
 
 
 def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
