@@ -2,10 +2,12 @@
 
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
 search (a real-axis seed scan at 32 points per radial-order spacing pi/(nR),
-then complex Halley-corrected Newton on D, D' and D'' in closed form, whose
-every evaluation also samples D on a ring about each uncertified iterate to
-certify its step: two ladder runs for the reference pole), and
-continuum-normalized TE radial mode profiles. Conventions:
+then complex Halley-corrected Newton on D, D', D'' and D''' in closed form,
+each step refined on the cubic Taylor model, whose every evaluation also
+samples D on a ring about each uncertified iterate to certify its step by
+Cauchy's bound with a q^4 remainder and Rouche's theorem: two ladder runs
+for the TE and the TM reference pole), and continuum-normalized TE radial
+mode profiles. Conventions:
 
 * poles sit at k0 - i*kappa_c/2 in the lower half plane; kappa_c is the full
   linewidth (intensity FWHM / energy decay rate in wavenumber), Q = k0/kappa_c;
@@ -157,35 +159,50 @@ def _riccati_pair(l, k, params: SphereParams):
 
 
 def _d_from_riccati(l, psi, psip, xi, xip, x, params: SphereParams, te):
-    """(D, dD/dk, d2D/dk2) of D = a psi'(nkR) xi(kR) - b psi(nkR) xi'(kR)
+    """(D, dD/dk, d2D/dk2, d3D/dk3) of the TE D = n psi'(nkR) xi(kR) -
+    psi(nkR) xi'(kR) or the TM D = psi'(nkR) xi(kR) - n psi(nkR) xi'(kR),
     from the four Riccati values (psi, psi' at y = nkR; xi, xi' at x = kR)
-    and x; weights (a, b) = (n, 1) for TE and (1, n) for TM.
+    and x.
 
-    psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi, with L = l(l+1),
-    make both derivatives exact in the same four values:
-    D' = R [A psi xi + C psi' xi'] with A = (a/n - b) L/x^2 + b - a n and
-    C = a - b n (R (1 - n^2) psi xi for TE), and
-    D'' = R^2 [-2 (a/n - b) L/x^3 psi xi + A (n psi' xi + psi xi')
-               + C (n (L/y^2 - 1) psi xi' + (L/x^2 - 1) psi' xi)].
+    psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi, with L = l(l+1) and
+    u = L/x^2 = n^2 L/y^2, make every derivative exact in the same four
+    values. TE:
+        D'   = R (1 - n^2) psi xi,
+        D''  = R^2 (1 - n^2) (n psi' xi + psi xi'),
+        D''' = R^3 (1 - n^2) [(2u - 1 - n^2) psi xi + 2n psi' xi'].
+    TM, with w = 1/n - n:
+        D'   = R w [u psi xi + n psi' xi'],
+        D''  = R^2 w [u (n psi' xi + psi xi') + (u - n^2) psi xi'
+                      + n (u - 1) psi' xi - 2 (u/x) psi xi],
+        D''' = R^3 w [(6u/x^2 + u (2u - 1 - n^2) + 2 (u - n^2)(u - 1)) psi xi
+                      - 6 (u/x) (n psi' xi + psi xi') + n (4u - 1 - n^2) psi' xi'].
+    Each term is a coefficient times one psi-type and one xi-type value, so
+    on the real axis Re and Im of D keep their own rounding.
     """
     n, R = params.n, params.R
-    a, b = (n, 1.0) if te else (1.0, n)
-    lx = l * (l + 1) / (x * x)
-    w = a / n - b
-    big_a = w * lx + (b - a * n)
-    c = a - b * n
-    d = a * psip * xi - b * psi * xip
-    slope = R * (big_a * psi * xi + c * psip * xip)
-    curv = R * R * (-2.0 * w * lx / x * psi * xi
-                    + big_a * (n * psip * xi + psi * xip)
-                    + c * (n * (lx / (n * n) - 1.0) * psi * xip + (lx - 1.0) * psip * xi))
-    return d, slope, curv
+    u = l * (l + 1) / (x * x)
+    p0, p3 = psi * xi, psip * xip
+    if te:
+        e = 1.0 - n * n
+        np1, p2 = n * psip * xi, psi * xip
+        return (np1 - p2, R * e * p0, R * R * e * (np1 + p2),
+                R**3 * e * ((2.0 * u - (1.0 + n * n)) * p0 + 2.0 * n * p3))
+    w = 1.0 / n - n
+    v = u / x
+    p1, p2 = psip * xi, psi * xip
+    q = n * p1 + p2
+    f, g = u - n * n, u - 1.0
+    return (p1 - n * psi * xip,
+            R * w * (u * p0 + n * p3),
+            R * R * w * (u * q + f * p2 + n * g * p1 - 2.0 * v * p0),
+            R**3 * w * ((6.0 * v / x + u * (2.0 * u - (1.0 + n * n)) + 2.0 * f * g) * p0
+                        - 6.0 * v * q + n * (4.0 * u - (1.0 + n * n)) * p3))
 
 
 def _characteristic(l, k, params: SphereParams, te):
     """(D, dD/dk, d2D/dk2) at each k (vectorized), from one ladder call
     (_riccati_pair) and _d_from_riccati."""
-    return _d_from_riccati(l, *_riccati_pair(l, k, params), params, te)
+    return _d_from_riccati(l, *_riccati_pair(l, k, params), params, te)[:3]
 
 
 def te_characteristic(l, k, params: SphereParams):
@@ -211,72 +228,86 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _certify(d0, dp, dpp, h, k, step, rho, m, d_scale):
-    """Mask of the seeds whose iterate k + step (Halley's) _newton_poles'
-    certificate accepts, from D, D', D'' and h at k, the ring radius rho and
-    m, twice the largest |D| sampled on the ring."""
+def _certify(d0, dp, dpp, d3, k, step, rho, m, d_scale):
+    """(step, mask): each Halley step refined by two Newton steps on the
+    cubic model P(w) = D + D' w + c2 w^2 + c3 w^3 about k, and the mask of
+    the seeds whose iterate k + step _newton_poles' certificate accepts,
+    from D, D', D'' and D''' at k, the ring radius rho and m, twice the
+    largest |D| sampled on the ring."""
+    c2, c3 = 0.5 * dpp, d3 / 6.0
+    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+
+    def model(s):   # P(s) and P'(s)
+        return d0 + s * (dp + s * (c2 + s * c3)), dp + s * (c2x2 + s * c3x3)
+
     with np.errstate(all="ignore"):
-        c2 = 0.5 * np.abs(dpp)
+        for _ in range(2):
+            p, pp = model(step)
+            step = step - p / pp
+        p, pp = map(np.abs, model(step))
+        p2, p3 = np.abs(c2 + step * c3x3), np.abs(c3)   # |P''(s)/2|, |c3|
         delta = 5e-16 * np.abs(k + step)
-        p = np.abs(d0 * h * h / (1.0 + h) ** 2)
-
-        def tail(q):
-            return np.where(q < 1, m * q**3 / (1.0 - q), np.inf)
-
-        return ((np.abs(dp) * rho <= 0.5 * m) & (c2 * rho * rho <= 0.5 * m)
-                & (np.abs(dp * (1.0 + 3.0 * h) / (1.0 + h)) * delta
-                   > _CERT_MARGIN * (p + c2 * delta * delta + tail((np.abs(step) + delta) / rho)))
-                & (_CERT_MARGIN * (p + tail(np.abs(step) / rho)) <= POLE_TOL * d_scale))
+        q_s = np.abs(step) / rho
+        q = q_s + delta / rho
+        half_m = 0.5 * m
+        return step, ((np.abs(dp) * rho <= half_m) & (np.abs(c2) * rho**2 <= half_m)
+                      & (p3 * rho**3 <= half_m) & (q < 1)
+                      & (pp * delta > _CERT_MARGIN * (p + (p2 + p3 * delta) * delta * delta
+                                                      + m * q**4 / (1.0 - q)))
+                      & (_CERT_MARGIN * (p + m * q_s**4 / (1.0 - q_s)) <= POLE_TOL * d_scale))
 
 
 def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     """Complex Newton refinement of many seeds at once, with Halley's
     third-order correction, certified at every evaluation where it can be.
 
-    Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2), one evaluation
-    per iteration after the first, which steps from first = (D, D', D'')
-    already known at the seeds. Each step is the Newton step s = -D/D',
-    divided by 1 + h with h = -D D''/(2 D'^2) = s D''/(2 D') where h is
-    finite and |h| <= 1/2 (Halley's step); elsewhere, as far from a root,
-    it stays the Newton step. All seeds iterate together (the
-    special-function ladders amortize across the seed vector); a zero or
-    non-finite slope leaves its seed in place, and runaway iterates are
-    parked on a safe placeholder before D is evaluated there and reported as
-    dead. Returns (poles ndarray, converged mask): each pole is its last
-    iterate plus that iterate's step. A seed has converged when the
-    certificate below accepts that step or, by the settled rule, when the
-    step was below 5e-15 |k| and |D|/d_scale at the iterate is at most
-    POLE_TOL, which costs no evaluation (none at all if every first step is parked).
+    Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2, d3D/dk3), one
+    evaluation per iteration after the first, which steps from
+    first = (D, D', D'') already known at the seeds. Each step is the Newton
+    step -D/D', divided by 1 + h with h = -D D''/(2 D'^2) where h is finite
+    and |h| <= 1/2 (Halley's step); elsewhere, as far from a root, it stays
+    the Newton step. After the first, each Halley step s is refined by two
+    Newton steps on the cubic Taylor model
+        P(w) = D + D' w + c2 w^2 + c3 w^3,  c2 = D''/2, c3 = D'''/6,
+    about the iterate k. All seeds iterate together (the special-function
+    ladders amortize across the seed vector); a zero or non-finite slope
+    leaves its seed in place, and runaway iterates are parked on a safe
+    placeholder before D is evaluated there and reported as dead. Returns
+    (poles ndarray, converged mask): each pole is its last iterate plus that
+    iterate's step. A seed has converged when the certificate below accepts
+    that step or, by the settled rule, when the step was below 5e-15 |k| and
+    |D|/d_scale at the iterate is at most POLE_TOL, which costs no
+    evaluation (none at all if every first step is parked).
 
     Certificate. ring_radius maps iterates to radii rho. Every evaluation
     also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N} about each
     iterate k that is alive, not yet certified and has rho > 0, in the same
-    Dvec call, and a seed whose Halley step s it certifies stops there,
+    Dvec call, and a seed whose refined step s it certifies stops there,
     converged, at k + s. Other seeds get no ring points and M = 0, which the
     certificate refuses (q = |s|/0). Let M be twice the largest |D| sampled
     on the ring. If D is analytic on the closed disk |w| <= rho about k and
     |D| <= M on its edge, Cauchy bounds the Taylor coefficients,
-    |D^(j)(k)/j!| <= M/rho^j, so past the known c2 = D''/2 the Taylor
-    remainder at |w| = q rho is at most M q^3/(1 - q). The quadratic model
-    p(w) = D + D' w + c2 w^2 has p(s) = D h^2/(1 + h)^2 and
-    p'(s) = D' (1 + 3h)/(1 + h) at Halley's step, and
-    D(k + w) = p'(s) (w - s) + [p(s) + c2 (w - s)^2 + remainder]. So where,
-    on the circle |w - s| = delta,
-        |p'(s)| delta > 10 (|p(s)| + |c2| delta^2 + M q^3/(1 - q)),
+    |D^(j)(k)/j!| <= M/rho^j, so past the known c3 the Taylor remainder at
+    |w| = q rho is at most M q^4/(1 - q). Expanded about s,
+    D(k + w) = P'(s) (w - s) + [P(s) + (P''(s)/2) (w - s)^2 + c3 (w - s)^3
+    + remainder]. So where, on the circle |w - s| = delta,
+        |P'(s)| delta > 10 (|P(s)| + |P''(s)/2| delta^2 + |c3| delta^3
+                            + M q^4/(1 - q)),
     q = (|s| + delta)/rho < 1, Rouche's theorem puts exactly one root of D
     within delta of k + s. The certificate takes delta = 5e-16 |k + s|, a
     tenth of the settled rule's step bound, and asks too that the bound on
-    the residual there, 10 (|p(s)| + M q_s^3/(1 - q_s)) with q_s = |s|/rho,
+    the residual there, 10 (|P(s)| + M q_s^4/(1 - q_s)) with q_s = |s|/rho,
     be at most POLE_TOL d_scale. The margins are the 10 on every bound and
     the 2 on M, since N = 8 samples stand for the maximum over the circle.
     The samples are refused where they contradict Cauchy at the orders known
-    exactly, |D'| rho > M/2 or |c2| rho^2 > M/2: too few to resolve D on the
-    ring. A second root inside the ring shrinks |D'| against M/rho, so the
-    bound then needs a much shorter step. D is analytic away from k = 0;
-    keeping the ring off it, and inside the ladders' tight envelope, is the
-    caller's choice of radius. The argument bounds D as the ladders evaluate
-    it; their rounding lies outside it, as it lies outside the settled rule.
-    A refused seed steps and meets the certificate again at its next
+    exactly, |D'| rho, |c2| rho^2 or |c3| rho^3 > M/2: too few to resolve D
+    on the ring. A second root inside the ring shrinks |D'| against M/rho,
+    so the bound then needs a much shorter step. D is analytic away from
+    k = 0; keeping the ring off it, and inside the ladders' tight envelope,
+    is the caller's choice of radius. The argument bounds D as the ladders
+    evaluate it; their rounding lies outside it (|P(s)| as evaluated holds
+    the rounding of D + D' s, ~1e-16 |D|), as it lies outside the settled
+    rule. A refused seed steps and meets the certificate again at its next
     evaluation; the settled rule closes those with rho = 0 (off the strip,
     past 0.99 TIGHT_ARG or near k = 0) and any refused to the end.
     """
@@ -290,10 +321,10 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     for i in range(_NEWTON_MAX_ITER):
         if i:
             rho = np.where(alive & ~certified, ring_radius(k), 0.0)
-            d0, dp, dpp = Dvec(np.append(k, (k[:, None] + rho[:, None] * _RING)[rho > 0]))
+            d0, dp, dpp, d3 = Dvec(np.append(k, (k[:, None] + rho[:, None] * _RING)[rho > 0]))
             m = np.zeros(k.size)
             m[rho > 0] = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
-            d0, dp, dpp = d0[:k.size], dp[:k.size], dpp[:k.size]
+            d0, dp, dpp, d3 = d0[:k.size], dp[:k.size], dpp[:k.size], d3[:k.size]
         ok = alive & ~certified & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
         step = np.zeros_like(k)
         step[ok] = -d0[ok] / dp[ok]
@@ -302,7 +333,9 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
         halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
         step[halley] /= 1.0 + h[halley]
         if i:
-            certified |= halley & _certify(d0, dp, dpp, h, k, step, rho, m, d_scale)
+            refined, accepted = _certify(d0, dp, dpp, d3, k, step, rho, m, d_scale)
+            step[halley] = refined[halley]
+            certified |= halley & accepted
         k = k + step
         runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
             | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
@@ -342,16 +375,19 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     from). So above the derived count the poles do not depend on
     scan_points: the reference window (736-751 nm) takes 28 points.
     Complex Newton with Halley's correction refines the seeds; its first
-    step uses the D, D' and D'' the scan computes. Each evaluation also
-    samples D on a ring of _RING_SPACINGS radial-order spacings about each
-    uncertified iterate (_ring_radius), and a seed stops when a Cauchy/Rouche
-    bound certifies the iterate plus its Halley step to within 5e-16 |k| of
-    a root (see _newton_poles). Seeds without ring room iterate until the
-    step falls below 5e-15 |k|, and keep a pole when the edge-normalized |D|
-    of their last iteration is at most POLE_TOL. The reference solve takes
-    two ladder runs: the scan and one certified Newton iteration. Returns
-    records sorted by k0; empty list when the window holds no pole.
-    Non-convergent seeds are logged and skipped.
+    step uses the D, D' and D'' the scan computes. Every later evaluation
+    also gives D''' (_d_from_riccati), and refines each Halley step by two
+    Newton steps on the cubic Taylor model. It also samples D on a ring of
+    _RING_SPACINGS radial-order spacings about each uncertified iterate
+    (_ring_radius), and a seed stops when a Cauchy/Rouche bound, with the
+    remainder past the cubic model at q^4, certifies the iterate plus its
+    refined step to within 5e-16 |k| of a root (see _newton_poles). Seeds
+    without ring room iterate until the step falls below 5e-15 |k|, and keep
+    a pole when the edge-normalized |D| of their last iteration is at most
+    POLE_TOL. The TE and the TM reference solve each take two ladder runs:
+    the scan and one certified Newton iteration. Returns records sorted by
+    k0; empty list when the window holds no pole. Non-convergent seeds are
+    logged and skipped.
 
     Newton's evaluation is the same for both polarizations: one ladder run
     on the iterates (and the ring), nothing appended. A TE pole is its last
@@ -453,10 +489,8 @@ def _te_matching(mode: ModeRecord, params: SphereParams):
     of D near k0, but D(p) = 0 is exact. So where nR max(|s|, |h|) <=
     _SHIFT_MAX, with s = p - k and h = k0 - k, the Taylor series about k
     gives, with nothing cancelling,
-        D(k0) - D(p) = (k0 - p) [D' + c2 (h + s) + c3 (h^2 + h s + s^2)];
-    D' and c2 = D''/2 from _d_from_riccati, c3 = D'''/6 from the TE
-        D''' = R^3 (1 - n^2) [(2L/x^2 - 1 - n^2) psi xi + 2n psi' xi'],
-    L = l(l+1), by psi'' = (L/y^2 - 1) psi and xi'' = (L/x^2 - 1) xi.
+        D(k0) - D(p) = (k0 - p) [D' + c2 (h + s) + c3 (h^2 + h s + s^2)],
+    with D', c2 = D''/2 and c3 = D'''/6 from _d_from_riccati.
     D(p) = D + s (D' + s (c2 + s c3)) is added only where p is no root,
     |D(p)| > 5e-15 |p| |D'| (find_resonance's settled step bound): at poles,
     carried or built by hand, it is rounding (<= 3.1e-16 |p| |D'| on the TE
@@ -477,12 +511,10 @@ def _te_matching(mode: ModeRecord, params: SphereParams):
         point = (k0, *_riccati_pair(l, k0, params)[:4])
     k, psi, psip, xi, xip = map(complex, point)
     x = R * k
-    d, slope, curv = _d_from_riccati(l, psi, psip, xi, xip, x, params, te=True)
+    d, slope, curv, third = _d_from_riccati(l, psi, psip, xi, xip, x, params, te=True)
     s, h = p - k, k0 - k
     if nr * max(abs(s), abs(h)) <= _SHIFT_MAX:
-        c2 = 0.5 * curv
-        c3 = R**3 * (1.0 - n * n) / 6.0 * (
-            (2.0 * l * (l + 1) / (x * x) - 1.0 - n * n) * psi * xi + 2.0 * n * psip * xip)
+        c2, c3 = 0.5 * curv, third / 6.0
         d_pole = d + s * (slope + s * (c2 + s * c3))
         d = (k0 - p) * (slope + c2 * (h + s) + c3 * (h * h + h * s + s * s))
         if abs(d_pole) > 5e-15 * abs(p) * abs(slope):   # p is no root

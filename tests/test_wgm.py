@@ -4,6 +4,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from wgmspin.wgm import (
     tm_characteristic,
 )
 
-from oracles import contour_pole_scan, lly_wavenumber, mp_pole
+from oracles import contour_pole_scan, lly_wavenumber, mp_characteristic, mp_pole
 
 K_REF = 2.0 * math.pi / 743.25e-9
 REF_WINDOW = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
@@ -52,8 +53,9 @@ def _record_certificates(monkeypatch):
     masks = []
 
     def recorded(*args):
-        masks.append(real(*args))
-        return masks[-1]
+        step, mask = real(*args)
+        masks.append(mask)
+        return step, mask
 
     monkeypatch.setattr(wgm, "_certify", recorded)
     return masks
@@ -254,6 +256,31 @@ def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
         assert abs(curv - want) <= 1e-9 * abs(want)
 
 
+@pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("l", [1, 20, 120, 300])
+def test_third_derivative_matches_mpmath(ref_params, pol, l, monkeypatch):
+    # d3D/dk3 from the Riccati-Bessel ODE, as Newton's evaluation and
+    # _te_matching take it, against mpmath's third derivative of the
+    # 40-digit D, on a pole, just off it, and away from it on both sides of
+    # the real axis (measured <= 3.4e-14 relative)
+    R = ref_params.R
+    monkeypatch.setattr(wgm, "MAX_RELATIVE_WIDTH", 0.6)
+    k_lly = lly_wavenumber(l, pol, ref_params.n, R)
+    window = _POLE_WINDOWS.get(l, (0.99 * k_lly, 1.01 * k_lly))
+    modes = find_resonance(pol, l, window, ref_params, scan_points=3000)
+    assert modes
+    pole = modes[len(modes) // 2].pole
+    d = mp_characteristic(pol, l, ref_params.n)
+    for k in (pole, pole + (1 + 1j) * 1e-3 / R, 1.003 * pole.real - 0.2j / R,
+              0.97 * pole.real + 0.1j / R):
+        values = wgm._riccati_pair(l, k, ref_params)
+        third = wgm._d_from_riccati(l, *values, ref_params, pol == "TE")[3]
+        with mp.workdps(40):
+            want = complex(mp.diff(d, mp.mpc(k) * R, 3) * mp.mpf(R) ** 3)
+        assert abs(third - want) <= 1e-12 * abs(want), (k, third, want)
+
+
 @pytest.mark.parametrize("l", [1, 20, 120])
 def test_characteristic_is_riccati_combination(ref_params, l):
     # D is bit-identical to the Riccati-Bessel combination it stands for
@@ -343,12 +370,10 @@ def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
 
 def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then one Newton run from slope-stepped seeds, which the
-    # certificate accepts: the iterate and its ring of 8 points in one
+    # cubic certificate accepts: the iterate and its ring of 8 points in one
     # riccati_bessel call on the stacked arguments, whose values the TE pole
-    # carries. TE and TM Newton calls have the same shapes; every one holds
-    # the uncertified iterate and its ring, so TM's second call (its pole is
-    # not certified from its first iterate) certifies the next, and the TM
-    # record carries no matching
+    # carries. TE and TM take the same two calls, and the TM record carries
+    # no matching
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) == 2, calls
@@ -357,7 +382,7 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     calls.clear()
     tm = find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)
     assert len(tm) == 1
-    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS), (2, 1 + wgm._RING_POINTS)], calls
+    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS)], calls
     assert te_newton == calls[1]
     assert [mode.te_matching for mode in tm] == [None]
 
@@ -382,11 +407,11 @@ def test_newton_far_seed_takes_plain_newton_step(monkeypatch):
     # outside |h| <= 1/2, so the first step is -D/D' bit for bit; at k = 1.2,
     # h = 0.097, and Halley's step differs from it
     def dvec(k):
-        return k * k - 2, 2 * k, np.full_like(k, 2)
+        return k * k - 2, 2 * k, np.full_like(k, 2), np.zeros_like(k)
 
     monkeypatch.setattr(wgm, "_NEWTON_MAX_ITER", 1)
     seeds = np.array([0.5, 1.2], dtype=complex)
-    d, dp, dpp = dvec(seeds)
+    d, dp, dpp, _ = dvec(seeds)
     k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 0.1, 3.0, 1.0, _no_ring)
     newton = seeds + -d / dp
     assert k[0] == newton[0]
@@ -402,7 +427,7 @@ def test_newton_evaluates_finite_k_only():
 
     def dvec(k):
         seen.append(k.copy())
-        return k - 1.5, np.ones_like(k), np.zeros_like(k)
+        return k - 1.5, np.ones_like(k), np.zeros_like(k), np.zeros_like(k)
 
     seeds = np.array([1.2, 1.8, 1.9], dtype=complex)
     first = (np.array([1e300, 1.0, 0.4], dtype=complex),
@@ -415,23 +440,24 @@ def test_newton_evaluates_finite_k_only():
 
 
 def test_newton_curvature_saves_evaluations():
-    # D = k^3 - 2 from k = 1.5: the exact D'' (Halley) converges in fewer
-    # Dvec calls than a zero D'' (plain Newton), to the same root
-    def run(curvature):
+    # D = k^3 - 2 from k = 1.5: the exact D'' and D''' (Halley, refined on
+    # the cubic model) converge in fewer Dvec calls than zero D'' and D'''
+    # (plain Newton), to the same root
+    def run(curvature, third):
         calls = []
 
         def dvec(k):
             calls.append(k.size)
-            return k**3 - 2, 3 * k * k, curvature(k)
+            return k**3 - 2, 3 * k * k, curvature(k), third(k)
 
         seeds = np.array([1.5], dtype=complex)
-        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds), 1.0, 2.0, 1.0, _no_ring)
+        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds)[:3], 1.0, 2.0, 1.0, _no_ring)
         assert converged.tolist() == [True]
         assert abs(k[0] - 2 ** (1 / 3)) <= 1e-15
         return len(calls)
 
-    halley = run(lambda k: 6 * k)
-    newton = run(np.zeros_like)
+    halley = run(lambda k: 6 * k, lambda k: np.full_like(k, 6))
+    newton = run(np.zeros_like, np.zeros_like)
     assert halley < newton, (halley, newton)
 
 
@@ -445,11 +471,11 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
         near = k.real < 1.4
         d = np.where(near, k - 1.25, 1e-12 + 0j)
         dp = np.where(near, 1.0 + 0j, np.where(k.real < 1.5, -1e-9, 1e-9) + 0j)
-        return d, dp, np.zeros_like(d)
+        return d, dp, np.zeros_like(d), np.zeros_like(d)
 
     seeds = np.array([1.2, 1.51])
     for k_seeds in (seeds, seeds[1:]):
-        k, converged = wgm._newton_poles(dvec, k_seeds, dvec(k_seeds.astype(complex)),
+        k, converged = wgm._newton_poles(dvec, k_seeds, dvec(k_seeds.astype(complex))[:3],
                                          1.0, 2.0, 1.0, _no_ring)
         assert np.all(np.abs(dvec(k)[0]) <= wgm.POLE_TOL)
         assert converged.tolist() == [True, False][-k_seeds.size:], (k, converged)
@@ -460,11 +486,13 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     # D = (k - 1.5)(k - b), seed 1e-4 below the root 1.5, ring radius 0.1.
     # With b = 2.5, outside the ring, Halley lands within ~1e-12 of 1.5 and
     # the first evaluation certifies its step: one Dvec call, on the iterate
-    # and its 8 ring points. With b = 1.501, inside the ring, the first
-    # iterate is still ~7e-7 off, the Cauchy remainder M q^3 outweighs
-    # |D'| delta, and the first evaluation certifies nothing; a later one,
-    # with its own ring, certifies. A zero-radius ring certifies nothing, and
-    # the seed takes the settled rule to the same root
+    # and its 8 ring points. With b = 1.5002, inside the ring, |D'| is 2e-4
+    # at the root and the first iterate is still ~7.7e-6 off, so the Cauchy
+    # remainder M q^4 outweighs |D'| delta, and the first evaluation
+    # certifies nothing; a later one, with its own ring, certifies. (At
+    # b = 1.501 the cubic certificate accepts the first iterate, ~7e-7 off.)
+    # A zero-radius ring certifies nothing, and the seed takes the settled
+    # rule to the same root
     certified = _record_certificates(monkeypatch)
 
     def run(b, ring_radius):
@@ -473,10 +501,10 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
 
         def dvec(k):
             calls.append(k.size)
-            return (k - 1.5) * (k - b), 2 * k - 1.5 - b, np.full_like(k, 2)
+            return (k - 1.5) * (k - b), 2 * k - 1.5 - b, np.full_like(k, 2), np.zeros_like(k)
 
         seeds = np.array([1.5 - 1e-4], dtype=complex)
-        first = dvec(seeds)
+        first = dvec(seeds)[:3]
         k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0, ring_radius)
         return k, converged.tolist(), calls[1:]
 
@@ -486,11 +514,11 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     k, converged, calls = run(2.5, ring)
     assert converged == [True] and calls == [1 + wgm._RING_POINTS]
     assert abs(k[0] - 1.5) <= 1e-15
-    k, converged, calls = run(1.501, ring)
+    k, converged, calls = run(1.5002, ring)
     assert calls[0] == 1 + wgm._RING_POINTS and len(calls) > 1, calls
     assert not certified[0][0] and any(mask[0] for mask in certified[1:]), certified
     assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
-    k, converged, calls = run(1.501, _no_ring)
+    k, converged, calls = run(1.5002, _no_ring)
     assert calls == [1] * len(calls) and not np.any(certified), (calls, certified)
     assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
 
@@ -584,11 +612,12 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
 
 
 def test_low_q_window_takes_certificate_and_matches_mpmath(monkeypatch):
-    # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its Halley
-    # step is still ~6e-12 off the pole, far outside what the certificate
-    # accepts; the second evaluation, with its own ring, certifies the next
-    # step. So Newton takes two runs after the scan, each with the ring, and
-    # the pole matches mpmath
+    # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its refined
+    # step lands ~6e-16 |k| from the pole, but its step is so long against
+    # the ring that the Cauchy remainder M q^4 outweighs |P'| delta; the
+    # second evaluation, with its own ring, certifies the next step. So
+    # Newton takes two runs after the scan, each with the ring, and the pole
+    # matches mpmath
     p = SphereParams(R=10e-6, n=1.52)
     shapes = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
@@ -599,11 +628,24 @@ def test_low_q_window_takes_certificate_and_matches_mpmath(monkeypatch):
     assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
 
 
+def _certificate_windows():
+    # (pol, l, window, params): +-1 % windows about first-order poles
+    # (Q 1e2 to 2e188), and the low-Q TE l = 8 window (Q ~ 25)
+    low_q = SphereParams(R=10e-6, n=1.52)
+    windows = [("TE", 8, (6.5 / low_q.R, 9.5 / low_q.R), low_q)]
+    for pol in ("TE", "TM"):
+        for l in (40, 120, 300, 500):
+            for n2 in (1.44, 2.31, 4.0):
+                p = SphereParams(R=10e-6, n=math.sqrt(n2))
+                k = lly_wavenumber(l, pol, p.n, p.R)
+                windows.append((pol, l, (0.99 * k, 1.01 * k), p))
+    return windows
+
+
 def test_every_pole_with_ring_room_is_certified(monkeypatch):
     # the certificate runs at every Newton evaluation: each converged seed
     # whose last iterate has ring room converges by it, none by the settled
-    # rule, on +-1 % windows about first-order poles (Q 1e2 to 2e188) and on
-    # the low-Q TE l = 8 window (Q ~ 25)
+    # rule
     masks = _record_certificates(monkeypatch)
     real_newton = wgm._newton_poles
 
@@ -615,16 +657,22 @@ def test_every_pole_with_ring_room_is_certified(monkeypatch):
         return k, converged
 
     monkeypatch.setattr(wgm, "_newton_poles", newton)
-    low_q = SphereParams(R=10e-6, n=1.52)
-    windows = [("TE", 8, (6.5 / low_q.R, 9.5 / low_q.R), low_q)]
-    for pol in ("TE", "TM"):
-        for l in (40, 120, 300, 500):
-            for n2 in (1.44, 2.31, 4.0):
-                p = SphereParams(R=10e-6, n=math.sqrt(n2))
-                k = lly_wavenumber(l, pol, p.n, p.R)
-                windows.append((pol, l, (0.99 * k, 1.01 * k), p))
-    for pol, l, window, p in windows:
+    for pol, l, window, p in _certificate_windows():
         assert find_resonance(pol, l, window, p), (pol, l, p.n)
+
+
+def test_certificate_windows_take_scan_and_one_newton_run(monkeypatch):
+    # the cubic certificate accepts the refined step of the first Newton
+    # iterate: the scan, then one Newton run on the iterate and its ring.
+    # Only the lowest-Q windows refuse it and certify the second iterate:
+    # n^2 = 1.44 at l = 40 (below l = 49 on the +-1 % survey) and TE l = 8
+    # at n = 1.52
+    shapes = _record_ladder_runs(monkeypatch)
+    for pol, l, window, p in _certificate_windows():
+        shapes.clear()
+        assert find_resonance(pol, l, window, p), (pol, l, p.n)
+        newton_runs = 2 if l == 8 or (l < 49 and p.n < 1.3) else 1
+        assert shapes[1:] == [(2, 1 + wgm._RING_POINTS)] * newton_runs, (pol, l, p.n, shapes)
 
 
 def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
