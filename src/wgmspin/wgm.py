@@ -28,16 +28,20 @@ modes.csv and modes.json.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import numbers
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import TIGHT_ARG, riccati_bessel, spherical_bessel_j, spherical_hankel1
+from .specfun import (TIGHT_ARG, AccuracyWarning, riccati_bessel, spherical_bessel_j,
+                      spherical_hankel1)
 
 __all__ = [
     "SphereParams",
@@ -58,7 +62,7 @@ MAX_RELATIVE_WIDTH = 0.5  # poles with kappa_c/k0 at or above this are dropped
 _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 _SCAN_PER_SPACING = 32    # scan points per radial-order spacing pi/(nR) in k
 _RING_POINTS = 8          # D samples on the certificate's ring about each iterate
-_RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS)
+_RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS).tolist()
 _RING_SPACINGS = 0.3      # the ring's radius in spacings pi/(nR), before its caps
 _CERT_MARGIN = 10.0       # safety factor on each bound of the certificate
 _SHIFT_TERMS = 6          # Taylor terms of _ode_shift's move of psi, psi' to k0
@@ -228,33 +232,55 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _certify(d0, dp, dpp, d3, k, step, rho, m, d_scale):
-    """(step, mask): each Halley step refined by two Newton steps on the
-    cubic model P(w) = D + D' w + c2 w^2 + c3 w^3 about k, and the mask of
-    the seeds whose iterate k + step _newton_poles' certificate accepts,
-    from D, D', D'' and D''' at k, the ring radius rho and m, twice the
-    largest |D| sampled on the ring."""
-    c2, c3 = 0.5 * dpp, d3 / 6.0
-    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+def _halley(d0, dp, dpp):
+    """(step, is_halley) of one seed from D, D' and D'' at its iterate: the
+    Newton step -D/D' divided by 1 + h, h = -D D''/(2 D'^2), where h is
+    finite and |h| <= 1/2 (Halley's step); elsewhere the Newton step; 0 where
+    D' is 0 or D or D' is not finite."""
+    if not (dp and cmath.isfinite(d0) and cmath.isfinite(dp)):
+        return 0j, False
+    step = -d0 / dp
+    h = 0.5 * step * dpp / dp
+    if math.hypot(h.real, h.imag) <= 0.5:   # False for a non-finite h
+        return step / (1.0 + h), True
+    return step, False
 
-    def model(s):   # P(s) and P'(s)
-        return d0 + s * (dp + s * (c2 + s * c3)), dp + s * (c2x2 + s * c3x3)
 
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            p, pp = model(step)
-            step = step - p / pp
-        p, pp = map(np.abs, model(step))
-        p2, p3 = np.abs(c2 + step * c3x3), np.abs(c3)   # |P''(s)/2|, |c3|
-        delta = 5e-16 * np.abs(k + step)
-        q_s = np.abs(step) / rho
-        q = q_s + delta / rho
-        half_m = 0.5 * m
-        return step, ((np.abs(dp) * rho <= half_m) & (np.abs(c2) * rho**2 <= half_m)
-                      & (p3 * rho**3 <= half_m) & (q < 1)
-                      & (pp * delta > _CERT_MARGIN * (p + (p2 + p3 * delta) * delta * delta
-                                                      + m * q**4 / (1.0 - q)))
-                      & (_CERT_MARGIN * (p + m * q_s**4 / (1.0 - q_s)) <= POLE_TOL * d_scale))
+def _certify(d0, dp, dpp, d3, k, rho, m, d_scale):
+    """(steps, mask) of one Newton evaluation after the first, one entry per
+    seed in seed order: each seed's step (_halley), a Halley step refined by
+    two Newton steps on the cubic model P(w) = D + D' w + c2 w^2 + c3 w^3
+    about its iterate k, and whether _newton_poles' certificate accepts
+    k + step, from D, D', D'' and D''' at k, the ring radius rho (0: no ring,
+    no certificate) and m, twice the largest |D| sampled on the ring. A seed
+    whose refinement or bounds divide by zero or overflow is not certified."""
+    steps, mask = [], []
+    for a, b, c, t, z, r, mm in zip(d0, dp, dpp, d3, k, rho, m):
+        s, halley = _halley(a, b, c)
+        ok = False
+        if halley:
+            c2, c3 = 0.5 * c, t / 6.0
+            c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+            try:
+                for _ in range(2):
+                    s -= (a + s * (b + s * (c2 + s * c3))) / (b + s * (c2x2 + s * c3x3))
+                if r > 0:
+                    p, pp = abs(a + s * (b + s * (c2 + s * c3))), abs(b + s * (c2x2 + s * c3x3))
+                    p2, p3 = abs(c2 + s * c3x3), abs(c3)   # |P''(s)/2|, |c3|
+                    delta = 5e-16 * abs(z + s)
+                    q_s = abs(s) / r
+                    q = q_s + delta / r
+                    half_m = 0.5 * mm
+                    ok = (abs(b) * r <= half_m and abs(c2) * r**2 <= half_m
+                          and p3 * r**3 <= half_m and q < 1
+                          and pp * delta > _CERT_MARGIN * (p + (p2 + p3 * delta) * delta * delta
+                                                           + mm * q**4 / (1.0 - q))
+                          and _CERT_MARGIN * (p + mm * q_s**4 / (1.0 - q_s)) <= POLE_TOL * d_scale)
+            except (ZeroDivisionError, OverflowError):   # P'(s) = 0, or |.| past the float range
+                pass
+        steps.append(s)
+        mask.append(ok)
+    return steps, mask
 
 
 def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
@@ -263,16 +289,22 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
 
     Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2, d3D/dk3), one
     evaluation per iteration after the first, which steps from
-    first = (D, D', D'') already known at the seeds. Each step is the Newton
-    step -D/D', divided by 1 + h with h = -D D''/(2 D'^2) where h is finite
-    and |h| <= 1/2 (Halley's step); elsewhere, as far from a root, it stays
-    the Newton step. After the first, each Halley step s is refined by two
-    Newton steps on the cubic Taylor model
+    first = (D, D', D'') already known at the seeds. Each evaluation is one
+    vectorized Dvec call on every seed's iterate in seed order (dead and
+    certified ones included), then the ring points below, so the
+    special-function ladders amortize across the seeds. The rest is
+    per-seed bookkeeping on Python complex and float scalars, taken once
+    per evaluation with .tolist(): on a window's one to a few seeds, numpy
+    calls on such short arrays cost more than their arithmetic. Each step
+    is _halley's: the Newton step -D/D', divided by 1 + h with
+    h = -D D''/(2 D'^2) where h is finite and |h| <= 1/2 (Halley's step);
+    elsewhere, as far from a root, it stays the Newton step. After the
+    first, _certify refines each Halley step s by two Newton steps on the
+    cubic Taylor model
         P(w) = D + D' w + c2 w^2 + c3 w^3,  c2 = D''/2, c3 = D'''/6,
-    about the iterate k. All seeds iterate together (the special-function
-    ladders amortize across the seed vector); a zero or non-finite slope
-    leaves its seed in place, and runaway iterates are parked on a safe
-    placeholder before D is evaluated there and reported as dead. Returns
+    about the iterate k. A zero or non-finite slope leaves its seed in
+    place, and runaway iterates are parked on a safe placeholder before D
+    is evaluated there and reported as dead. Returns
     (poles ndarray, converged mask): each pole is its last iterate plus that
     iterate's step. A seed has converged when the certificate below accepts
     that step or, by the settled rule, when the step was below 5e-15 |k| and
@@ -283,8 +315,8 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N} about each
     iterate k that is alive, not yet certified and has rho > 0, in the same
     Dvec call, and a seed whose refined step s it certifies stops there,
-    converged, at k + s. Other seeds get no ring points and M = 0, which the
-    certificate refuses (q = |s|/0). Let M be twice the largest |D| sampled
+    converged, at k + s. Other seeds get no ring points, rho = 0 and M = 0,
+    and no certificate. Let M be twice the largest |D| sampled
     on the ring. If D is analytic on the closed disk |w| <= rho about k and
     |D| <= M on its edge, Cauchy bounds the Taylor coefficients,
     |D^(j)(k)/j!| <= M/rho^j, so past the known c3 the Taylor remainder at
@@ -311,42 +343,39 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     evaluation; the settled rule closes those with rho = 0 (off the strip,
     past 0.99 TIGHT_ARG or near k = 0) and any refused to the end.
     """
-    k = np.asarray(seeds, dtype=complex).copy()
-    if k.size == 0:
-        return k, np.zeros(0, dtype=bool)
-    alive = np.ones(k.size, dtype=bool)
-    certified = np.zeros(k.size, dtype=bool)
+    k = np.asarray(seeds, dtype=complex).tolist()
+    size = len(k)
+    alive, certified, settled = [True] * size, [False] * size, [False] * size
     span = k_hi - k_lo
-    d0, dp, dpp = first
+    lo, hi, im_max = k_lo - 2 * span, k_hi + 2 * span, 0.5 * (k_hi + span)
+    d0, dp, dpp = (np.asarray(f).tolist() for f in first)
     for i in range(_NEWTON_MAX_ITER):
         if i:
-            rho = np.where(alive & ~certified, ring_radius(k), 0.0)
-            d0, dp, dpp, d3 = Dvec(np.append(k, (k[:, None] + rho[:, None] * _RING)[rho > 0]))
-            m = np.zeros(k.size)
-            m[rho > 0] = 2.0 * np.abs(d0[k.size:]).reshape(-1, _RING_POINTS).max(axis=1)
-            d0, dp, dpp, d3 = d0[:k.size], dp[:k.size], dpp[:k.size], d3[:k.size]
-        ok = alive & ~certified & (dp != 0) & np.isfinite(d0) & np.isfinite(dp)
-        step = np.zeros_like(k)
-        step[ok] = -d0[ok] / dp[ok]
-        with np.errstate(all="ignore"):
-            h = 0.5 * step * dpp / dp
-        halley = ok & np.isfinite(h) & (np.abs(h) <= 0.5)
-        step[halley] /= 1.0 + h[halley]
-        if i:
-            refined, accepted = _certify(d0, dp, dpp, d3, k, step, rho, m, d_scale)
-            step[halley] = refined[halley]
-            certified |= halley & accepted
-        k = k + step
-        runaway = (~np.isfinite(k)) | (k.real < k_lo - 2 * span) \
-            | (k.real > k_hi + 2 * span) | (np.abs(k.imag) > 0.5 * (k_hi + span))
-        if np.any(runaway & alive):
-            alive &= ~runaway
-            k[runaway] = k_lo  # safe placeholder, excluded from results
-        settled = np.abs(step) / np.abs(k) < 5e-15
-        if np.all((settled | certified)[alive]):
+            rho = [r if a and not c else 0.0
+                   for r, a, c in zip(ring_radius(np.array(k)).tolist(), alive, certified)]
+            ring = [z + r * w for z, r in zip(k, rho) if r > 0 for w in _RING]
+            values = [f.tolist() for f in Dvec(np.array(k + ring))]
+            rings = zip(*[iter(values[0][size:])] * _RING_POINTS)   # D on each ring, in turn
+            m = [2.0 * max(map(abs, next(rings))) if r > 0 else 0.0 for r in rho]
+            d0, dp, dpp, d3 = (f[:size] for f in values)
+            steps, accepted = _certify(d0, dp, dpp, d3, k, rho, m, d_scale)
+        else:
+            steps, accepted = [_halley(*v)[0] for v in zip(d0, dp, dpp)], [False] * size
+        done = True
+        for j, s in enumerate(steps):
+            if not alive[j] or certified[j]:
+                continue
+            z = k[j] + s
+            if not (lo <= z.real <= hi and abs(z.imag) <= im_max):
+                k[j], alive[j] = k_lo, False   # runaway: a safe placeholder, excluded from results
+                continue
+            k[j], settled[j], certified[j] = z, abs(s) < 5e-15 * abs(z), accepted[j]
+            done = done and (settled[j] or certified[j])
+        if done:
             break
-    converged = alive & (certified | (settled & (np.abs(d0) / d_scale <= POLE_TOL)))
-    return k, converged
+    converged = [a and (c or (st and abs(d) / d_scale <= POLE_TOL))
+                 for a, c, st, d in zip(alive, certified, settled, d0)]
+    return np.array(k, dtype=complex), np.array(converged, dtype=bool)
 
 
 def _ring_radius(params: SphereParams, k):
@@ -389,13 +418,20 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     k0; empty list when the window holds no pole. Non-convergent seeds are
     logged and skipped.
 
-    Newton's evaluation is the same for both polarizations: one ladder run
-    on the iterates (and the ring), nothing appended. A TE pole is its last
-    iterate k plus a step s, and its record keeps psi, psi', xi and xi' of
-    the last call at k (te_matching), from which compute_lambda,
-    interior_norm_integral and radial_profile form the matching without a
-    ladder run. A TM record, or a TE one whose Newton evaluated nothing,
-    carries None.
+    Newton's evaluation is the same for both polarizations: one vectorized
+    ladder run on the iterates (and the ring), nothing appended; each seed's
+    step, certificate and stopping rules run on Python scalars around it.
+    A TE pole is its last iterate k plus a step s, and its record keeps psi,
+    psi', xi and xi' of the last call at k (te_matching), from which
+    compute_lambda, interior_norm_integral and radial_profile form the
+    matching without a ladder run. A TM record, or a TE one whose Newton
+    evaluated nothing, carries None.
+
+    A pole whose Q = k0/kappa_c overflows, or whose kappa_c is subnormal
+    (below sys.float_info.min, so with few significant digits), is returned
+    as it is, with one AccuracyWarning naming its polarization, l, k0 and
+    kappa_c (TM l = 494 at n = 2.895 has such poles, kappa_c down to
+    1.8e-322).
     """
     if polarization not in _CHARACTERISTIC:
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -444,13 +480,19 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
             poles.append((pole, i))
 
     poles.sort(key=lambda pole: pole[0].real)
-    return [
+    modes = [
         ModeRecord(polarization=polarization, l=l, k0=p.real,
                    kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag),
                    te_matching=(_TEMatching((l, p, params.n, params.R), *(f[i] for f in last))
                                 if te and last else None))
         for p, i in poles
     ]
+    for mode in modes:
+        if not (math.isfinite(mode.Q) and mode.kappa_c >= sys.float_info.min):
+            warnings.warn(f"{polarization} l={l} pole at k0={mode.k0!r} 1/m: kappa_c="
+                          f"{mode.kappa_c!r} 1/m, Q={mode.Q!r}; Q overflows or kappa_c is "
+                          "subnormal in double precision", AccuracyWarning, stacklevel=2)
+    return modes
 
 
 def _ode_shift(f, fp, z, h, l):

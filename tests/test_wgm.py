@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -7,6 +8,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgmspin import wgm
 from wgmspin.config import MAX_SCAN_POINTS
@@ -523,6 +526,104 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
 
 
+def test_newton_bookkeeping_per_seed(monkeypatch):
+    # D = (k - 1.2)(k - 1.5)(k - 1.5002), ring radius 0.1, three seeds. The
+    # seed 1e-4 below 1.2 has no other root in its ring and is certified at
+    # the first evaluation; the seed 1e-4 below 1.5 has 1.5002 in its ring
+    # and is certified only at a later one; the third's first step (D = 1,
+    # D' = 1e-300) runs away and is parked, dead, at k_lo = 1. Every Dvec
+    # call takes the iterates in seed order, the certified and the parked
+    # one included, then 8 ring points about each seed that is alive,
+    # uncertified and has ring room; every _certify mask has one entry per
+    # seed, in seed order
+    roots = (1.2, 1.5, 1.5002)
+    calls = []
+
+    def dvec(k):
+        calls.append(k.copy())
+        u, v, w = (k - r for r in roots)
+        return u * v * w, v * w + u * w + u * v, 2 * (u + v + w), np.full_like(k, 6)
+
+    masks = _record_certificates(monkeypatch)
+    seeds = np.array([1.2 - 1e-4, 1.5 - 1e-4, 1.9], dtype=complex)
+    d, dp, dpp, _ = dvec(seeds)
+    d[2], dp[2] = 1.0, 1e-300
+    calls.clear()
+    k, converged = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 1.0, 2.0, 1.0,
+                                     lambda k: np.full(k.shape, 0.1))
+    assert converged.tolist() == [True, True, False]
+    assert abs(k[0] - 1.2) <= 1e-15 and abs(k[1] - 1.5) <= 1e-15 and k[2] == 1.0
+    assert len(calls) == len(masks) > 1
+    assert [list(mask) for mask in masks] == (
+        [[True, False, False]] + [[False] * 3] * (len(masks) - 2) + [[False, True, False]])
+    ring = 0.1 * np.exp(2j * np.pi * np.arange(wgm._RING_POINTS) / wgm._RING_POINTS)
+    for i, call in enumerate(calls):
+        with_ring = [0, 1] if i == 0 else [1]
+        assert call.size == 3 + wgm._RING_POINTS * len(with_ring), [c.size for c in calls]
+        assert call[2] == 1.0 and (i == 0 or call[0] == k[0])
+        assert np.allclose(call[3:], np.concatenate([call[j] + ring for j in with_ring]),
+                           rtol=0, atol=1e-15)
+
+
+def test_certify_keeps_step_where_model_slope_vanishes():
+    # D = 3, D' = 3, D'' = 0, D''' = -6: Halley's step is s = -1, where the
+    # cubic model's slope P'(s) = 3 - 3 s^2 is exactly 0. The refinement
+    # stops there with Halley's finite step, and the seed is not certified
+    steps, mask = wgm._certify([3 + 0j], [3 + 0j], [0j], [-6 + 0j], [1 + 0j], [0.1], [10.0], 1.0)
+    assert steps == [-1] and mask == [False]
+
+
+def test_two_pole_window_certified_at_first_newton_run(ref_params, monkeypatch):
+    # TE l = 120 over 0.97-1.09 times the Lam-Leung-Young wavenumber holds two
+    # poles: the 158-point scan, then one Newton run on both iterates and
+    # their rings, which certifies both. Each record's last iterate lies
+    # within _SHIFT_MAX/(nR) of its k0 (nR |k0 - k| = 1.6e-7 and 7.5e-6), so
+    # Lambda runs no ladder on either pole
+    shapes = _record_ladder_runs(monkeypatch)
+    masks = _record_certificates(monkeypatch)
+    k = lly_wavenumber(120, "TE", ref_params.n, ref_params.R)
+    modes = find_resonance("TE", 120, (0.97 * k, 1.09 * k), ref_params)
+    assert len(modes) == 2
+    assert shapes == [(2, 158), (2, 2 * (1 + wgm._RING_POINTS))], shapes
+    assert [list(mask) for mask in masks] == [[True, True]]
+    nr = ref_params.n * ref_params.R
+    for mode in modes:
+        assert nr * abs(mode.k0 - mode.te_matching.k) <= wgm._SHIFT_MAX
+    shapes.clear()
+    for mode in modes:
+        compute_lambda(mode, ref_params)
+    assert shapes == []
+
+
+def test_overflowing_q_poles_warn(ref_params):
+    # TM l = 494, n = 2.895 over 0.97-1.09 times its Lam-Leung-Young
+    # wavenumber: 6 poles, 3 of them with kappa_c = 1.8e-322, 1.1e-314 and
+    # 6.4e-307, so Q = inf. Each takes one AccuracyWarning naming it, and the
+    # poles are returned as they are. The reference window and a coarse
+    # +-1 % survey warn of nothing
+    p = SphereParams(R=10e-6, n=2.895)
+    k = lly_wavenumber(494, "TM", p.n, p.R)
+    with pytest.warns(AccuracyWarning) as record:
+        modes = find_resonance("TM", 494, (0.97 * k, 1.09 * k), p)
+    assert len(modes) == 6
+    bad = [mode for mode in modes if not math.isfinite(mode.Q)]
+    assert len(bad) == len(record) == 3, [str(w.message) for w in record]
+    assert min(mode.kappa_c for mode in bad) < sys.float_info.min
+    for mode, warning in zip(bad, record):
+        message = str(warning.message)
+        assert "TM l=494" in message
+        assert repr(mode.k0) in message and repr(mode.kappa_c) in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        assert find_resonance("TE", 120, REF_WINDOW, ref_params)
+        for pol in ("TE", "TM"):
+            for n2 in (1.44, 2.31, 4.0):
+                q = SphereParams(R=10e-6, n=math.sqrt(n2))
+                for l in range(20, 501, 40):
+                    k = lly_wavenumber(l, pol, q.n, q.R)
+                    find_resonance(pol, l, (0.99 * k, 1.01 * k), q)
+
+
 def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
     # a TE pole carries the Riccati values of Newton's last ladder call, at
     # its last iterate: find_resonance, attach_profile and compute_lambda
@@ -780,6 +881,26 @@ def test_pole_matches_mpmath_table(ref_params, pol, l):
     assert abs(best.kappa_c - kappa_c) <= 1e-12 * kappa_c
     if pol == "TE":
         assert 0.5 <= compute_lambda(best, ref_params).lambda_ <= 2.0
+
+
+@pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")   # off-strip low-Q poles
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pol=st.sampled_from(["TE", "TM"]), l=st.integers(1, 300), n=st.floats(1.05, 2.5),
+       width=st.floats(0.01, 0.06))
+def test_poles_match_mpmath_over_envelope(pol, l, n, width):
+    # every pole with Q <= 1e60 from a window 1-6 % wide about the
+    # Lam-Leung-Young position matches the pole of the same D that mpmath
+    # finds from it at 50 + log10 Q digits: k0 to 1e-15, kappa_c to 1e-12.
+    # The asymptotic position is negative at low l and n (l <= 6 at n = 1.05)
+    p = SphereParams(R=10e-6, n=n)
+    k = lly_wavenumber(l, pol, n, p.R)
+    assume(k > 0)
+    for mode in find_resonance(pol, l, (k * (1 - width / 2), k * (1 + width / 2)), p):
+        if mode.Q <= 1e60:
+            dps = 50 + max(0, math.ceil(math.log10(mode.Q)))
+            want = complex(mp_pole(pol, l, n, p.R, mode.pole, dps))
+            assert abs(mode.k0 - want.real) <= 1e-15 * want.real, (mode, want)
+            assert abs(mode.kappa_c + 2 * want.imag) <= 1e-12 * -2 * want.imag, (mode, want)
 
 
 def test_mpmath_table_regenerates():
