@@ -65,11 +65,23 @@ def _amplitude_vector(cfg: RunConfig) -> np.ndarray:
 _RATE_UNIT = {False: (1.0, "Hz"), True: (C_LIGHT, "1/m (natural, c=hbar=1)")}
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it, however deeply nested in
+    dicts, lists and tuples, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, payload):
-    """The JSON artifact format: indent 2, sorted keys, trailing newline."""
+    """The JSON artifact format: indent 2, sorted keys, trailing newline,
+    strict RFC 8259 JSON: a non-finite float (e.g. the Q of a pole whose
+    kappa_c underflows) is written as null, never as Infinity or NaN."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -30,7 +30,11 @@ ladders are the one three-term recurrence in 1/z, stepped in lockstep as the
 two rows of one state: one numpy call per operation serves both. On calls of
 few points the coefficients (2n + 3)/z come from one table built before the
 loop, so a step costs two numpy calls; calls whose table would pass
-_TABLE_BYTES form one row per step instead, with the same bits.
+_TABLE_BYTES form one row per step instead, with the same bits. Around the
+steps, each branch (the series, the off-strip continuation, a y overflow or
+a degenerate Wronskian to patch) is decided once, as a Python bool, and
+builds its mask only when some z takes it, so a Newton iterate on the strip,
+or a real grid off the origin, builds none.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ def _check_domain(l, arr, uses_y):
     if uses_y and amin == 0:
         raise ValueError("argument z = 0 is outside the domain" if arr.size
                          else "argument z is empty")
-    off_strip = uses_y and np.iscomplexobj(arr) and float(np.max(np.abs(arr.imag))) > 1.0
+    off_strip = uses_y and arr.dtype.kind == "c" and float(np.abs(arr.imag).max()) > 1.0
     if amax > TIGHT_ARG or off_strip:
         warnings.warn(
             f"(l={l}, max|z|={amax:.3g}) outside tight-tolerance range "
@@ -136,7 +140,7 @@ def _recur(cur, prev, coefs, checks, zinv, *carried):
         prev, cur = cur, cz * cur - prev
         if check:
             big = np.maximum(np.abs(cur[0]), np.abs(prev[0])) > _HUGE
-            if np.any(big):
+            if big.any():
                 factor = np.where(big, 1e-250, 1.0)
                 cur, prev = (np.concatenate((f[:1] * factor, f[1:])) for f in (cur, prev))
                 carried = [f * factor for f in carried]
@@ -171,7 +175,11 @@ def _j_ladder(l, z, amax, amin):
     alone. On the few points of a Newton iterate call overhead, not
     arithmetic, is the cost: a step costs two numpy calls for both ladders
     where _recur's coefficient table fits in _TABLE_BYTES, three on a long
-    grid, where the products are formed one row per step.
+    grid, where the products are formed one row per step. The bookkeeping
+    around the steps is lean for the same reason: each branch below is
+    decided once, as a Python bool, so a real z builds no off-strip mask and
+    a call with nothing off the strip, no overflowed y and no degenerate
+    Wronskian (the common case) builds no mask to patch j with.
     The Miller result then gets per-element scale fixing:
 
     * |Im z| <= 1: cross Wronskian with the y pair (j_l y_{l-1} - j_{l-1} y_l
@@ -188,9 +196,10 @@ def _j_ladder(l, z, amax, amin):
     `stride` orders: (g + 1)^stride <= 1e50 keeps a value that passed it
     (<= _HUGE = 1e250) below 1e300 until the next test. The y row is not
     rescaled: its overflow to inf is expected deep in the l >> |z| regime and
-    resolved by the mask (j underflows to zero there, an h or xi query
-    raises). So numpy's overflow warnings are silenced while the ladders run,
-    and a Miller overflow is returned for the front end to signal.
+    resolved by setting j to 0 there (j underflows to zero there, an h or xi
+    query raises). So numpy's floating-point warnings are silenced while the
+    ladders and the normalization run, and a Miller overflow is returned for
+    the front end to signal.
     """
     nstart = _miller_start(l, amax)
     stride = max(1, int(50 / np.log10((2 * nstart + 3) / amin + 1)))
@@ -198,29 +207,29 @@ def _j_ladder(l, z, amax, amin):
     m_steps = nstart - l + 2
     coefs, checks = _ladder_coefs(l, nstart, stride, z.dtype, z.ndim)
     both = min(m_steps, l)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cur = np.stack([np.full_like(z, 1e-30), -np.cos(z) / z])
-        prev = np.stack([np.zeros_like(z), np.sin(z) / z])
+    cur, prev = np.empty((2, 2) + z.shape, z.dtype)   # rows: Miller j, y
+    cur[0], prev[0] = 1e-30, 0.0
+    # the z with |Im z| > 1, or None where no z is off the strip (a real z never is)
+    off = np.abs(z.imag) > 1.0 if z.dtype.kind == "c" else None
+    off = off if off is not None and off.any() else None
+    with np.errstate(all="ignore"):
+        cur[1], prev[1] = -np.cos(z) / z, np.sin(z) / z
         cur, prev, _ = _recur(cur, prev, coefs[:both], checks[:both], zinv)
         (lo, yl), (hi, ylm1) = cur, prev
         if m_steps > l:
             (lo,), (hi,), _ = _recur(cur[:1], prev[:1], coefs[both:, :1], checks[both:], zinv)
         else:
             (yl,), (ylm1,), _ = _recur(cur[1:], prev[1:], coefs[both:, 1:], checks[both:], zinv)
-    lost = ~np.isfinite(lo)
-    y_over = ~(np.maximum(np.abs(ylm1), np.abs(yl)) < _Y_OVERFLOW)
-    off = np.abs(z.imag) > 1.0
-    with np.errstate(all="ignore"):
+        lost = ~np.isfinite(lo)
+        y_over = ~(np.maximum(np.abs(ylm1), np.abs(yl)) < _Y_OVERFLOW)
         # unit scale keeps the Wronskian products (and the off-strip
         # continuation's underflow headroom) in range
         scale = np.maximum(np.abs(lo), np.abs(hi))
-        scale = np.where(scale == 0, 1.0, scale)
+        scale = scale if scale.all() else np.where(scale == 0, 1.0, scale)
         lo, hi = lo / scale, hi / scale
         denom = z * z * (hi * ylm1 - lo * yl)   # = j-scale^{-1} by Wronskian
-        bad = (denom == 0) | ~np.isfinite(denom)
-        denom = np.where(bad, 1.0, denom)
         jlm1, jl = lo / denom, hi / denom
-        if np.any(off):
+        if off is not None:
             orders = np.arange(l - 2, -2, -1)
             coefs = (2 * orders + 3).astype(z.dtype).reshape((-1, 1) + (1,) * z.ndim)
             (fm1,), _, (flm1, fl) = _recur(lo[None], hi[None], coefs,
@@ -228,9 +237,13 @@ def _j_ladder(l, z, amax, amin):
             ratio = np.cos(z) / z / fm1
             jlm1 = np.where(off, flm1 * ratio, jlm1)
             jl = np.where(off, fl * ratio, jl)
-    # where y overflowed, l >> |z| in the monotone regime and j underflows
-    zero = (y_over | bad) & ~off
-    if np.any(zero):
+    # where y overflowed, l >> |z| in the monotone regime and j underflows;
+    # where the Wronskian is 0 or not finite, j is 0 too (off the strip, the
+    # continuation holds j)
+    if y_over.any() or not (np.isfinite(denom).all() and denom.all()):
+        zero = y_over | (denom == 0) | ~np.isfinite(denom)
+        if off is not None:
+            zero &= ~off
         jlm1 = np.where(zero, 0.0, jlm1)
         jl = np.where(zero, 0.0, jl)
     return (jlm1, jl), (ylm1, yl), y_over, lost
@@ -242,7 +255,7 @@ def _signal_nonfinite(named):
     if np.isfinite(np.concatenate([f.ravel() for f in named.values()])).all():
         return
     for name, values in named.items():
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise OverflowError(f"{name} overflowed double precision for given (l, z)")
 
 
@@ -258,25 +271,29 @@ def _bessel_pairs(l, z, y_name=None):
     ladder at every z; j runs it off the series alone, where neither z = 0
     nor a tiny |z|'s rescale stride reaches it. Warns, naming the public
     function's caller, where the Miller ladder overflowed off the series;
-    raises OverflowError naming y_name_l where y_l overflowed."""
+    raises OverflowError naming y_name_l where y_l overflowed. Whether some
+    z takes the series is decided once, from min|z|: without one, no
+    series mask is built and the ladder runs on z as it is."""
     arr = np.atleast_1d(np.asarray(z, dtype=float if np.isrealobj(z) else complex))
     absz, amax, amin = _check_domain(l, arr, y_name is not None)
-    ladder = absz >= _SERIES_BELOW
-    if y_name is None and amin < _SERIES_BELOW:
+    series = amin < _SERIES_BELOW   # decided once: some z takes j from the series
+    ladder = absz >= _SERIES_BELOW if series else ...   # ... indexes every z
+    if y_name is None and series:
         j, lost = np.zeros((2,) + arr.shape, arr.dtype), np.zeros(arr.shape, bool)
-        if np.any(ladder):
+        if ladder.any():
             (j[0][ladder], j[1][ladder]), _, _, lost[ladder] = _j_ladder(
                 l, arr[ladder], amax, float(absz[ladder].min()))
     else:
         j, y, y_over, lost = _j_ladder(l, arr, amax, amin)
-    if (lost & ladder).any():
+    if lost[ladder].any():
         warnings.warn("overflow encountered in the Miller j ladder", RuntimeWarning,
                       stacklevel=3)
-    if amin < _SERIES_BELOW:
-        w, c = arr[~ladder], 1 / math.prod(range(1, 2 * l + 2, 2))   # 1/(2l+1)!!
+    if series:
+        tiny = ~ladder
+        w, c = arr[tiny], 1 / math.prod(range(1, 2 * l + 2, 2))   # 1/(2l+1)!!
         with np.errstate(divide="ignore", invalid="ignore"):   # j_{-1}(0): z = 0 reaches j alone
             for f, n, cn in zip(j, (l - 1, l), (c * (2 * l + 1), c)):
-                f[~ladder] = w**n * cn * (1 - w * w / (2 * (2 * n + 3)))
+                f[tiny] = w**n * cn * (1 - w * w / (2 * (2 * n + 3)))
     if y_name is not None and y_over.any():
         # y_l ~ (2l - 1)!!/|z|^(l+1) for l >> |z|, and |y_l| ~ e^|Im z|/|z|
         raise OverflowError(f"{y_name}_{l} overflowed double precision (|z| too "

@@ -311,14 +311,15 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     |D|/d_scale at the iterate is at most POLE_TOL, which costs no
     evaluation (none at all if every first step is parked).
 
-    Certificate. ring_radius maps iterates to radii rho. Every evaluation
-    also takes D at N = _RING_POINTS points k + rho e^{2 pi i j/N} about each
-    iterate k that is alive, not yet certified and has rho > 0, in the same
-    Dvec call, and a seed whose refined step s it certifies stops there,
-    converged, at k + s. Other seeds get no ring points, rho = 0 and M = 0,
-    and no certificate. Let M be twice the largest |D| sampled
-    on the ring. If D is analytic on the closed disk |w| <= rho about k and
-    |D| <= M on its edge, Cauchy bounds the Taylor coefficients,
+    Certificate. ring_radius maps the list of iterates to a list of radii
+    rho. Every evaluation also takes D at N = _RING_POINTS points
+    k + rho e^{2 pi i j/N} about each iterate k that is alive, not yet
+    certified and has rho > 0, in the same Dvec call, and a seed whose
+    refined step s it certifies stops there, converged, at k + s. Other
+    seeds get no ring points, rho = 0 and M = 0, and no certificate. Let M
+    be twice the largest |D| sampled on the ring. If D is analytic on the
+    closed disk |w| <= rho about k and |D| <= M on its edge, Cauchy bounds
+    the Taylor coefficients,
     |D^(j)(k)/j!| <= M/rho^j, so past the known c3 the Taylor remainder at
     |w| = q rho is at most M q^4/(1 - q). Expanded about s,
     D(k + w) = P'(s) (w - s) + [P(s) + (P''(s)/2) (w - s)^2 + c3 (w - s)^3
@@ -352,7 +353,7 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     for i in range(_NEWTON_MAX_ITER):
         if i:
             rho = [r if a and not c else 0.0
-                   for r, a, c in zip(ring_radius(np.array(k)).tolist(), alive, certified)]
+                   for r, a, c in zip(ring_radius(k), alive, certified)]
             ring = [z + r * w for z, r in zip(k, rho) if r > 0 for w in _RING]
             values = [f.tolist() for f in Dvec(np.array(k + ring))]
             rings = zip(*[iter(values[0][size:])] * _RING_POINTS)   # D on each ring, in turn
@@ -379,18 +380,17 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
 
 
 def _ring_radius(params: SphereParams, k):
-    """The certificate's ring radius about each iterate k: _RING_SPACINGS
-    radial-order spacings pi/(nR), less where the ring would leave the
-    ladders' tight envelope (every ring point's z = nkR at |Im z| <= 0.99 and
-    |z| <= 0.99 TIGHT_ARG; first-order whispering-gallery poles, at
-    nkR ~ l + 2.34 (l/2)^(1/3) <= 515 up to l = 500, keep a full ring) or
-    come within |k|/2 of k = 0, where D is singular; 0, and so no
-    certificate, where no room is left."""
+    """The certificate's ring radius about each iterate of the list k, as a
+    list of floats (on one to three iterates, Python scalars cost less than
+    numpy calls): _RING_SPACINGS radial-order spacings pi/(nR), less where
+    the ring would leave the ladders' tight envelope (every ring point's
+    z = nkR at |Im z| <= 0.99 and |z| <= 0.99 TIGHT_ARG; first-order
+    whispering-gallery poles, at nkR ~ l + 2.34 (l/2)^(1/3) <= 515 up to
+    l = 500, keep a full ring) or come within |k|/2 of k = 0, where D is
+    singular; 0, and so no certificate, where no room is left."""
     nr = params.n * params.R
-    absk = np.abs(k)
-    room = np.minimum(np.minimum(0.99 - nr * np.abs(k.imag), 0.99 * TIGHT_ARG - nr * absk),
-                      np.minimum(0.5 * nr * absk, _RING_SPACINGS * math.pi))
-    return np.maximum(room, 0.0) / nr
+    return [max(min(0.99 - nr * abs(z.imag), 0.99 * TIGHT_ARG - nr * abs(z),
+                    0.5 * nr * abs(z), _RING_SPACINGS * math.pi), 0.0) / nr for z in k]
 
 
 def find_resonance(polarization, l, k_window, params: SphereParams, *,
@@ -596,10 +596,13 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> np.ndarray:
     A = sqrt(2/pi) k0 n / |D|; exterior sqrt(2/pi) k0 Im[conj(D) h_l(k0 r)]
     / |D|, the same matching, so u is continuous at R. The grid must start
     at <= 0+ and reach past R; exterior points past k0 r = TIGHT_ARG = 800
-    leave the tight Bessel envelope and raise an AccuracyWarning.
+    leave the tight Bessel envelope and raise an AccuracyWarning. The grid,
+    validated as strictly increasing, splits at R by one binary search into
+    two slices, so the default grid, all inside the sphere, builds no mask
+    and gathers and scatters nothing.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
         raise ValueError("grid must be a strictly increasing 1-D array of radii")
     R, n, l, k0 = params.R, params.n, mode.l, mode.k0
     if grid[0] > 1e-9 * R or grid[-1] < R:
@@ -607,12 +610,11 @@ def radial_profile(mode: ModeRecord, params: SphereParams, grid) -> np.ndarray:
 
     d, _, _ = _te_matching(mode, params)
     scale = math.sqrt(2.0 / math.pi) * k0 / abs(d)
+    cut = int(np.searchsorted(grid, R, side="right"))   # grid[:cut] <= R < grid[cut:]
     u = np.empty_like(grid)
-    inside = grid <= R
-    u[inside] = n * scale * spherical_bessel_j(l, n * k0 * grid[inside])
-    outside = ~inside
-    if np.any(outside):
-        u[outside] = scale * (d.conjugate() * spherical_hankel1(l, k0 * grid[outside])).imag
+    u[:cut] = n * scale * spherical_bessel_j(l, n * k0 * grid[:cut])
+    if cut < grid.size:
+        u[cut:] = scale * (d.conjugate() * spherical_hankel1(l, k0 * grid[cut:])).imag
     return u
 
 

@@ -9,6 +9,7 @@ import pytest
 from wgmspin import cli
 from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
 from wgmspin.constants import C_LIGHT, HBAR
+from wgmspin.specfun import AccuracyWarning
 
 from oracles import lly_wavenumber
 
@@ -329,6 +330,31 @@ def test_lambda_at_l400_runs_clean(tmp_path, capsys):
     assert run_cli("lambda", cfg, tmp_path / "out") == 0
     assert capsys.readouterr().err == ""
     assert json.loads((tmp_path / "out" / "coupling.json").read_text())["l"] == 400
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_modes_json_is_strict_where_q_overflows(tmp_path, capsys):
+    # TM l = 494, n = 2.895 over 0.97-1.09 times its Lam-Leung-Young
+    # wavenumber has 3 poles with Q = inf: modes.json writes their Q as null
+    # (RFC 8259 JSON has no Infinity), modes.csv keeps inf
+    k = lly_wavenumber(494, "TM", 2.895, 10e-6)
+    cfg = tmp_path / "l494.cfg"
+    cfg.write_text(re.sub(r"(?m)^l = 120$", "l = 494", REFERENCE_CFG)
+                   .replace("polarization = TE", "polarization = TM")
+                   .replace("n = 1.5198684153570664", "n = 2.895")
+                   .replace("lambda_min = 736e-9", f"lambda_min = {2 * math.pi / (1.09 * k)!r}")
+                   .replace("lambda_max = 751e-9", f"lambda_max = {2 * math.pi / (0.97 * k)!r}"))
+    out = tmp_path / "out"
+    with pytest.warns(AccuracyWarning):
+        assert run_cli("modes", cfg, out) == 0
+    rows = json.loads((out / "modes.json").read_text(), parse_constant=_reject_constant)
+    assert len(rows) == 6 and all(row["pol"] == "TM" and row["l"] == 494 for row in rows)
+    assert [row["Q"] for row in rows].count(None) == 3
+    assert all(row["Q"] is None or math.isfinite(row["Q"]) for row in rows)
+    assert (out / "modes.csv").read_text().count(",inf\n") == 3
 
 
 def test_modes_command_outputs(tmp_path, fast_cfg_path, capsys):

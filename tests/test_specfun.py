@@ -461,6 +461,17 @@ def test_table_bounded_by_table_bytes(monkeypatch):
     assert peaks[0] < limit < peaks[1], peaks
 
 
+@pytest.mark.parametrize("l", [0, 1, 20, 120])
+def test_series_split_keeps_the_ladder_bits(l):
+    # a real grid from exactly 0, as a radial profile's: the 0 takes the
+    # series, j_l(0) = delta_l0, and the other points take the ladder with
+    # the max|z| and min|z| they have without the 0, so the same bits
+    grid = np.linspace(0.0, 130.0, 1310)
+    j = spherical_bessel_j(l, grid)
+    assert j[1:].tobytes() == spherical_bessel_j(l, grid[1:]).tobytes()
+    assert j[0] == (1.0 if l == 0 else 0.0)
+
+
 # (l, arguments, branch): the Miller ladder takes m = nstart - l + 2 steps and
 # the y ladder l; they step together for min(m, l) steps, then the longer one
 # finishes alone

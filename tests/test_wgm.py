@@ -67,7 +67,7 @@ def _record_certificates(monkeypatch):
 def _no_ring(k):
     # a zero-radius certificate ring: the certificate refuses every seed
     # (q = |s|/0), so Newton keeps to the settled rule
-    return np.zeros(k.shape)
+    return [0.0] * len(k)
 
 
 def _record_scan(monkeypatch, pol):
@@ -512,7 +512,7 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
         return k, converged.tolist(), calls[1:]
 
     def ring(k):
-        return np.full(k.shape, 0.1)
+        return [0.1] * len(k)
 
     k, converged, calls = run(2.5, ring)
     assert converged == [True] and calls == [1 + wgm._RING_POINTS]
@@ -550,7 +550,7 @@ def test_newton_bookkeeping_per_seed(monkeypatch):
     d[2], dp[2] = 1.0, 1e-300
     calls.clear()
     k, converged = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 1.0, 2.0, 1.0,
-                                     lambda k: np.full(k.shape, 0.1))
+                                     lambda k: [0.1] * len(k))
     assert converged.tolist() == [True, True, False]
     assert abs(k[0] - 1.2) <= 1e-15 and abs(k[1] - 1.5) <= 1e-15 and k[2] == 1.0
     assert len(calls) == len(masks) > 1
@@ -754,7 +754,7 @@ def test_every_pole_with_ring_room_is_certified(monkeypatch):
         masks.clear()
         k, converged = real_newton(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius)
         uncertified = converged & ~np.any(masks, axis=0)
-        assert not np.any(uncertified & (ring_radius(k) > 0)), (k, converged)
+        assert not np.any(uncertified & (np.array(ring_radius(k.tolist())) > 0)), (k, converged)
         return k, converged
 
     monkeypatch.setattr(wgm, "_newton_poles", newton)
@@ -1010,6 +1010,19 @@ def test_profile_continuous_at_surface(ref_params, ref_mode):
     u = radial_profile(ref_mode, ref_params, grid)
     left, right = u[1], u[3]
     assert right == pytest.approx(left, rel=1e-4)
+
+
+def test_profile_split_at_surface_keeps_the_bits(ref_params, ref_mode):
+    # a grid that crosses R: its interior, up to R itself, and its exterior,
+    # each evaluated apart (the exterior behind a lone r = 0), give the bits
+    # of the whole grid
+    R = ref_params.R
+    grid = np.concatenate((np.linspace(0.0, R, 601), np.linspace(R, 1.5 * R, 301)[1:]))
+    u = radial_profile(ref_mode, ref_params, grid)
+    inside = radial_profile(ref_mode, ref_params, grid[:601])
+    outside = radial_profile(ref_mode, ref_params, np.concatenate(([0.0], grid[601:])))[1:]
+    assert grid[600] == R and grid[601] > R
+    assert u.tobytes() == np.concatenate((inside, outside)).tobytes()
 
 
 def test_profile_grid_must_cover_sphere(ref_params, ref_mode):
