@@ -2,8 +2,9 @@
 
 TE/TM characteristic equations in Riccati-Bessel form, quasinormal-mode pole
 search (a real-axis seed scan at 32 points per radial-order spacing pi/(nR),
-then complex Halley-corrected Newton on D, D', D'' and D''' in closed form,
-each step refined on the cubic Taylor model, whose every evaluation also
+run on 4 points past each window edge, then complex Halley-corrected Newton
+on D, D', D'' and D''' in closed form from the scan's values on, every step
+refined on the cubic Taylor model, whose every evaluation also
 samples D on a ring about each uncertified iterate to certify its step by
 Cauchy's bound with a q^4 remainder and Rouche's theorem: two ladder runs
 for the TE and the TM reference pole), and continuum-normalized TE radial
@@ -61,6 +62,7 @@ POLE_TOL = 1e-10          # residual bound, |D| normalized by window-edge |D|
 MAX_RELATIVE_WIDTH = 0.5  # poles with kappa_c/k0 at or above this are dropped
 _NEWTON_MAX_ITER = 80     # iteration cap; the residual test decides convergence
 _SCAN_PER_SPACING = 32    # scan points per radial-order spacing pi/(nR) in k
+_EDGE_STEPS = 4           # scan points past each window edge, at the scan's step
 _RING_POINTS = 8          # D samples on the certificate's ring about each iterate
 _RING = np.exp(2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS).tolist()
 _RING_SPACINGS = 0.3      # the ring's radius in spacings pi/(nR), before its caps
@@ -204,9 +206,9 @@ def _d_from_riccati(l, psi, psip, xi, xip, x, params: SphereParams, te):
 
 
 def _characteristic(l, k, params: SphereParams, te):
-    """(D, dD/dk, d2D/dk2) at each k (vectorized), from one ladder call
-    (_riccati_pair) and _d_from_riccati."""
-    return _d_from_riccati(l, *_riccati_pair(l, k, params), params, te)[:3]
+    """(D, dD/dk, d2D/dk2, d3D/dk3) at each k (vectorized), from one ladder
+    call (_riccati_pair) and _d_from_riccati."""
+    return _d_from_riccati(l, *_riccati_pair(l, k, params), params, te)
 
 
 def te_characteristic(l, k, params: SphereParams):
@@ -232,33 +234,28 @@ _CHARACTERISTIC = {"TE": partial(_characteristic, te=True),
                    "TM": partial(_characteristic, te=False)}
 
 
-def _halley(d0, dp, dpp):
-    """(step, is_halley) of one seed from D, D' and D'' at its iterate: the
-    Newton step -D/D' divided by 1 + h, h = -D D''/(2 D'^2), where h is
-    finite and |h| <= 1/2 (Halley's step); elsewhere the Newton step; 0 where
-    D' is 0 or D or D' is not finite."""
-    if not (dp and cmath.isfinite(d0) and cmath.isfinite(dp)):
-        return 0j, False
-    step = -d0 / dp
-    h = 0.5 * step * dpp / dp
-    if math.hypot(h.real, h.imag) <= 0.5:   # False for a non-finite h
-        return step / (1.0 + h), True
-    return step, False
-
-
 def _certify(d0, dp, dpp, d3, k, rho, m, d_scale):
-    """(steps, mask) of one Newton evaluation after the first, one entry per
-    seed in seed order: each seed's step (_halley), a Halley step refined by
-    two Newton steps on the cubic model P(w) = D + D' w + c2 w^2 + c3 w^3
-    about its iterate k, and whether _newton_poles' certificate accepts
-    k + step, from D, D', D'' and D''' at k, the ring radius rho (0: no ring,
-    no certificate) and m, twice the largest |D| sampled on the ring. A seed
-    whose refinement or bounds divide by zero or overflow is not certified."""
+    """(steps, mask) of one Newton evaluation, one entry per seed in seed
+    order, from D, D', D'' and D''' at each seed's iterate k, the ring
+    radius rho (0: no ring, no certificate) and m, twice the largest |D|
+    sampled on the ring.
+
+    The step is Newton's -D/D' divided by 1 + h, h = -D D''/(2 D'^2), where
+    h is finite and |h| <= 1/2 (Halley's step), then refined by two Newton
+    steps on the cubic model P(w) = D + D' w + c2 w^2 + c3 w^3, c2 = D''/2,
+    c3 = D'''/6, about k; elsewhere, as far from a root, it stays the plain
+    Newton step; it is 0 where D' is 0 or D or D' is not finite. The mask
+    says whether _newton_poles' certificate accepts k + step: only a refined
+    step can be certified, and a seed whose refinement or bounds divide by
+    zero or overflow is not."""
     steps, mask = [], []
     for a, b, c, t, z, r, mm in zip(d0, dp, dpp, d3, k, rho, m):
-        s, halley = _halley(a, b, c)
-        ok = False
-        if halley:
+        s, h, ok = 0j, math.inf, False   # h = inf: no Halley step
+        if b and cmath.isfinite(a) and cmath.isfinite(b):
+            s = -a / b
+            h = 0.5 * s * c / b
+        if math.hypot(h.real, h.imag) <= 0.5:   # Halley's step; False for a non-finite h
+            s /= 1.0 + h
             c2, c3 = 0.5 * c, t / 6.0
             c2x2, c3x3 = 2.0 * c2, 3.0 * c3
             try:
@@ -289,27 +286,24 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
 
     Dvec maps a complex ndarray of k to (D, dD/dk, d2D/dk2, d3D/dk3), one
     evaluation per iteration after the first, which steps from
-    first = (D, D', D'') already known at the seeds. Each evaluation is one
-    vectorized Dvec call on every seed's iterate in seed order (dead and
-    certified ones included), then the ring points below, so the
+    first = (D, D', D'', D''') already known at the seeds. Each evaluation
+    is one vectorized Dvec call on every seed's iterate in seed order (dead
+    and certified ones included), then the ring points below, so the
     special-function ladders amortize across the seeds. The rest is
     per-seed bookkeeping on Python complex and float scalars, taken once
     per evaluation with .tolist(): on a window's one to a few seeds, numpy
-    calls on such short arrays cost more than their arithmetic. Each step
-    is _halley's: the Newton step -D/D', divided by 1 + h with
-    h = -D D''/(2 D'^2) where h is finite and |h| <= 1/2 (Halley's step);
-    elsewhere, as far from a root, it stays the Newton step. After the
-    first, _certify refines each Halley step s by two Newton steps on the
-    cubic Taylor model
+    calls on such short arrays cost more than their arithmetic. Every step
+    is _certify's: Halley's step refined on the cubic Taylor model
         P(w) = D + D' w + c2 w^2 + c3 w^3,  c2 = D''/2, c3 = D'''/6,
-    about the iterate k. A zero or non-finite slope leaves its seed in
-    place, and runaway iterates are parked on a safe placeholder before D
-    is evaluated there and reported as dead. Returns
-    (poles ndarray, converged mask): each pole is its last iterate plus that
-    iterate's step. A seed has converged when the certificate below accepts
-    that step or, by the settled rule, when the step was below 5e-15 |k| and
-    |D|/d_scale at the iterate is at most POLE_TOL, which costs no
-    evaluation (none at all if every first step is parked).
+    about the iterate k, or, far from a root, the plain Newton step. A zero
+    or non-finite slope leaves its seed in place, and runaway iterates are
+    parked on a safe placeholder before D is evaluated there and reported
+    as dead. Returns (poles ndarray, converged mask): each pole is its last
+    iterate plus that iterate's step. A seed has converged when the
+    certificate below accepts that step or, by the settled rule, when the
+    step was below 5e-15 |k| and |D|/d_scale at the iterate is at most
+    POLE_TOL, which costs no evaluation (none at all if every first step is
+    parked).
 
     Certificate. ring_radius maps the list of iterates to a list of radii
     rho. Every evaluation also takes D at N = _RING_POINTS points
@@ -349,7 +343,8 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
     alive, certified, settled = [True] * size, [False] * size, [False] * size
     span = k_hi - k_lo
     lo, hi, im_max = k_lo - 2 * span, k_hi + 2 * span, 0.5 * (k_hi + span)
-    d0, dp, dpp = (np.asarray(f).tolist() for f in first)
+    d0, dp, dpp, d3 = (np.asarray(f).tolist() for f in first)
+    rho = m = [0.0] * size   # the seeds' values come without a ring
     for i in range(_NEWTON_MAX_ITER):
         if i:
             rho = [r if a and not c else 0.0
@@ -359,9 +354,7 @@ def _newton_poles(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
             rings = zip(*[iter(values[0][size:])] * _RING_POINTS)   # D on each ring, in turn
             m = [2.0 * max(map(abs, next(rings))) if r > 0 else 0.0 for r in rho]
             d0, dp, dpp, d3 = (f[:size] for f in values)
-            steps, accepted = _certify(d0, dp, dpp, d3, k, rho, m, d_scale)
-        else:
-            steps, accepted = [_halley(*v)[0] for v in zip(d0, dp, dpp)], [False] * size
+        steps, accepted = _certify(d0, dp, dpp, d3, k, rho, m, d_scale)
         done = True
         for j, s in enumerate(steps):
             if not alive[j] or certified[j]:
@@ -402,21 +395,28 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     finest real-axis period (n >= 1), and at least 16; scan_points, an
     integer >= 3, caps that count (3 still leaves an interior point to seed
     from). So above the derived count the poles do not depend on
-    scan_points: the reference window (736-751 nm) takes 28 points.
-    Complex Newton with Halley's correction refines the seeds; its first
-    step uses the D, D' and D'' the scan computes. Every later evaluation
-    also gives D''' (_d_from_riccati), and refines each Halley step by two
-    Newton steps on the cubic Taylor model. It also samples D on a ring of
-    _RING_SPACINGS radial-order spacings about each uncertified iterate
-    (_ring_radius), and a seed stops when a Cauchy/Rouche bound, with the
-    remainder past the cubic model at q^4, certifies the iterate plus its
-    refined step to within 5e-16 |k| of a root (see _newton_poles). Seeds
-    without ring room iterate until the step falls below 5e-15 |k|, and keep
-    a pole when the edge-normalized |D| of their last iteration is at most
-    POLE_TOL. The TE and the TM reference solve each take two ladder runs:
-    the scan and one certified Newton iteration. Returns records sorted by
-    k0; empty list when the window holds no pole. Non-convergent seeds are
-    logged and skipped.
+    scan_points. Past that count, the scan runs on at the same step for
+    _EDGE_STEPS = 4 points beyond each edge (below k_lo only as far as
+    k_lo/2, since D is singular at k = 0), so a pole near an edge has a
+    seed: a scan takes at most scan_points + 8 points, and the reference
+    window (736-751 nm) 36. |D| at the window's own edge points sets
+    d_scale, and a pole is kept only where k_lo <= Re k <= k_hi. The window
+    is closed: a pole exactly on an edge that two windows share is reported
+    by both.
+
+    Complex Newton refines the seeds from the scan's D, D', D'' and D'''
+    (_newton_poles): every step is Halley's, refined by two Newton steps on
+    the cubic Taylor model (_certify). Each evaluation also samples D on a
+    ring of _RING_SPACINGS radial-order spacings about each uncertified
+    iterate (_ring_radius), and a seed stops when a Cauchy/Rouche bound,
+    with the remainder past the cubic model at q^4, certifies the iterate
+    plus its refined step to within 5e-16 |k| of a root. Seeds without ring
+    room iterate until the step falls below 5e-15 |k|, and keep a pole when
+    the edge-normalized |D| of their last iteration is at most POLE_TOL.
+    The TE and the TM reference solve each take two ladder runs: the scan
+    and one certified Newton iteration. Returns records sorted by k0; empty
+    list when the window holds no pole. Non-convergent seeds are logged and
+    skipped.
 
     Newton's evaluation is the same for both polarizations: one vectorized
     ladder run on the iterates (and the ring), nothing appended; each seed's
@@ -444,12 +444,13 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
 
     spacings = (k_hi - k_lo) * params.n * params.R / math.pi
     points = min(scan_points, max(16, math.ceil(_SCAN_PER_SPACING * spacings) + 1))
-    ks = np.linspace(k_lo, k_hi, points)
-    d, slope, curv = _CHARACTERISTIC[polarization](l, ks, params)
-    absd = np.abs(d)
-    d_scale = max(absd[0], absd[-1])
-    if d_scale == 0:
-        d_scale = float(np.max(absd)) or 1.0
+    step = (k_hi - k_lo) / (points - 1)
+    below = min(_EDGE_STEPS, int(0.5 * k_lo / step))   # padding stays at k >= k_lo/2
+    ks = np.linspace(k_lo - below * step, k_hi + _EDGE_STEPS * step,
+                     below + points + _EDGE_STEPS)
+    scan = _CHARACTERISTIC[polarization](l, ks, params)
+    absd = np.abs(scan[0])
+    d_scale = max(absd[below], absd[below + points - 1]) or float(np.max(absd)) or 1.0
 
     minima = np.flatnonzero((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:])) + 1
     seeds = ks[minima]
@@ -463,8 +464,7 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
         last[:] = [k[:seeds.size], *(f[:seeds.size] for f in values[:4])]
         return _d_from_riccati(l, *values, params, te)
 
-    refined, converged = _newton_poles(newton_d, seeds,
-                                       (d[minima], slope[minima], curv[minima]),
+    refined, converged = _newton_poles(newton_d, seeds, [f[minima] for f in scan],
                                        k_lo, k_hi, d_scale, partial(_ring_radius, params))
     for seed, ok in zip(seeds, converged):
         if not ok:

@@ -28,7 +28,8 @@ from wgmspin.wgm import (
     tm_characteristic,
 )
 
-from oracles import contour_pole_scan, lly_wavenumber, mp_characteristic, mp_pole
+from oracles import (contour_pole_scan, lly_wavenumber, mp_characteristic, mp_pole,
+                     winding_number)
 
 K_REF = 2.0 * math.pi / 743.25e-9
 REF_WINDOW = (2.0 * math.pi / 751e-9, 2.0 * math.pi / 736e-9)
@@ -50,8 +51,8 @@ def _record_ladder_runs(monkeypatch):
 
 
 def _record_certificates(monkeypatch):
-    # the mask of every _certify call, one per Newton evaluation past the
-    # scan's values
+    # the mask of every _certify call, one per Newton evaluation, the scan's
+    # values first (no ring there, so that mask is all False)
     real = wgm._certify
     masks = []
 
@@ -71,7 +72,7 @@ def _no_ring(k):
 
 
 def _record_scan(monkeypatch, pol):
-    # the (D, D', D'') of find_resonance's first D call, its scan
+    # the (D, D', D'', D''') of find_resonance's first D call, its scan
     real = wgm._CHARACTERISTIC[pol]
     scans = []
 
@@ -173,7 +174,7 @@ def test_uniform_medium_zero_slope_seeds_from_grid(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_resonance(pol, 40, window, p, scan_points=2000) == []
-        d, slope, _ = scans[0]
+        d, slope, _, _ = scans[0]
         absd = np.abs(d)
         assert np.all(slope == 0)
         assert np.any((absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]))
@@ -250,7 +251,7 @@ def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
     public = _CHARACTERISTIC_PUBLIC[pol]
     for k in (pole, pole + (1 + 1j) * 1e-3 / R, 1.003 * pole.real - 0.2j / R,
               0.97 * pole.real + 0.1j / R):
-        d, slope, curv = _CHARACTERISTIC[pol](l, k, ref_params)
+        d, slope, curv, _ = _CHARACTERISTIC[pol](l, k, ref_params)
         assert d == public(l, k, ref_params)
         want = _cauchy_derivative(lambda z: public(l, z, ref_params), k, 0.01 / R)
         assert abs(slope - want) <= 1e-11 * abs(want)
@@ -358,15 +359,15 @@ def test_pole_residual_normalized(ref_params, ref_mode):
 
 
 def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
-    # the pole from the derived scan density (28 points here) against a
-    # scan forced to 2000 points
+    # the pole from the derived scan density (28 points here, 36 with the
+    # edge padding) against a scan forced to 2000 points (2008)
     shapes = _record_ladder_runs(monkeypatch)
     coarse = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
-    assert shapes[0] == (2, 28)
+    assert shapes[0] == (2, 36)
     monkeypatch.setattr(wgm, "_SCAN_PER_SPACING", 10**9)
     shapes.clear()
     fine = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
-    assert shapes[0] == (2, 2000)
+    assert shapes[0] == (2, 2008)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].k0 - fine[0].k0) / fine[0].k0 < 1e-12
 
@@ -385,22 +386,23 @@ def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     calls.clear()
     tm = find_resonance("TM", 120, REF_WINDOW, ref_params, scan_points=2000)
     assert len(tm) == 1
-    assert calls == [(2, 28), (2, 1 + wgm._RING_POINTS)], calls
+    assert calls == [(2, 36), (2, 1 + wgm._RING_POINTS)], calls
     assert te_newton == calls[1]
     assert [mode.te_matching for mode in tm] == [None]
 
 
 def test_scan_density_independent_above_derived_count(ref_params, monkeypatch):
     # the reference window spans 0.82 radial-order spacings pi/(nR): 28 scan
-    # points, whatever larger cap scan_points sets, so the poles are the same
-    # list at every such cap, from two ladder runs (scan + certified Newton)
+    # points and 4 past each edge, whatever larger cap scan_points sets, so
+    # the poles are the same list at every such cap, from two ladder runs
+    # (scan + certified Newton)
     shapes = _record_ladder_runs(monkeypatch)
     results = []
     for points in (500, 2000, 100_000):
         shapes.clear()
         results.append(find_resonance("TE", 120, REF_WINDOW, ref_params,
                                       scan_points=points))
-        assert shapes[0] == (2, 28) and len(shapes) == 2, (points, shapes)
+        assert shapes[0] == (2, 36) and len(shapes) == 2, (points, shapes)
     assert len(results[0]) == 1
     assert results[0] == results[1] == results[2]
 
@@ -414,8 +416,8 @@ def test_newton_far_seed_takes_plain_newton_step(monkeypatch):
 
     monkeypatch.setattr(wgm, "_NEWTON_MAX_ITER", 1)
     seeds = np.array([0.5, 1.2], dtype=complex)
-    d, dp, dpp, _ = dvec(seeds)
-    k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 0.1, 3.0, 1.0, _no_ring)
+    d, dp, dpp, d3 = dvec(seeds)
+    k, _ = wgm._newton_poles(dvec, seeds, (d, dp, dpp, d3), 0.1, 3.0, 1.0, _no_ring)
     newton = seeds + -d / dp
     assert k[0] == newton[0]
     assert k[1] != newton[1]
@@ -434,7 +436,8 @@ def test_newton_evaluates_finite_k_only():
 
     seeds = np.array([1.2, 1.8, 1.9], dtype=complex)
     first = (np.array([1e300, 1.0, 0.4], dtype=complex),
-             np.array([1e-300, 1e-300, 1.0], dtype=complex), np.zeros(3, dtype=complex))
+             np.array([1e-300, 1e-300, 1.0], dtype=complex), np.zeros(3, dtype=complex),
+             np.zeros(3, dtype=complex))
     with np.errstate(over="ignore"):
         k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0, _no_ring)
     assert seen and all(np.all(np.isfinite(z)) for z in seen)
@@ -454,7 +457,7 @@ def test_newton_curvature_saves_evaluations():
             return k**3 - 2, 3 * k * k, curvature(k), third(k)
 
         seeds = np.array([1.5], dtype=complex)
-        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds)[:3], 1.0, 2.0, 1.0, _no_ring)
+        k, converged = wgm._newton_poles(dvec, seeds, dvec(seeds), 1.0, 2.0, 1.0, _no_ring)
         assert converged.tolist() == [True]
         assert abs(k[0] - 2 ** (1 / 3)) <= 1e-15
         return len(calls)
@@ -478,7 +481,7 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
 
     seeds = np.array([1.2, 1.51])
     for k_seeds in (seeds, seeds[1:]):
-        k, converged = wgm._newton_poles(dvec, k_seeds, dvec(k_seeds.astype(complex))[:3],
+        k, converged = wgm._newton_poles(dvec, k_seeds, dvec(k_seeds.astype(complex)),
                                          1.0, 2.0, 1.0, _no_ring)
         assert np.all(np.abs(dvec(k)[0]) <= wgm.POLE_TOL)
         assert converged.tolist() == [True, False][-k_seeds.size:], (k, converged)
@@ -487,14 +490,15 @@ def test_newton_small_residual_without_settled_step_is_not_converged():
 
 def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     # D = (k - 1.5)(k - b), seed 1e-4 below the root 1.5, ring radius 0.1.
-    # With b = 2.5, outside the ring, Halley lands within ~1e-12 of 1.5 and
-    # the first evaluation certifies its step: one Dvec call, on the iterate
-    # and its 8 ring points. With b = 1.5002, inside the ring, |D'| is 2e-4
-    # at the root and the first iterate is still ~7.7e-6 off, so the Cauchy
-    # remainder M q^4 outweighs |D'| delta, and the first evaluation
-    # certifies nothing; a later one, with its own ring, certifies. (At
-    # b = 1.501 the cubic certificate accepts the first iterate, ~7e-7 off.)
-    # A zero-radius ring certifies nothing, and the seed takes the settled
+    # The seed's values carry D and D' only (D'' = D''' = 0), so its step is
+    # plain Newton's; a step from the exact quadratic model would land on the
+    # root. With b = 2.5, outside the ring, the first iterate is ~1e-8 off
+    # and the first evaluation certifies its step: one Dvec call, on the
+    # iterate and its 8 ring points. With b = 1.5002, inside the ring, |D'|
+    # is 2e-4 at the root and the first iterate is still ~2.5e-5 off, so the
+    # Cauchy remainder M q^4 outweighs |D'| delta, and the first evaluation
+    # certifies nothing; a later one, with its own ring, certifies. A
+    # zero-radius ring certifies nothing, and the seed takes the settled
     # rule to the same root
     certified = _record_certificates(monkeypatch)
 
@@ -507,7 +511,8 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
             return (k - 1.5) * (k - b), 2 * k - 1.5 - b, np.full_like(k, 2), np.zeros_like(k)
 
         seeds = np.array([1.5 - 1e-4], dtype=complex)
-        first = dvec(seeds)[:3]
+        d, dp, _, third = dvec(seeds)
+        first = (d, dp, np.zeros_like(d), third)
         k, converged = wgm._newton_poles(dvec, seeds, first, 1.0, 2.0, 1.0, ring_radius)
         return k, converged.tolist(), calls[1:]
 
@@ -519,7 +524,8 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
     assert abs(k[0] - 1.5) <= 1e-15
     k, converged, calls = run(1.5002, ring)
     assert calls[0] == 1 + wgm._RING_POINTS and len(calls) > 1, calls
-    assert not certified[0][0] and any(mask[0] for mask in certified[1:]), certified
+    assert not certified[0][0] and not certified[1][0], certified   # the seed's, the first run's
+    assert any(mask[0] for mask in certified[2:]), certified
     assert converged == [True] and abs(k[0] - 1.5) <= 1e-15
     k, converged, calls = run(1.5002, _no_ring)
     assert calls == [1] * len(calls) and not np.any(certified), (calls, certified)
@@ -527,15 +533,17 @@ def test_newton_certificate_refuses_second_root_inside_ring(monkeypatch):
 
 
 def test_newton_bookkeeping_per_seed(monkeypatch):
-    # D = (k - 1.2)(k - 1.5)(k - 1.5002), ring radius 0.1, three seeds. The
-    # seed 1e-4 below 1.2 has no other root in its ring and is certified at
-    # the first evaluation; the seed 1e-4 below 1.5 has 1.5002 in its ring
-    # and is certified only at a later one; the third's first step (D = 1,
+    # D = (k - 1.2)(k - 1.5)(k - 1.5002), ring radius 0.1, three seeds whose
+    # values carry D and D' only (D'' = D''' = 0: plain Newton first steps,
+    # where the exact cubic model would land on the roots). The seed 1e-4
+    # below 1.2 has no other root in its ring and is certified at the first
+    # evaluation; the seed 1e-4 below 1.5 has 1.5002 in its ring and is
+    # certified only at a later one; the third's first step (D = 1,
     # D' = 1e-300) runs away and is parked, dead, at k_lo = 1. Every Dvec
     # call takes the iterates in seed order, the certified and the parked
     # one included, then 8 ring points about each seed that is alive,
     # uncertified and has ring room; every _certify mask has one entry per
-    # seed, in seed order
+    # seed, in seed order, the seeds' own (no ring) first
     roots = (1.2, 1.5, 1.5002)
     calls = []
 
@@ -546,16 +554,18 @@ def test_newton_bookkeeping_per_seed(monkeypatch):
 
     masks = _record_certificates(monkeypatch)
     seeds = np.array([1.2 - 1e-4, 1.5 - 1e-4, 1.9], dtype=complex)
-    d, dp, dpp, _ = dvec(seeds)
+    d, dp, _, _ = dvec(seeds)
     d[2], dp[2] = 1.0, 1e-300
     calls.clear()
-    k, converged = wgm._newton_poles(dvec, seeds, (d, dp, dpp), 1.0, 2.0, 1.0,
+    zero = np.zeros_like(d)
+    k, converged = wgm._newton_poles(dvec, seeds, (d, dp, zero, zero), 1.0, 2.0, 1.0,
                                      lambda k: [0.1] * len(k))
     assert converged.tolist() == [True, True, False]
     assert abs(k[0] - 1.2) <= 1e-15 and abs(k[1] - 1.5) <= 1e-15 and k[2] == 1.0
-    assert len(calls) == len(masks) > 1
+    assert len(calls) + 1 == len(masks) > 2
     assert [list(mask) for mask in masks] == (
-        [[True, False, False]] + [[False] * 3] * (len(masks) - 2) + [[False, True, False]])
+        [[False] * 3, [True, False, False]] + [[False] * 3] * (len(masks) - 3)
+        + [[False, True, False]])
     ring = 0.1 * np.exp(2j * np.pi * np.arange(wgm._RING_POINTS) / wgm._RING_POINTS)
     for i, call in enumerate(calls):
         with_ring = [0, 1] if i == 0 else [1]
@@ -575,7 +585,7 @@ def test_certify_keeps_step_where_model_slope_vanishes():
 
 def test_two_pole_window_certified_at_first_newton_run(ref_params, monkeypatch):
     # TE l = 120 over 0.97-1.09 times the Lam-Leung-Young wavenumber holds two
-    # poles: the 158-point scan, then one Newton run on both iterates and
+    # poles: the 166-point scan, then one Newton run on both iterates and
     # their rings, which certifies both. Each record's last iterate lies
     # within _SHIFT_MAX/(nR) of its k0 (nR |k0 - k| = 1.6e-7 and 7.5e-6), so
     # Lambda runs no ladder on either pole
@@ -584,8 +594,8 @@ def test_two_pole_window_certified_at_first_newton_run(ref_params, monkeypatch):
     k = lly_wavenumber(120, "TE", ref_params.n, ref_params.R)
     modes = find_resonance("TE", 120, (0.97 * k, 1.09 * k), ref_params)
     assert len(modes) == 2
-    assert shapes == [(2, 158), (2, 2 * (1 + wgm._RING_POINTS))], shapes
-    assert [list(mask) for mask in masks] == [[True, True]]
+    assert shapes == [(2, 166), (2, 2 * (1 + wgm._RING_POINTS))], shapes
+    assert [list(mask) for mask in masks] == [[False, False], [True, True]]
     nr = ref_params.n * ref_params.R
     for mode in modes:
         assert nr * abs(mode.k0 - mode.te_matching.k) <= wgm._SHIFT_MAX
@@ -646,13 +656,13 @@ def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monke
     # Riccati values to carry: the TE record's te_matching is None, and
     # Lambda takes its one ladder call at k0
     def first_step(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
-        d, dp, _ = first
+        d, dp, _, _ = first
         return seeds - d / dp, np.ones(seeds.size, dtype=bool)
 
     monkeypatch.setattr(wgm, "_newton_poles", first_step)
     calls = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)
-    assert len(modes) == 1 and calls == [(2, 28)], calls
+    assert len(modes) == 1 and calls == [(2, 36)], calls
     assert modes[0].te_matching is None
     calls.clear()
     compute_lambda(modes[0], ref_params)
@@ -713,17 +723,16 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
 
 
 def test_low_q_window_takes_certificate_and_matches_mpmath(monkeypatch):
-    # TE l = 8, n = 1.52 (Q ~ 25): the first Newton iterate plus its refined
-    # step lands ~6e-16 |k| from the pole, but its step is so long against
-    # the ring that the Cauchy remainder M q^4 outweighs |P'| delta; the
-    # second evaluation, with its own ring, certifies the next step. So
-    # Newton takes two runs after the scan, each with the ring, and the pole
-    # matches mpmath
+    # TE l = 8, n = 1.52 (Q ~ 25): the seed's step, Halley's refined on the
+    # scan's cubic model, leaves the first Newton iterate so close to the
+    # pole that its own refined step is short against the ring, and the
+    # first evaluation certifies it. So Newton takes one run after the scan,
+    # with the ring, and the pole matches mpmath
     p = SphereParams(R=10e-6, n=1.52)
     shapes = _record_ladder_runs(monkeypatch)
     modes = find_resonance("TE", 8, (6.5 / p.R, 9.5 / p.R), p, scan_points=3000)
     assert len(modes) == 1
-    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS] * 2, shapes
+    assert [s[1] for s in shapes[1:]] == [1 + wgm._RING_POINTS], shapes
     want = complex(mp_pole("TE", 8, p.n, p.R, modes[0].pole, 30))
     assert abs(modes[0].k0 - want.real) <= 1e-15 * want.real
     assert abs(modes[0].kappa_c + 2 * want.imag) <= 1e-13 * -2 * want.imag
@@ -764,23 +773,22 @@ def test_every_pole_with_ring_room_is_certified(monkeypatch):
 
 def test_certificate_windows_take_scan_and_one_newton_run(monkeypatch):
     # the cubic certificate accepts the refined step of the first Newton
-    # iterate: the scan, then one Newton run on the iterate and its ring.
-    # Only the lowest-Q windows refuse it and certify the second iterate:
-    # n^2 = 1.44 at l = 40 (below l = 49 on the +-1 % survey) and TE l = 8
-    # at n = 1.52
+    # iterate, which the seed's own refined step (from the scan's D to D''')
+    # put close to the pole: the scan, then one Newton run on the iterate and
+    # its ring, in every window, the low-Q ones (n^2 = 1.44 at l = 40, TE
+    # l = 8 at n = 1.52) included
     shapes = _record_ladder_runs(monkeypatch)
     for pol, l, window, p in _certificate_windows():
         shapes.clear()
         assert find_resonance(pol, l, window, p), (pol, l, p.n)
-        newton_runs = 2 if l == 8 or (l < 49 and p.n < 1.3) else 1
-        assert shapes[1:] == [(2, 1 + wgm._RING_POINTS)] * newton_runs, (pol, l, p.n, shapes)
+        assert shapes[1:] == [(2, 1 + wgm._RING_POINTS)], (pol, l, p.n, shapes)
 
 
 def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
     # the scan holds a few arrays over the points, never a table over the
     # ladder's orders (~200 orders x 2e5 stacked points would be ~600 MiB);
     # a density forced past the cap makes the scan take all MAX_SCAN_POINTS
-    # points, and the traced peak is ~27 MiB
+    # points and the 8 of its edge padding, and the traced peak is ~34 MiB
     monkeypatch.setattr(wgm, "_SCAN_PER_SPACING", 10**9)
     shapes = _record_ladder_runs(monkeypatch)
     tracemalloc.start()
@@ -790,9 +798,71 @@ def test_scan_memory_bounded_at_point_cap(ref_params, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert shapes[0] == (2, MAX_SCAN_POINTS)
+    assert shapes[0] == (2, MAX_SCAN_POINTS + 2 * wgm._EDGE_STEPS)
     assert len(modes) == 1
     assert peak < 48 * 2**20, peak / 2**20
+
+
+def test_pole_near_window_edge_is_found():
+    # TE l = 20, n = 1.2 (Q 21.5): the +-1 % window about the Lam-Leung-Young
+    # position holds a pole 0.78 scan steps inside its upper edge, which no
+    # |D| minimum inside the window seeds; one past the edge, in the scan's
+    # padding, does. The pole matches mpmath
+    p = SphereParams(R=10e-6, n=1.2)
+    k = lly_wavenumber(20, "TE", p.n, p.R)
+    mode, = find_resonance("TE", 20, (0.99 * k, 1.01 * k), p)
+    want = complex(mp_pole("TE", 20, p.n, p.R, mode.pole, 30))
+    assert abs(mode.k0 - want.real) <= 1e-15 * want.real
+    assert abs(mode.kappa_c + 2 * want.imag) <= 1e-12 * -2 * want.imag
+
+
+def test_pole_near_window_seam_found_once():
+    # two windows, each half a radial-order spacing pi/(nR) wide, meeting
+    # 0.002, 0.01 or 0.02 spacings above or below a first-order pole
+    # (TE/TM, l = 20-500, n^2 = 1.44-4, Q 16 to 2e188): exactly one of the
+    # two reports the pole, with the k0 and kappa_c of a window about it
+    for pol in ("TE", "TM"):
+        for n2 in (1.44, 2.31, 4.0):
+            p = SphereParams(R=10e-6, n=math.sqrt(n2))
+            spacing = math.pi / (p.n * p.R)
+            for l in (20, 40, 80, 120, 200, 300, 400, 500):
+                k = lly_wavenumber(l, pol, p.n, p.R)
+                pole = max(find_resonance(pol, l, (0.99 * k, 1.01 * k), p), key=lambda m: m.Q)
+                for offset in (-0.02, -0.01, -0.002, 0.002, 0.01, 0.02):
+                    seam = pole.k0 + offset * spacing
+                    found = [m for w in ((seam - 0.5 * spacing, seam), (seam, seam + 0.5 * spacing))
+                             for m in find_resonance(pol, l, w, p)
+                             if abs(m.k0 - pole.k0) <= 1e-12 * pole.k0]
+                    assert len(found) == 1, (pol, l, n2, offset, found)
+                    assert abs(found[0].kappa_c - pole.kappa_c) <= 1e-10 * pole.kappa_c
+
+
+# windows, in kR at R = 10 um, whose poles near an edge a scan without edge
+# padding loses: TM l = 54, n = 2.186, two spacings wide with the Q 1.2e22
+# pole 0.3 scan steps inside the upper edge, and three windows of a random
+# draw (numpy default_rng(3); TE/TM, l = 5-120, n = 1.2-2.5, 1-4 spacings
+# wide, centred up to a spacing off the Lam-Leung-Young position)
+_EDGE_WINDOWS = [
+    ("TM", 54, 2.186, (25.28638128166747, 28.160665502701136)),
+    ("TM", 45, 2.047695645856084, (23.947788539307172, 28.139657166241435)),
+    ("TE", 30, 2.046195173698134, (15.560606172501515, 17.316283410207884)),
+    ("TE", 14, 1.5086217690508372, (9.597187334443888, 17.029161371837915)),
+]
+
+
+@pytest.mark.parametrize("pol, l, n, window", _EDGE_WINDOWS)
+def test_poles_found_match_winding_count(pol, l, n, window):
+    # the argument principle on the package's own D counts its zeros with
+    # Re k in the window and -0.9/(nR) <= Im k <= 0.1/(nR); find_resonance
+    # returns exactly as many poles in that rectangle
+    p = SphereParams(R=10e-6, n=n)
+    re = (window[0] / p.R, window[1] / p.R)
+    im = (-0.9 / (n * p.R), 0.1 / (n * p.R))
+    fn = _CHARACTERISTIC_PUBLIC[pol]
+    count = winding_number(lambda z: fn(l, z, p), re, im, samples_per_side=1500)
+    modes = find_resonance(pol, l, re, p)
+    assert count >= 1
+    assert sum(m.pole.imag >= im[0] for m in modes) == count, (count, modes)
 
 
 def test_kappa_and_lambda_window_independent(ref_params):
