@@ -7,7 +7,8 @@ through that parser. validate() checks every key in one loop: each number in
 its value must be finite, then the rule must hold, so a key gets at most one
 diagnostic, "<rule>, got <value>". An unset optional key (None) passes. The
 checks that involve more than one key follow the loop: the default I from R
-and rho, the window, each m against l, a repeated m, all-zero amplitudes at
+and rho, the window and its reach n k R against the Bessel |z| limit
+MAX_ARG, each m against l, a repeated m, all-zero amplitudes at
 N > 0, the sample cap and [sweep]. The window is checked only when both its
 ends are finite. With a [sweep], each swept copy is then validated too,
 once the base config has no problem, its diagnostics naming the value.
@@ -20,7 +21,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .specfun import MAX_ORDER
+from .specfun import MAX_ARG, MAX_ORDER
 from .wgm import _solid_sphere_inertia
 
 __all__ = ["ConfigError", "RunConfig"]
@@ -177,9 +178,15 @@ class RunConfig:
             bad.append(("sphere.R", "must keep the default I = (8/15) pi rho R^5 finite "
                         f"(or set sphere.I), got {self.R!r}"))
         lo, hi = self.lambda_min, self.lambda_max
+        # Newton parks iterates past ~3.2 k_hi, so n k_hi R <= MAX_ARG/4 keeps
+        # every ladder argument of the search inside MAX_ARG
+        floor = 8.0 * math.pi * self.n * self.R / MAX_ARG
         if math.isfinite(lo) and math.isfinite(hi) and not 0 < lo < hi:
             bad.append(("mode_search.lambda_min",
                         f"window [{lo}, {hi}] must be positive and non-empty"))
+        elif math.isfinite(self.n) and math.isfinite(self.R) and 0 < lo < floor:
+            bad.append(("mode_search.lambda_min", f"must be >= 8 pi n R / MAX_ARG = {floor:.6g}, "
+                        f"so that n k R <= {MAX_ARG / 4:g} over the window, got {lo!r}"))
         for m, _ in self.amplitudes:
             if abs(m) > self.l:
                 bad.append(("coupling.amplitudes", f"|m| must be <= l, got m={m}"))

@@ -17,11 +17,11 @@ mode profiles. Conventions:
   through the real-axis TE D(k0) alone (D = n (c - i b) for the exterior
   coefficients b, c), so they and the interior norm integral are TE-only;
   exterior grids past k0 r = 800 raise an AccuracyWarning;
-* a TE pole carries the Riccati values of Newton's last ladder call at its
-  last iterate. _te_matching alone forms D(k0), as D(k0) - D(p) from the
-  Taylor series about that iterate, so Lambda, the norm integral and the
-  profile of a high-Q pole from find_resonance run no matching ladder and
-  do not hang on the rounding of D near k0.
+* a TE pole from find_resonance carries its real-axis matching, D(k0) and
+  psi, psi' at n k0 R, formed once (_matching) from Newton's last ladder
+  call, with D(k0) - D(p) from the Taylor series about its last iterate; so
+  Lambda, the norm integral and the profile of a high-Q pole run no
+  matching ladder and do not hang on the rounding of D near k0.
 
 The module returns records and writes no files; the CLI (wgmspin.cli) writes
 modes.csv and modes.json.
@@ -37,7 +37,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,29 +113,15 @@ def _solid_sphere_inertia(R, rho):
         return math.inf
 
 
-class _TEMatching(NamedTuple):
-    """A TE pole's Riccati values from Newton's last ladder call: psi, psi'
-    at y = nkR and xi, xi' at x = kR of the pole's last iterate k, with the
-    (l, pole, n, R) they belong to."""
-
-    at: tuple
-    k: complex
-    psi: complex
-    psip: complex
-    xi: complex
-    xip: complex
-
-
 @dataclass(frozen=True)
 class ModeRecord:
     """One whispering-gallery resonance.
 
     kappa_c > 0 is the full linewidth in wavenumber; the quasinormal pole is
-    k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching holds the
-    Riccati values at the last iterate of a TE pole's Newton run (None for
-    TM, or where Newton evaluated nothing), from which _te_matching forms
-    the real-axis matching; it takes no part in equality, repr or any
-    artifact.
+    k0 - i kappa_c/2 and Q = k0/kappa_c exactly. te_matching is a TE pole's
+    real-axis matching, ((l, pole, n, R), D(k0), psi(n k0 R), psi'(n k0 R)),
+    formed once by find_resonance (None for TM, or where it formed none); it
+    takes no part in equality, repr or any artifact.
     """
 
     polarization: str
@@ -145,7 +130,7 @@ class ModeRecord:
     kappa_c: float
     Q: float
     radial_profile: np.ndarray | None = field(default=None, compare=False)
-    te_matching: _TEMatching | None = field(default=None, compare=False, repr=False)
+    te_matching: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def pole(self) -> complex:
@@ -421,11 +406,13 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
     Newton's evaluation is the same for both polarizations: one vectorized
     ladder run on the iterates (and the ring), nothing appended; each seed's
     step, certificate and stopping rules run on Python scalars around it.
-    A TE pole is its last iterate k plus a step s, and its record keeps psi,
-    psi', xi and xi' of the last call at k (te_matching), from which
-    compute_lambda, interior_norm_integral and radial_profile form the
-    matching without a ladder run. A TM record, or a TE one whose Newton
-    evaluated nothing, carries None.
+    A TE pole is its last iterate k plus a step s, and its record carries
+    the matching (te_matching: D(k0), psi and psi' at n k0 R, keyed by
+    (l, pole, n, R)) that _matching forms once from the last call's psi,
+    psi', xi and xi' at k, so compute_lambda, interior_norm_integral and
+    radial_profile run no ladder. A TM record carries None, and so does a
+    TE one whose Newton evaluated nothing or whose last iterate lies past
+    nR |k0 - k| = _SHIFT_MAX.
 
     A pole whose Q = k0/kappa_c overflows, or whose kappa_c is subnormal
     (below sys.float_info.min, so with few significant digits), is returned
@@ -479,12 +466,16 @@ def find_resonance(polarization, l, k_window, params: SphereParams, *,
                 and not any(abs(pole - p) < 1e-8 * abs(p) for p, _ in poles)):
             poles.append((pole, i))
 
+    def matching(p, i):
+        if not (te and last) or params.n * params.R * abs(p.real - last[0][i]) > _SHIFT_MAX:
+            return None
+        return ((l, p, params.n, params.R), *_matching(l, p, [f[i] for f in last], params))
+
     poles.sort(key=lambda pole: pole[0].real)
     modes = [
         ModeRecord(polarization=polarization, l=l, k0=p.real,
                    kappa_c=-2.0 * p.imag, Q=p.real / (-2.0 * p.imag),
-                   te_matching=(_TEMatching((l, p, params.n, params.R), *(f[i] for f in last))
-                                if te and last else None))
+                   te_matching=matching(p, i))
         for p, i in poles
     ]
     for mode in modes:
@@ -503,7 +494,7 @@ def _ode_shift(f, fp, z, h, l):
     q_j = (j + 1) L/z^2 (-1/z)^j - [j = 0] the Taylor coefficients of
     L/(z + w)^2 - 1. z and the step h may be complex. a_m grows like
     |q_0|^{m/2}/m!, so at |h| <= _SHIFT_MAX and |q_0| <= 15 the first dropped
-    term is below 1e-17 of f. _te_matching shifts only psi, at y = nkR near
+    term is below 1e-17 of f. _matching shifts only psi, at y = nkR near
     a pole, where |q_0| = |L/y^2 - 1| is small.
     """
     c = l * (l + 1) / (z * z)
@@ -516,21 +507,20 @@ def _ode_shift(f, fp, z, h, l):
             sum((m + 1) * a[m + 1] * h**m for m in range(_SHIFT_TERMS)))
 
 
-def _te_matching(mode: ModeRecord, params: SphereParams):
-    """Real-axis TE D(k0), with psi(y) and psi'(y) at y = n k0 R.
+def _matching(l, p, point, params: SphereParams):
+    """Real-axis TE D(k0), with psi(y0) and psi'(y0) at y0 = n k0 R, for the
+    pole p = k0 - i kappa_c/2, from point = (k, psi, psi', xi, xi'): psi,
+    psi' at y = nkR and xi, xi' at x = kR of one point k near p.
 
     For real k, xi = psi + i x y_l splits D into n (c - i b), with b, c the
     exterior coefficients (b j_l + c y_l outside) of the continuum mode that
-    is j_l(n k r) inside: D holds the whole matching. It is formed here
-    alone, from psi, psi' at y = nkR and xi, xi' at x = kR of one point k:
-    Newton's last values (ModeRecord.te_matching) while their (l, pole, n, R)
-    are the mode's and params' and nR |k0 - k| <= _SHIFT_MAX, else one
-    stacked ladder call at k = k0. Profiles and Lambda are TE only.
+    is j_l(n k r) inside: D holds the whole matching. Profiles and Lambda
+    are TE only.
 
-    At a high-Q pole p = k0 - i kappa_c/2, D(k0) lies far below the rounding
-    of D near k0, but D(p) = 0 is exact. So where nR max(|s|, |h|) <=
-    _SHIFT_MAX, with s = p - k and h = k0 - k, the Taylor series about k
-    gives, with nothing cancelling,
+    At a high-Q pole, D(k0) lies far below the rounding of D near k0, but
+    D(p) = 0 is exact. So where nR max(|s|, |h|) <= _SHIFT_MAX, with
+    s = p - k and h = k0 - k, the Taylor series about k gives, with nothing
+    cancelling,
         D(k0) - D(p) = (k0 - p) [D' + c2 (h + s) + c3 (h^2 + h s + s^2)],
     with D', c2 = D''/2 and c3 = D'''/6 from _d_from_riccati.
     D(p) = D + s (D' + s (c2 + s c3)) is added only where p is no root,
@@ -538,22 +528,13 @@ def _te_matching(mode: ModeRecord, params: SphereParams):
     carried or built by hand, it is rounding (<= 3.1e-16 |p| |D'| on the TE
     l = 20-500 survey); a record off a pole (4.8e-2 at 1.07 k0) and n = 1
     (D = -i, D' = D'' = D''' = 0, so D(k0) would be 0) keep it. psi, psi'
-    move to y0 = n k0 R by _ode_shift over the complex step nR h. Elsewhere
-    (low Q, k = k0), D(k0) is n psi' xi - psi xi' as the ladder gives it.
+    move to y0 by _ode_shift over the complex step nR h. Elsewhere (low Q,
+    k = k0), D(k0) is n psi' xi - psi xi' as the ladder gives it.
     """
-    if mode.polarization != "TE":
-        raise ValueError("continuum matching is defined for TE modes only, "
-                         f"got {mode.polarization!r}")
-    carried, l, k0, p = mode.te_matching, mode.l, mode.k0, mode.pole
-    n, R, nr = params.n, params.R, params.n * params.R
-    if (carried is not None and carried.at == (l, p, n, R)
-            and nr * abs(k0 - carried.k) <= _SHIFT_MAX):
-        point = carried[1:]
-    else:
-        point = (k0, *_riccati_pair(l, k0, params)[:4])
     k, psi, psip, xi, xip = map(complex, point)
-    x = R * k
-    d, slope, curv, third = _d_from_riccati(l, psi, psip, xi, xip, x, params, te=True)
+    k0, nr = p.real, params.n * params.R
+    d, slope, curv, third = _d_from_riccati(l, psi, psip, xi, xip, params.R * k, params,
+                                            te=True)
     s, h = p - k, k0 - k
     if nr * max(abs(s), abs(h)) <= _SHIFT_MAX:
         c2, c3 = 0.5 * curv, third / 6.0
@@ -565,6 +546,21 @@ def _te_matching(mode: ModeRecord, params: SphereParams):
     return d, psi.real, psip.real
 
 
+def _te_matching(mode: ModeRecord, params: SphereParams):
+    """(D(k0), psi(y0), psi'(y0)) of a TE mode, y0 = n k0 R: the record's
+    own matching where its key (l, pole, n, R) is the mode's and params',
+    else _matching on one stacked ladder call at k = k0 (a record built by
+    hand or replaced to another pole, other params, or a pole whose last
+    Newton iterate lay past _SHIFT_MAX)."""
+    if mode.polarization != "TE":
+        raise ValueError("continuum matching is defined for TE modes only, "
+                         f"got {mode.polarization!r}")
+    carried, l, p = mode.te_matching, mode.l, mode.pole
+    if carried is not None and carried[0] == (l, p, params.n, params.R):
+        return carried[1:]
+    return _matching(l, p, (mode.k0, *_riccati_pair(l, mode.k0, params)[:4]), params)
+
+
 def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
     """integral_0^R r^2 u(k0, r)^2 dr of the continuum-normalized TE mode, in
     closed form.
@@ -573,7 +569,7 @@ def interior_norm_integral(mode: ModeRecord, params: SphereParams) -> float:
     Lommel's integral in Riccati form, int_0^y psi^2 = [y psi'^2 +
     (y - l(l+1)/y) psi^2 - psi psi'] / 2 at y = n k0 R, turns it into that
     bracket over pi n k0 |D|^2, with D(k0), psi and psi' from _te_matching:
-    no grid, and no ladder call for a pole that carries Newton's values.
+    no grid, and no ladder call for a pole that carries its matching.
     """
     d, psi, psip = _te_matching(mode, params)
     l, y = mode.l, params.n * params.R * mode.k0

@@ -9,7 +9,7 @@ import pytest
 from wgmspin import cli
 from wgmspin.config import MAX_SAMPLES, ConfigError, RunConfig
 from wgmspin.constants import C_LIGHT, HBAR
-from wgmspin.specfun import AccuracyWarning
+from wgmspin.specfun import MAX_ARG, AccuracyWarning
 
 from oracles import lly_wavenumber
 
@@ -233,6 +233,9 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         ("estimate", "m_list = 1, 5, 9", "m_list = 1, 500", "estimate.m_list"),
         # scan memory grows with the point count
         ("modes", "scan_points = 1500", "scan_points = 100001", "mode_search.scan_points"),
+        # and the ladders' length with n k R: at 1e-12 m the scan's Miller
+        # start would lie near order 1e8, past the ladders' hard |z| limit
+        ("modes", "lambda_min = 6.8e-6", "lambda_min = 1e-12", "mode_search.lambda_min"),
         # as does simulate's, ~1.3 KB per sample: 1e9 samples would exhaust it
         ("simulate", "n_steps = 60\nsample_every = 10",
          "n_steps = 1000000000\nsample_every = 1", "simulation.n_steps"),
@@ -260,6 +263,22 @@ def test_invalid_config_exit_2_names_field(tmp_path, capsys, monkeypatch):
         assert code == 2, (new, code)
         assert field in capsys.readouterr().err, new
         assert not (tmp_path / "out").exists(), new
+
+
+def test_window_reach_bounded_by_bessel_limit():
+    # n k_hi R <= MAX_ARG/4 keeps the scan and Newton's iterates, which are
+    # parked past ~3.2 k_hi, inside the Bessel ladders' hard |z| limit; a
+    # swept R is checked against the same bound
+    floor = 8.0 * math.pi * 1.52 * 10e-6 / MAX_ARG
+    assert RunConfig(n=1.52, R=10e-6, lambda_min=1.001 * floor).validate() == []
+    lo = 0.999 * floor
+    assert RunConfig(n=1.52, R=10e-6, lambda_min=lo).validate() == [
+        ("mode_search.lambda_min",
+         f"must be >= 8 pi n R / MAX_ARG = {floor:.6g}, so that n k R <= 2500 over the "
+         f"window, got {lo!r}")]
+    swept = RunConfig(n=1.52, R=10e-6, lambda_min=1.001 * floor,
+                      sweep_field="sphere.R", sweep_values=("10e-6", "11e-6"))
+    assert [f for f, _ in swept.validate()] == ["mode_search.lambda_min"]
 
 
 def test_validate_checks_each_swept_copy():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wgmspin import specfun
 from wgmspin.specfun import (
+    MAX_ARG,
     MAX_ORDER,
     TIGHT_ARG,
     AccuracyWarning,
@@ -233,6 +234,25 @@ def test_non_finite_argument_error(func, z):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="argument z must be finite"):
             func(3, z)
+
+
+@pytest.mark.parametrize("func", [spherical_bessel_j, spherical_hankel1, riccati_bessel])
+@pytest.mark.parametrize("z", [2e4, -2e4j, [1.0, 2e4]], ids=["real", "imag", "vector"])
+def test_argument_past_hard_limit_error(func, z, monkeypatch):
+    # the Miller start, and so the ladder's steps and table, grow with
+    # max|z| (j_5 took 1.2 ms at |z| = 1e3, 2.0 s at 1e6): past MAX_ARG the
+    # call raises before any ladder runs, and warns of nothing first
+    def no_ladder(*args):
+        raise AssertionError("a ladder ran")
+
+    monkeypatch.setattr(specfun, "_j_ladder", no_ladder)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exceeds the hard limit"):
+            func(5, z)
+    monkeypatch.undo()
+    with pytest.warns(AccuracyWarning):
+        func(5, MAX_ARG)
 
 
 def test_relaxed_accuracy_warning():

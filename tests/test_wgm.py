@@ -265,7 +265,7 @@ def test_exact_slope_matches_cauchy_derivative(ref_params, pol, l, monkeypatch):
 @pytest.mark.parametrize("l", [1, 20, 120, 300])
 def test_third_derivative_matches_mpmath(ref_params, pol, l, monkeypatch):
     # d3D/dk3 from the Riccati-Bessel ODE, as Newton's evaluation and
-    # _te_matching take it, against mpmath's third derivative of the
+    # _matching take it, against mpmath's third derivative of the
     # 40-digit D, on a pole, just off it, and away from it on both sides of
     # the real axis (measured <= 3.4e-14 relative)
     R = ref_params.R
@@ -375,9 +375,9 @@ def test_pole_stable_under_seed_scan_refinement(ref_params, monkeypatch):
 def test_reference_solve_ladder_runs(ref_params, monkeypatch):
     # one scan, then one Newton run from slope-stepped seeds, which the
     # cubic certificate accepts: the iterate and its ring of 8 points in one
-    # riccati_bessel call on the stacked arguments, whose values the TE pole
-    # carries. TE and TM take the same two calls, and the TM record carries
-    # no matching
+    # riccati_bessel call on the stacked arguments, whose values form the TE
+    # pole's matching. TE and TM take the same two calls, and the TM record
+    # carries no matching
     calls = _record_ladder_runs(monkeypatch)
     assert len(find_resonance("TE", 120, REF_WINDOW, ref_params, scan_points=2000)) == 1
     assert len(calls) == 2, calls
@@ -588,7 +588,7 @@ def test_two_pole_window_certified_at_first_newton_run(ref_params, monkeypatch):
     # poles: the 166-point scan, then one Newton run on both iterates and
     # their rings, which certifies both. Each record's last iterate lies
     # within _SHIFT_MAX/(nR) of its k0 (nR |k0 - k| = 1.6e-7 and 7.5e-6), so
-    # Lambda runs no ladder on either pole
+    # both records carry a matching and Lambda runs no ladder on either pole
     shapes = _record_ladder_runs(monkeypatch)
     masks = _record_certificates(monkeypatch)
     k = lly_wavenumber(120, "TE", ref_params.n, ref_params.R)
@@ -596,9 +596,7 @@ def test_two_pole_window_certified_at_first_newton_run(ref_params, monkeypatch):
     assert len(modes) == 2
     assert shapes == [(2, 166), (2, 2 * (1 + wgm._RING_POINTS))], shapes
     assert [list(mask) for mask in masks] == [[False, False], [True, True]]
-    nr = ref_params.n * ref_params.R
-    for mode in modes:
-        assert nr * abs(mode.k0 - mode.te_matching.k) <= wgm._SHIFT_MAX
+    assert all(mode.te_matching is not None for mode in modes)
     shapes.clear()
     for mode in modes:
         compute_lambda(mode, ref_params)
@@ -635,8 +633,8 @@ def test_overflowing_q_poles_warn(ref_params):
 
 
 def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
-    # a TE pole carries the Riccati values of Newton's last ladder call, at
-    # its last iterate: find_resonance, attach_profile and compute_lambda
+    # a TE pole carries the matching formed from Newton's last ladder call,
+    # at its last iterate: find_resonance, attach_profile and compute_lambda
     # take the scan and the certified Newton call, and Lambda, the norm
     # integral and the profile run no riccati_bessel call of their own
     calls = _record_ladder_runs(monkeypatch)
@@ -650,10 +648,32 @@ def test_te_pole_runs_no_matching_ladder(ref_params, monkeypatch):
     assert calls == []
 
 
+def test_te_matching_formed_once_per_pole(ref_params, monkeypatch):
+    # find_resonance forms each TE pole's matching once, from Newton's last
+    # values; the profile and Lambda read it and form none
+    formed = []
+    real = wgm._matching
+
+    def spy(l, p, point, params):
+        formed.append(p)
+        return real(l, p, point, params)
+
+    monkeypatch.setattr(wgm, "_matching", spy)
+    k = lly_wavenumber(120, "TE", ref_params.n, ref_params.R)
+    for window in (REF_WINDOW, (0.97 * k, 1.09 * k)):
+        modes = find_resonance("TE", 120, window, ref_params)
+        assert formed == [mode.pole for mode in modes]
+        formed.clear()
+        for mode in modes:
+            compute_lambda(attach_profile(mode, ref_params), ref_params)
+        assert formed == []
+
+
 def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monkeypatch):
     # a Newton that evaluates nothing (here one that takes each seed's first
     # step from the scan's D and D' and calls it converged) leaves no
-    # Riccati values to carry: the TE record's te_matching is None, and
+    # Riccati values to form a matching from: the TE record's te_matching
+    # is None, and
     # Lambda takes its one ladder call at k0
     def first_step(Dvec, seeds, first, k_lo, k_hi, d_scale, ring_radius):
         d, dp, _, _ = first
@@ -671,12 +691,29 @@ def test_te_pole_without_newton_evaluation_carries_no_matching(ref_params, monke
 
 @pytest.mark.parametrize("n2", [1.44, 2.31, 4.0])
 def test_carried_lambda_matches_direct_call(n2, monkeypatch):
-    # Lambda from the values Newton's last stacked ladder call carries
-    # against Lambda from one solo riccati_bessel call at the same k, on
-    # every pole of a +-10 % window (26 poles per n, up to 7 a window, Q 7 to
-    # 2e188): what carrying alone can change is the rounding of the two
-    # ladder calls (measured <= 3.1e-14 here)
+    # Lambda from the matching formed on Newton's last stacked ladder call
+    # against Lambda from one solo riccati_bessel call at the same iterate
+    # k, on every pole of a +-10 % window (26 poles per n, up to 7 a window,
+    # Q 7 to 2e188): what carrying alone can change is the rounding of the
+    # two ladder calls (measured <= 3.1e-14 here). A record carries None
+    # exactly where its last iterate lies past nR |k0 - k| = _SHIFT_MAX
     p = SphereParams(R=10e-6, n=math.sqrt(n2))
+    nr = p.n * p.R
+    iterates = {}   # pole -> the last iterate Newton stepped from to it
+    newton = wgm._newton_poles
+
+    def spy(Dvec, seeds, *args):
+        last = []
+
+        def dvec(k):
+            last[:] = k[:len(seeds)].tolist()
+            return Dvec(k)
+
+        refined, converged = newton(dvec, seeds, *args)
+        iterates.update(zip(refined.tolist(), last))
+        return refined, converged
+
+    monkeypatch.setattr(wgm, "_newton_poles", spy)
     windows = {}
     for l in (10, 20, 60, 120, 200, 300, 410, 500):
         k = lly_wavenumber(l, "TE", p.n, p.R)
@@ -684,18 +721,22 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
         modes = find_resonance("TE", l, windows[l], p)
         assert modes, l
         for mode in modes:
-            carried = mode.te_matching
-            assert carried is not None
-            solo = carried._replace(**dict(zip(("psi", "psip", "xi", "xip"),
-                                               wgm._riccati_pair(l, carried.k, p)[:4])))
+            k = iterates[mode.pole]
+            if mode.te_matching is None:
+                assert nr * abs(mode.k0 - k) > wgm._SHIFT_MAX, (l, mode.Q)
+                continue
+            assert nr * abs(mode.k0 - k) <= wgm._SHIFT_MAX, (l, mode.Q)
+            solo = wgm._matching(l, mode.pole, (k, *wgm._riccati_pair(l, k, p)[:4]), p)
             stacked = compute_lambda(mode, p).lambda_
-            direct = compute_lambda(replace(mode, te_matching=solo), p).lambda_
+            direct = compute_lambda(replace(mode, te_matching=(mode.te_matching[0], *solo)),
+                                    p).lambda_
             assert abs(stacked - direct) <= 2e-13 * abs(direct), (l, mode.Q)
-    # a record without values for its own (l, pole, n, R) takes one ladder
-    # call: one built by hand, one replaced to another k0, a pole solved with
-    # other params, and a pole whose values lie past _SHIFT_MAX. Off a pole,
-    # D(k0) is the one call's n psi' xi - psi xi' (the root test keeps D(p));
-    # at n = 1, D = -i, though D' = 0
+    # a record without a matching for its own (l, pole, n, R) takes one
+    # ladder call: one built by hand, one replaced to another k0, a pole
+    # solved with other params, and a pole whose last iterate lay past
+    # _SHIFT_MAX, which carries None. Off a pole, D(k0) is the one call's
+    # n psi' xi - psi xi' (the root test keeps D(p)); at n = 1, D = -i,
+    # though D' = 0
     calls = _record_ladder_runs(monkeypatch)
     mode = find_resonance("TE", 120, windows[120], p)[0]
     k2 = 1.07 * mode.k0
@@ -712,7 +753,7 @@ def test_carried_lambda_matches_direct_call(n2, monkeypatch):
     other = SphereParams(R=p.R, n=p.n * (1 + 1e-9))
     monkeypatch.setattr(wgm, "_SHIFT_MAX", -1.0)   # refuses every shift, 0 too
     unshifted = find_resonance("TE", 120, windows[120], p)[0]
-    assert unshifted.te_matching is not None
+    assert unshifted.te_matching is None
     calls.clear()
     for record, params in ((hand, p), (replace(mode, k0=k2, Q=k2 / mode.kappa_c), p),
                            (mode, other), (unshifted, p)):
@@ -956,16 +997,19 @@ def test_pole_matches_mpmath_table(ref_params, pol, l):
 @pytest.mark.filterwarnings("ignore::wgmspin.specfun.AccuracyWarning")   # off-strip low-Q poles
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(pol=st.sampled_from(["TE", "TM"]), l=st.integers(1, 300), n=st.floats(1.05, 2.5),
-       width=st.floats(0.01, 0.06))
-def test_poles_match_mpmath_over_envelope(pol, l, n, width):
-    # every pole with Q <= 1e60 from a window 1-6 % wide about the
-    # Lam-Leung-Young position matches the pole of the same D that mpmath
-    # finds from it at 50 + log10 Q digits: k0 to 1e-15, kappa_c to 1e-12.
-    # The asymptotic position is negative at low l and n (l <= 6 at n = 1.05)
+       width=st.floats(0.01, 0.06), offset=st.floats(-1.0, 1.0))
+def test_poles_match_mpmath_over_envelope(pol, l, n, width, offset):
+    # every pole with Q <= 1e60 from a window 1-6 % wide, centred up to one
+    # radial-order spacing pi/(nR) either side of the Lam-Leung-Young
+    # position, matches the pole of the same D that mpmath finds from it at
+    # 50 + log10 Q digits: k0 to 1e-15, kappa_c to 1e-12. The asymptotic
+    # position is negative at low l and n (l <= 6 at n = 1.05)
     p = SphereParams(R=10e-6, n=n)
     k = lly_wavenumber(l, pol, n, p.R)
-    assume(k > 0)
-    for mode in find_resonance(pol, l, (k * (1 - width / 2), k * (1 + width / 2)), p):
+    centre = k + offset * math.pi / (n * p.R)
+    k_lo, k_hi = centre * (1 - width / 2), centre * (1 + width / 2)
+    assume(k > 0 and k_lo > 0)
+    for mode in find_resonance(pol, l, (k_lo, k_hi), p):
         if mode.Q <= 1e60:
             dps = 50 + max(0, math.ceil(math.log10(mode.Q)))
             want = complex(mp_pole(pol, l, n, p.R, mode.pole, dps))
